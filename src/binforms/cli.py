@@ -314,6 +314,7 @@ def _cmd_hsop_check(args) -> int:
     cache = EvalCache(args.run.cache_dir)
     candidates = _named_set(args.n, args.set)
     degrees = _parse_degree_list(args.membership_degrees)
+    cfg.validate(args.n, max(degrees, default=0))
     basis = None
     try:
         if degrees:
@@ -368,6 +369,7 @@ def _cmd_hsop_membership(args) -> int:
     degrees = _parse_degree_list(args.degrees)
     if not degrees:
         raise ValueError("--degrees is required")
+    cfg.validate(args.n, max(degrees))
     min_deg = min(d for _, _, d in candidates)
     need = max(degrees) - min_deg
     results = []

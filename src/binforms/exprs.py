@@ -8,9 +8,12 @@ exactly:
 
 Nodes are immutable with precomputed hashes, so structurally equal subtrees
 land on the same memo slots during evaluation.  An `Evaluator` is bound to one
-(ring, base form, definitions) triple and keeps a per-point cache; the heavily
-shared covariants of the catalogs are therefore computed once per point no
-matter how many invariants mention them.
+(ring, base form, definitions) triple and memoizes every node, so the heavily
+shared covariants of the catalogs are computed once no matter how many
+invariants mention them.  It serves any scalar ring (exact rationals,
+polynomial rings, single forms for `binforms eval`); values at many points
+over F_p come from `batch.BatchEvaluator`, which evaluates a whole point set
+at once.
 """
 
 from __future__ import annotations

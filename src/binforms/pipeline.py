@@ -3,7 +3,9 @@
 The discovery campaign works degree by degree.  For each degree m the
 dimension table says how big the space of invariants I_m is; products of the
 basic invariants already found are evaluated at dim + margin random points
-over F_p and their rank measures how much of I_m is already known.  Random
+over F_p and their rank measures how much of I_m is already known.  Every
+F_p value comes from `batch.BatchEvaluator`, which evaluates an expression at
+all points of a set at once and memoizes shared subtrees per set.  Random
 transvectant trees of the right degree are then adjoined greedily, one rank
 unit at a time, until the combined rank saturates the dimension; the number
 of adjoined generators is d_m.  Monte Carlo ranks certify at sampling level
@@ -26,12 +28,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .batch import BatchEvaluator
 from .cache import EvalCache
 from .exprs import Expr, F, Evaluator, expr_to_text, pw, tr
-from .forms import BinaryForm
 from .modlinalg import ModMatrix, StreamingEchelon, rank as matrix_rank
 from .nullcone import random_nullform
-from .rings import QQ, DualNumbers, PrimeField
+from .rings import QQ, is_prime
 from .series import DegreeSequence, invariant_dimension, poincare_series, to_rational
 
 
@@ -50,16 +52,39 @@ class PipelineConfig:
     def margin(self, dim: int) -> int:
         return max(self.margin_floor, ceil(self.margin_frac * dim))
 
-    def validate(self, n: int) -> None:
+    def validate(self, n: int, max_degree: int = 0) -> None:
+        """Reject a prime the run cannot use, before any work starts.
+
+        `max_degree` is the largest degree whose points the run will rank;
+        the streaming echelon is exact only while points * (p - 1)^2 < 2^53,
+        and a retried degree doubles its margin.
+        """
+        if self.prime == 2 or not is_prime(self.prime):
+            raise ValueError(f"prime {self.prime} is not an odd prime")
         if self.prime <= 2 * n + 1:
             raise ValueError(
                 f"prime {self.prime} must exceed 2n + 1 = {2 * n + 1} so the "
                 "transvectant prefactors stay invertible"
             )
+        dims = poincare_series(n, max_degree).dims[1:]
+        points = max((dim + 2 * self.margin(dim) for dim in dims if dim), default=0)
+        if points * (self.prime - 1) ** 2 >= 2 ** 53:
+            raise ValueError(
+                f"prime {self.prime} is too large for exact ranks at {points} "
+                "points: need points * (p - 1)^2 < 2^53"
+            )
+
+
+def _random_forms(rng: random.Random, n: int, count: int, prime: int) -> np.ndarray:
+    """`count` forms of order n over F_p, shape (count, n + 1), drawn row by row."""
+    return np.array(
+        [[rng.randrange(prime) for _ in range(n + 1)] for _ in range(count)],
+        dtype=np.int64,
+    ).reshape(count, n + 1)
 
 
 class PointSet:
-    """Seeded random evaluation points (forms over F_p)."""
+    """Seeded random evaluation points: `coeffs[i]` is the i-th form over F_p."""
 
     def __init__(self, n: int, prime: int, seed: int, count: int, tag: str):
         self.n = n
@@ -67,20 +92,20 @@ class PointSet:
         self.count = count
         self.key = f"{n}:{prime}:{seed}:{tag}:{count}"
         rng = random.Random(f"points:{self.key}")
-        gf = PrimeField(prime)
-        self.forms = [
-            BinaryForm(gf, n, [rng.randrange(prime) for _ in range(n + 1)])
-            for _ in range(count)
-        ]
+        self.coeffs = _random_forms(rng, n, count, prime)
 
 
 class PointEvaluations:
-    """Vectors of invariant values over one point set, memoized and cached."""
+    """Vectors of invariant values over one point set, memoized and cached.
+
+    Expressions are evaluated at every point of the set at once; shared
+    subtrees are computed once per set.
+    """
 
     def __init__(self, points: PointSet, cache: Optional[EvalCache] = None):
         self.points = points
         self.cache = cache
-        self._evaluators = [Evaluator(f) for f in points.forms]
+        self._batch = BatchEvaluator(points.coeffs, points.prime)
         self._vectors: Dict[Expr, np.ndarray] = {}
 
     def vector(self, expr: Expr) -> np.ndarray:
@@ -95,7 +120,7 @@ class PointEvaluations:
                 vec = np.array(hit, dtype=np.int64)
                 self._vectors[expr] = vec
                 return vec
-        vec = np.array([ev.scalar(expr) for ev in self._evaluators], dtype=np.int64)
+        (vec,) = self._batch.scalar(expr)
         self._vectors[expr] = vec
         if self.cache is not None:
             self.cache.put(self.points.key, text, [int(v) for v in vec])
@@ -346,7 +371,7 @@ def compute_dm(
     fingerprints: Optional[PointEvaluations] = None,
 ) -> Tuple[DegreeEvidence, List[BasisRecord]]:
     """Evidence for d_m plus the newly adjoined basic invariants."""
-    cfg.validate(n)
+    cfg.validate(n, m)
     dim = invariant_dimension(n, m)
     if dim == 0:
         return DegreeEvidence(m, 0, 0, 0, 0, 0, ()), []
@@ -420,12 +445,12 @@ def find_basic_invariants(
     progress=None,
 ) -> DmTable:
     """Run the discovery campaign for every degree up to max_degree."""
-    cfg.validate(n)
+    bound = _stop_bound(n)
+    top = max_degree if bound is None else min(max_degree, bound)
+    cfg.validate(n, top)
     table = DmTable(n, cfg.prime, cfg.seed)
     gen = CandidateGenerator(n, cfg.seed, cfg.pool_order_cap)
     fingerprints = _fingerprint_evals(n, cfg, cache)
-    bound = _stop_bound(n)
-    top = max_degree if bound is None else min(max_degree, bound)
     for m in range(1, top + 1):
         if invariant_dimension(n, m) == 0:
             continue
@@ -447,17 +472,13 @@ def jacobian_rank(
 ) -> int:
     """Rank of the matrix of partial derivatives at one point over F_p.
 
-    Each coordinate direction costs one dual-number evaluation: the slope
-    component of the value at (point + eps * e_i) is the exact derivative.
+    One batch holds the point n + 1 times, row i with slope direction e_i;
+    the slope of an invariant's value in row i is its exact partial
+    derivative in coordinate i.
     """
-    dual = DualNumbers(PrimeField(prime))
-    point = [c % prime for c in point]
-    rows = [[0] * (n + 1) for _ in exprs]
-    for i in range(n + 1):
-        coeffs = [(c, 1 if j == i else 0) for j, c in enumerate(point)]
-        ev = Evaluator(BinaryForm(dual, n, coeffs))
-        for r, e in enumerate(exprs):
-            rows[r][i] = ev.scalar(e)[1]
+    forms = np.tile([c % prime for c in point], (n + 1, 1))
+    ev = BatchEvaluator(forms, prime, slopes=np.eye(n + 1, dtype=np.int64))
+    rows = [ev.scalar(e)[1] for e in exprs]
     return matrix_rank(ModMatrix(prime, rows))
 
 
@@ -488,15 +509,12 @@ def vanish_on_nullcone_sample(
         else:
             bad = [str(i) for i, v in enumerate(values) if v != 0]
             failures.append(f"trial {t}: nonzero at candidate index {','.join(bad)}")
-    gf = PrimeField(prime)
     rng = random.Random(f"generic:{seed}:{n}:{prime}")
-    generic_vanish = 0
-    for _ in range(trials):
-        form = BinaryForm(gf, n, [rng.randrange(prime) for _ in range(n + 1)])
-        ev = Evaluator(form)
-        if all(ev.scalar(e) == 0 for e in exprs):
-            generic_vanish += 1
-    return VanishReport(trials, all_vanish, tuple(failures), trials, generic_vanish)
+    generic = BatchEvaluator(_random_forms(rng, n, trials, prime), prime)
+    vanish = np.ones(trials, dtype=bool)
+    for e in exprs:
+        vanish &= generic.scalar(e)[0] == 0
+    return VanishReport(trials, all_vanish, tuple(failures), trials, int(vanish.sum()))
 
 
 @dataclass(frozen=True)
@@ -535,7 +553,7 @@ def ideal_membership_dim(
     level.  When the candidate has n - 2 elements the expected value is
     dim I_degree - a_degree with a(t) the numerator of its rational form.
     """
-    cfg.validate(n)
+    cfg.validate(n, degree)
     dim = invariant_dimension(n, degree)
     min_deg = min(d for _, _, d in hsop)
     needed = degree - min_deg
@@ -641,7 +659,7 @@ def certify_hsop(
     cache: Optional[EvalCache] = None,
 ) -> HsopReport:
     """Aggregate sampling-level evidence that a candidate set is an hsop."""
-    cfg.validate(n)
+    cfg.validate(n, max(membership_degrees, default=0))
     names = tuple(name for name, _, _ in candidates)
     degrees = tuple(sorted(d for _, _, d in candidates))
     exprs = [e for _, e, _ in candidates]

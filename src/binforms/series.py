@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,36 +36,39 @@ SEED_DEGREES = {
 }
 
 
-@lru_cache(maxsize=None)
-def _box_poly(n: int, d: int) -> Tuple[int, ...]:
-    """Coefficients of the Gaussian binomial [n+d, d]_q (degree n*d).
+def _dimensions(n: int, top: int) -> Iterator[int]:
+    """dim I_d for d = 0, 1, ..., top, from one incremental pass.
 
-    Coefficient w counts partitions of w into at most d parts, each <= n.
+    The Gaussian binomial [n+d, d]_q (degree n*d; coefficient w counts the
+    partitions of w into at most d parts, each <= n) is built from the
+    previous one as [n+d-1, d-1]_q * (1 - q^(n+d)) / (1 - q^d), so the pass
+    costs O(n * top^2) and keeps one polynomial alive.
     """
-    coeffs = [0] * (n * d + 1)
-    coeffs[0] = 1
-    for i in range(1, d + 1):
-        # multiply by (1 - q^(n+i))
-        k = n + i
-        for j in range(len(coeffs) - 1, k - 1, -1):
-            coeffs[j] -= coeffs[j - k]
-        # divide exactly by (1 - q^i)
-        for j in range(i, len(coeffs)):
-            coeffs[j] += coeffs[j - i]
-    return tuple(coeffs)
+    box = [1]
+    yield 1
+    for d in range(1, top + 1):
+        box.extend([0] * n)
+        _mul_one_minus_tk(box, n + d)
+        # divide exactly by (1 - q^d)
+        for j in range(d, len(box)):
+            box[j] += box[j - d]
+        if (n * d) % 2 == 1:
+            yield 0
+        else:
+            w = n * d // 2
+            yield box[w] - box[w - 1]
 
 
+@lru_cache(maxsize=None)
 def invariant_dimension(n: int, d: int) -> int:
     """dim of the degree-d invariants of forms of order n (exact)."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    if d == 0:
-        return 1
     if (n * d) % 2 == 1:
         return 0
-    w = n * d // 2
-    box = _box_poly(n, d)
-    return box[w] - (box[w - 1] if w >= 1 else 0)
+    for dim in _dimensions(n, d):
+        pass
+    return dim
 
 
 def _weight_monomials(n: int, d: int, w: int) -> List[Tuple[int, ...]]:
@@ -176,7 +179,9 @@ def poincare_series(n: int, max_degree: int) -> DimTable:
     """Dimension table for degrees 0..max_degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    return DimTable(n, tuple(invariant_dimension(n, d) for d in range(max_degree + 1)))
+    if n < 1:
+        raise ValueError("need n >= 1 and d >= 0")
+    return DimTable(n, tuple(_dimensions(n, max_degree)))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,219 @@
+"""The batched F_p engine against the scalar evaluator it replaced.
+
+`ScalarBatch` is the reference: the per-point scalar `Evaluator` over
+GF(p) (or over dual numbers for slopes) behind the `BatchEvaluator`
+interface.  Swapping it into the pipeline reproduces the scalar path end to
+end, which the golden-output tests use.
+"""
+
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from binforms import pipeline
+from binforms.batch import BatchEvaluator, transvect, transvectant_matrix
+from binforms.catalog import catalog_for
+from binforms.cli import main
+from binforms.exprs import Evaluator, F, Pow, Tr
+from binforms.forms import BinaryForm, transvectant
+from binforms.pipeline import PointEvaluations, PointSet
+from binforms.rings import DualNumbers, PrimeField
+
+DATA = Path(__file__).parent / "data"
+BASIS_ARGV = ["basis", "--n", "9", "--max-degree", "12", "--json"]
+HSOP_ARGV = [
+    "hsop", "check", "--n", "9", "--set", "thm",
+    "--membership-degrees", "4,8,12", "--trials", "100", "--json",
+]
+
+
+class ScalarBatch:
+    """One scalar `Evaluator` per row; the reference for `BatchEvaluator`."""
+
+    def __init__(self, forms, prime, slopes=None):
+        gf = PrimeField(prime)
+        forms = np.asarray(forms) % prime
+        n = forms.shape[1] - 1
+        if slopes is None:
+            self.dual = False
+            self._evs = [Evaluator(BinaryForm(gf, n, [int(c) for c in row])) for row in forms]
+        else:
+            self.dual = True
+            ring = DualNumbers(gf)
+            self._evs = [
+                Evaluator(BinaryForm(ring, n, [ring.lift(int(c), int(s)) for c, s in zip(row, srow)]))
+                for row, srow in zip(forms, np.asarray(slopes))
+            ]
+
+    def scalar(self, e):
+        values = [ev.scalar(e) for ev in self._evs]
+        if not self.dual:
+            return (np.array(values, dtype=np.int64),)
+        return tuple(np.array(part, dtype=np.int64) for part in zip(*values))
+
+
+def test_kernel_matches_scalar_transvectant_through_order_18():
+    p = 32003
+    gf = PrimeField(p)
+    rng = np.random.default_rng(3)
+    for m in range(19):
+        for n in range(19):
+            G = rng.integers(0, p, (2, m + 1))
+            H = rng.integers(0, p, (2, n + 1))
+            for k in range(min(m, n) + 1):
+                got = transvect(G, H, k, p)
+                for row in range(2):
+                    want = transvectant(
+                        BinaryForm(gf, m, [int(c) for c in G[row]]),
+                        BinaryForm(gf, n, [int(c) for c in H[row]]),
+                        k,
+                    )
+                    assert list(got[row]) == list(want.coeffs), (m, n, k)
+
+
+def test_transvectant_matrix_is_cached_read_only_and_guarded():
+    T = transvectant_matrix(4, 3, 2, 32003)
+    assert T is transvectant_matrix(4, 3, 2, 32003)
+    assert T.shape == (20, 4)
+    with pytest.raises(ValueError):
+        T[0, 0] = 1
+    with pytest.raises(ValueError):
+        transvectant_matrix(2, 3, 3, 32003)
+    # 19 * 19 * (p - 1)^2 >= 2^63: sums of order-18 products would overflow
+    with pytest.raises(ValueError, match="int64"):
+        transvectant_matrix(18, 18, 0, 200_000_033)
+
+
+def test_point_set_and_values_are_pinned():
+    # Cache entries are keyed by the point-set key, so the points drawn for a
+    # key and the values at them must never change.  These numbers come from
+    # the per-point scalar evaluator on the discovery fingerprint set.
+    pts = PointSet(9, 32003, 1, 32, "fingerprint")
+    assert list(pts.coeffs[1]) == [12854, 19335, 26421, 24247, 21437, 2137, 9845, 22566, 13786, 3593]
+    pe = PointEvaluations(pts)
+    cat = catalog_for(9)
+    pinned = {
+        "j_4": [24065, 24975, 29414, 17349, 9449, 15109],
+        "B_8": [1737, 5586, 2712, 2840, 25482, 26504],
+        "j_16": [13385, 30147, 7543, 27602, 27998, 17679],
+    }
+    for name, values in pinned.items():
+        assert list(pe.vector(cat.closed(name))[:6]) == values, name
+
+
+def test_empty_batch_gives_empty_vectors():
+    j4 = catalog_for(9).closed("j_4")
+    (value,) = BatchEvaluator(np.zeros((0, 10), dtype=np.int64), 32003).scalar(j4)
+    assert value.shape == (0,)
+
+
+@st.composite
+def dags(draw):
+    """A random DAG over f: orders up to 2n, powers, shared subtrees."""
+    n = draw(st.integers(1, 9))
+    nodes = [(F, n)]
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            a, oa = nodes[draw(st.integers(0, len(nodes) - 1))]
+            b, ob = nodes[draw(st.integers(0, len(nodes) - 1))]
+            lo = max(0, (oa + ob - 2 * n + 1) // 2)
+            if lo > min(oa, ob):
+                continue
+            k = draw(st.integers(lo, min(oa, ob)))
+            nodes.append((Tr(a, b, k), oa + ob - 2 * k))
+        else:
+            a, oa = nodes[draw(st.integers(0, len(nodes) - 1))]
+            k = draw(st.integers(1, 3))
+            if k * oa <= 2 * n:
+                nodes.append((Pow(a, k), k * oa))
+    return n, nodes
+
+
+@settings(max_examples=100, deadline=None)
+@given(dags(), st.sampled_from([32003, 1000003]), st.integers(0, 2**32))
+def test_batched_dag_values_match_scalar_evaluator(dag, prime, seed):
+    n, nodes = dag
+    forms = np.random.default_rng(seed).integers(0, prime, (3, n + 1))
+    batch = BatchEvaluator(forms, prime)
+    gf = PrimeField(prime)
+    scalar = [Evaluator(BinaryForm(gf, n, [int(c) for c in row])) for row in forms]
+    for e, order in nodes:
+        (value,) = batch.eval(e)
+        assert value.shape == (3, order + 1)
+        for row, ev in zip(value, scalar):
+            assert list(row) == list(ev.eval(e).coeffs), e
+
+
+def test_batched_jacobian_matches_dual_numbers_for_thm_set():
+    p = 32003
+    cat = catalog_for(9)
+    thm = [cat.closed(e.name) for e in cat.hsop()]
+    rng = random.Random(f"jacobian:1:9:{p}")
+    for _ in range(5):
+        point = [rng.randrange(p) for _ in range(10)]
+        forms = np.tile(point, (10, 1))
+        directions = np.eye(10, dtype=np.int64)
+        batch = BatchEvaluator(forms, p, slopes=directions)
+        ref = ScalarBatch(forms, p, slopes=directions)
+        for e in thm:
+            got, want = batch.scalar(e), ref.scalar(e)
+            assert all((g == w).all() for g, w in zip(got, want))
+        assert pipeline.jacobian_rank(thm, point, 9, p) == 7
+
+
+def _scalar_generic_vanish(exprs, n, trials, seed, prime):
+    gf = PrimeField(prime)
+    rng = random.Random(f"generic:{seed}:{n}:{prime}")
+    count = 0
+    for _ in range(trials):
+        ev = Evaluator(BinaryForm(gf, n, [rng.randrange(prime) for _ in range(n + 1)]))
+        if all(ev.scalar(e) == 0 for e in exprs):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "names, prime, trials",
+    [(("j_4",), 23, 150), (("j_4", "B_8"), 23, 150)],
+)
+def test_generic_vanish_counts_match_scalar_path(names, prime, trials):
+    # Small primes make generic values vanish often enough to count.
+    cat = catalog_for(9)
+    exprs = [cat.closed(name) for name in names]
+    rep = pipeline.vanish_on_nullcone_sample(exprs, 9, trials, seed=2, prime=prime)
+    expected = _scalar_generic_vanish(exprs, 9, trials, 2, prime)
+    assert rep.generic_all_vanish == expected
+    if len(names) == 1:
+        assert expected > 0
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (BASIS_ARGV, "basis_n9_max12_seed1.json"),
+        (HSOP_ARGV, "hsop_check_thm_4_8_12_seed1.json"),
+    ],
+)
+def test_stdout_matches_scalar_path_golden_file(capsys, argv, golden):
+    # The golden files are the stdout of the per-point scalar evaluator.
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
+def test_cache_filled_by_scalar_path_gives_same_stdout(capsys, monkeypatch, tmp_path):
+    argv = BASIS_ARGV + ["--cache-dir", str(tmp_path)]
+    golden = (DATA / "basis_n9_max12_seed1.json").read_text()
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "BatchEvaluator", ScalarBatch)
+        assert _run(capsys, argv) == (0, golden)
+    assert list(tmp_path.iterdir())
+    assert _run(capsys, argv) == (0, golden)

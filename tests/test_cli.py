@@ -179,6 +179,30 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "no catalog" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("basis", "--n", "9", "--max-degree", "12", "--json"),
+        ("hsop", "check", "--n", "9", "--set", "thm", "--membership-degrees", "4,8,12", "--json"),
+        ("hsop", "membership", "--n", "9", "--set", "thm", "--degrees", "8", "--json"),
+    ],
+)
+@pytest.mark.parametrize(
+    "prime, reason",
+    [("32004", "not an odd prime"), ("3037000493", "too large for exact ranks")],
+)
+def test_bad_prime_rejected_before_any_work(capsys, monkeypatch, argv, prime, reason):
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point set was built before the prime was checked")
+
+    # A point set built first would surface as an unexpected crash (exit 3).
+    monkeypatch.setattr("binforms.pipeline.PointSet", no_points)
+    code, out, err = run_cli(capsys, *argv, "--prime", prime)
+    assert code == 2
+    assert out == ""
+    assert reason in err
+
+
 def test_nullcone_order_mismatch_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "nullcone", "test", "--n", "9", "--form", "2: 1,0,1"

@@ -57,6 +57,35 @@ def test_spot_dimensions():
     assert invariant_dimension(1, 0) == 1
 
 
+def _gaussian_binomials(n_max: int, d_max: int) -> dict:
+    """[n+d, d]_q by q-Pascal: G(n, d) = G(n, d-1) + q^d G(n-1, d)."""
+    G = {}
+    for n in range(n_max + 1):
+        for d in range(d_max + 1):
+            if n == 0 or d == 0:
+                G[n, d] = [1]
+                continue
+            out = G[n, d - 1] + [0] * n
+            for j, c in enumerate(G[n - 1, d]):
+                out[j + d] += c
+            G[n, d] = out
+    return G
+
+
+def test_incremental_series_matches_q_pascal_through_degree_109():
+    G = _gaussian_binomials(12, 109)
+    for n in range(1, 13):
+        want = []
+        for d in range(110):
+            w, box = n * d // 2, G[n, d]
+            if (n * d) % 2:
+                want.append(0)
+            else:
+                want.append(box[w] - (box[w - 1] if w else 0))
+        assert poincare_series(n, 109).dims == tuple(want), n
+        assert invariant_dimension(n, 109) == want[109]
+
+
 def test_sextic_series_matches_its_rational_form():
     table = poincare_series(6, 40)
     rat = to_rational(table, (2, 4, 6, 10))
