@@ -52,15 +52,10 @@ class RunConfig:
     margin_floor: int = 10
     fmt: str = "text"
     cache_dir: Optional[str] = None
-    threads: int = 1
 
     def pipeline(self) -> PipelineConfig:
         return PipelineConfig(
-            prime=self.prime,
-            seed=self.seed,
-            margin_floor=self.margin_floor,
-            cache_dir=self.cache_dir,
-            threads=self.threads,
+            prime=self.prime, seed=self.seed, margin_floor=self.margin_floor
         )
 
 
@@ -416,7 +411,6 @@ def _add_common(sub, *, needs_n=True, compute=False):
     if compute:
         sub.add_argument("--prime", type=int, default=32003)
         sub.add_argument("--seed", type=int, default=1)
-        sub.add_argument("--threads", type=int, default=1)
         sub.add_argument("--points-margin", type=int, default=10, dest="margin")
         sub.add_argument("--cache-dir", default=None)
 
@@ -490,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "prime") and hasattr(args, "seed") and hasattr(args, "threads"):
+    if hasattr(args, "prime") and hasattr(args, "seed"):
         args.run = RunConfig(
             n=getattr(args, "n", 0),
             prime=args.prime,
@@ -498,7 +492,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             margin_floor=getattr(args, "margin", 10),
             fmt=args.fmt,
             cache_dir=getattr(args, "cache_dir", None),
-            threads=args.threads,
         )
     try:
         return args.func(args)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from math import ceil
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,8 +47,6 @@ class PipelineConfig:
     fingerprint_points: int = 32
     candidate_budget: int = 600
     pool_order_cap: int = 0  # 0 means 2 * n
-    cache_dir: Optional[str] = None
-    threads: int = 1
 
     def margin(self, dim: int) -> int:
         return max(self.margin_floor, ceil(self.margin_frac * dim))
@@ -57,7 +56,10 @@ class PipelineConfig:
 
         `max_degree` is the largest degree whose points the run will rank;
         the streaming echelon is exact only while points * (p - 1)^2 < 2^53,
-        and a retried degree doubles its margin.
+        and a retried degree doubles its margin.  The batched transvectant
+        kernel is exact in int64 only while (m + 1)(n + 1)(p - 1)^2 < 2^63
+        for operand orders m and n, which the pool keeps at most its order
+        cap (2n by default).
         """
         if self.prime == 2 or not is_prime(self.prime):
             raise ValueError(f"prime {self.prime} is not an odd prime")
@@ -72,6 +74,12 @@ class PipelineConfig:
             raise ValueError(
                 f"prime {self.prime} is too large for exact ranks at {points} "
                 "points: need points * (p - 1)^2 < 2^53"
+            )
+        cap = self.pool_order_cap or 2 * n
+        if (cap + 1) ** 2 * (self.prime - 1) ** 2 >= 2 ** 63:
+            raise ValueError(
+                f"prime {self.prime} is too large for exact int64 transvectants "
+                f"of orders up to {cap}: need ({cap} + 1)^2 * (p - 1)^2 < 2^63"
             )
 
 
@@ -213,14 +221,48 @@ def _monomial_vector(
     return vec
 
 
+Closing = Tuple[int, int, int]  # (pool index i, pool index j >= i, order)
+
+
+@dataclass
+class _ClosingIndex:
+    """The closings of degree `m` among the first `scanned` pool entries.
+
+    `groups` maps each order (in order of first appearance) to one list per
+    pool entry of that order, in pool order, holding the closings the entry
+    starts; `partners` finds those lists by (order, degree).
+    """
+
+    m: int
+    scanned: int = 0
+    groups: Dict[int, List[List[Closing]]] = field(default_factory=dict)
+    partners: Dict[Tuple[int, int], List[Tuple[int, List[Closing]]]] = field(
+        default_factory=dict
+    )
+
+
 class CandidateGenerator:
     """Seeded random transvectant trees of prescribed degree and order 0.
 
     A pool of covariants (seeded with f and its nonzero quadratic
     transvectants) grows by random transvection; an invariant of degree m is
-    emitted by closing a random pool pair of equal orders whose degrees sum
-    to m.  The only contract is that emitted candidates eventually saturate
-    I_m, which the caller verifies by rank.
+    emitted by closing a pool pair of equal orders whose degrees sum to m.
+    The only contract is that emitted candidates eventually saturate I_m,
+    which the caller verifies by rank.
+
+    The pool only ever grows, so the closings of a degree are indexed
+    incrementally: a new pool entry adds its pairs with the entries already
+    indexed.  Only the latest degree is kept, since the campaign works one
+    degree at a time; asking for another degree indexes the pool anew.  A
+    closing is named by pool indices `(i, j, order)`; pool entries are
+    distinct, so this is the identity of the transvectant
+    `(pool[i], pool[j])_order`, which is built only when it is emitted.
+
+    The rng draws are fixed by the seed: each pass shuffles the full list of
+    closings (groups by first appearance of their order, pairs `i <= j` in
+    lexicographic order, `(A, A)_odd` left out), emits those not yet emitted,
+    then grows the pool.  The stream for a given seed therefore never
+    depends on how the closings are found.
     """
 
     def __init__(self, n: int, seed: int, order_cap: int = 0):
@@ -230,6 +272,7 @@ class CandidateGenerator:
         self._pool: List[Tuple[Expr, int, int]] = [(F, n, 1)]
         self._seen_pool = {F}
         self._seen_out: set = set()
+        self._index = _ClosingIndex(0)
         for k in range(2, n + 1, 2):
             e = tr(F, F, k)
             self._pool.append((e, 2 * n - 2 * k, 2))
@@ -256,20 +299,22 @@ class CandidateGenerator:
             self._seen_pool.add(e)
             self._pool.append((e, order, da + db))
 
-    def _closings(self, m: int) -> List[Tuple[Expr, Expr, int]]:
-        by_order: Dict[int, List[Tuple[Expr, int]]] = {}
-        for e, o, d in self._pool:
-            if o >= 1 and d < m:
-                by_order.setdefault(o, []).append((e, d))
-        found = []
-        for o, entries in by_order.items():
-            for i, (ea, da) in enumerate(entries):
-                for eb, db in entries[i:]:
-                    if da + db == m:
-                        if ea == eb and o % 2 == 1:
-                            continue
-                        found.append((ea, eb, o))
-        return found
+    def _closings(self, m: int) -> List[Closing]:
+        """Every closing of degree m in the current pool, in canonical order."""
+        if self._index.m != m:
+            self._index = _ClosingIndex(m)
+        index = self._index
+        for i in range(index.scanned, len(self._pool)):
+            _, o, d = self._pool[i]
+            if o < 1 or d >= m:
+                continue
+            starts = [(i, i, o)] if 2 * d == m and o % 2 == 0 else []
+            for j, partner_starts in index.partners.get((o, m - d), ()):
+                partner_starts.append((j, i, o))
+            index.groups.setdefault(o, []).append(starts)
+            index.partners.setdefault((o, d), []).append((i, starts))
+        index.scanned = len(self._pool)
+        return list(chain.from_iterable(chain.from_iterable(index.groups.values())))
 
     def candidates(self, m: int) -> Iterator[Expr]:
         """Endless stream of distinct degree-m invariant expressions."""
@@ -278,13 +323,13 @@ class CandidateGenerator:
             closings = self._closings(m)
             self.rng.shuffle(closings)
             emitted = False
-            for ea, eb, o in closings:
-                e = tr(ea, eb, o)
-                if e in self._seen_out:
+            for closing in closings:
+                if closing in self._seen_out:
                     continue
-                self._seen_out.add(e)
+                self._seen_out.add(closing)
                 emitted = True
-                yield e
+                i, j, o = closing
+                yield tr(self._pool[i][0], self._pool[j][0], o)
             self.grow(max_degree=m - 1)
             if emitted:
                 attempts_without_close = 0

@@ -247,3 +247,19 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dims"]["8"] == 8
+
+
+def test_hsop_check_rejects_int64_unsafe_prime_before_degree_filter(capsys, monkeypatch):
+    def no_filter(*args, **kwargs):
+        raise AssertionError("the degree filter ran before the prime was checked")
+
+    # Without membership degrees no point set bounds the prime; the kernel's
+    # int64 bound for orders up to 2n must reject it first (else exit 3).
+    monkeypatch.setattr("binforms.series.check_sequence", no_filter)
+    code, out, err = run_cli(
+        capsys, "hsop", "check", "--n", "9", "--set", "thm", "--trials", "5",
+        "--prime", "2147483647",
+    )
+    assert code == 2
+    assert out == ""
+    assert "int64" in err
