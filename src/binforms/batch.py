@@ -1,15 +1,27 @@
-"""Batched evaluation of covariant expressions at many forms over F_p.
+"""Batched evaluation of covariant expressions at many forms, over F_p or Z.
 
 Every F_p value the pipeline needs comes from here.  A covariant of order m
-evaluated at P base forms is an int64 array of shape (P, m + 1), one row of
-coefficients per form, and the transvectant (g, h)_k of a whole batch is one
-matrix product
+evaluated at P base forms is an array of shape (P, m + 1), one row of
+coefficients per form, and the transvectant (g, h)_k of a whole batch over
+F_p is one int64 matrix product
 
     ((G (x) H) mod p) @ T(m, n, k) mod p
 
 where G (x) H is the row-wise outer product flattened to (P, (m+1)(n+1)) and
 T is the bilinear map of the transvectant on coefficient pairs
 (`transvectant_matrix`).  A power is a chain of index-0 transvectants.
+
+Both modes share one weight table.  `integer_weights(m, n, k)` holds the
+integer weight W[u, v] that carries g_u * h_v into output coefficient
+u + v - k; the transvectant is pref * W with pref = (m-k)! (n-k)! / (m! n!),
+and the F_p table T is W reduced mod p, times pref mod p, on its band.
+
+With `prime=None` the batch is exact over the integers instead: values are
+object arrays of Python ints, nothing is reduced, and a transvectant applies
+W without its prefactor, one banded pass per row u of W.  At integer base
+forms an exact value is therefore the true value times the product of
+1 / pref over the transvectant nodes of the expression, a nonzero rational
+constant, so it is zero exactly where the true value is.
 
 Forward-mode derivatives use the same kernel.  A value then carries its
 first-order jet (value, slope) and bilinearity gives the product rule
@@ -21,16 +33,49 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
-from typing import Dict, Tuple
+from operator import mul
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .exprs import Base, Expr, Pow, Tr
-from .forms import _falling
 from .rings import PrimeField
 
 Jet = Tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=None)
+def integer_weights(m: int, n: int, k: int) -> np.ndarray:
+    """The integer weights of (g, h)_k on coefficient pairs, shape (m+1, n+1).
+
+    Entry (u, v) carries g_u * h_v into output coefficient u + v - k:
+
+        W[u, v] = sum_i (-1)^i C(k, i) (m-u)_{k-i} (u)_i (n-v)_i (v)_{k-i}
+
+    where (x)_t is the falling factorial; (g, h)_k = pref * W with
+    pref = (m-k)! (n-k)! / (m! n!), the closed form of `forms.transvectant`
+    expanded through `mixed_partial`.  Every term vanishes off the band
+    0 <= u + v - k <= m + n - 2k.  Entries are Python ints (object dtype);
+    the result is read-only and shared by every exact-mode caller.
+    """
+    if not 0 <= k <= min(m, n):
+        raise ValueError(f"transvectant index {k} exceeds min(order) = {min(m, n)}")
+    # fall[x][t] = (x)_t for t <= k
+    fall = [list(accumulate(range(x, x - k, -1), mul, initial=1)) for x in range(max(m, n) + 1)]
+    sign = [(-1) ** i * comb(k, i) for i in range(k + 1)]
+    left = np.array(
+        [[fall[m - u][k - i] * fall[u][i] for i in range(k + 1)] for u in range(m + 1)],
+        dtype=object,
+    )
+    right = np.array(
+        [[sign[i] * fall[n - v][i] * fall[v][k - i] for i in range(k + 1)] for v in range(n + 1)],
+        dtype=object,
+    )
+    W = left @ right.T
+    W.flags.writeable = False
+    return W
 
 
 @lru_cache(maxsize=None)
@@ -38,18 +83,13 @@ def transvectant_matrix(m: int, n: int, k: int, prime: int) -> np.ndarray:
     """The map (g, h) -> (g, h)_k on coefficient pairs, reduced mod `prime`.
 
     Row u * (n + 1) + v carries g_u * h_v into output coefficient u + v - k
-    (its only nonzero column) with weight
-
-        pref * sum_i (-1)^i C(k, i) (m-u)_{k-i} (u)_i (n-v)_i (v)_{k-i}
-
-    where (x)_t is the falling factorial and pref = (m-k)! (n-k)! / (m! n!):
-    the closed form of `forms.transvectant` expanded through `mixed_partial`.
-    The result is read-only and shared by every caller.
+    (its only nonzero column) with weight pref * W[u, v] mod p, from
+    `integer_weights`.  The result is read-only and shared by every caller.
     """
-    if not 0 <= k <= min(m, n):
-        raise ValueError(f"transvectant index {k} exceeds min(order) = {min(m, n)}")
-    # Each output entry of the kernel sums (m+1)(n+1) products of residues;
-    # the (k+1)-term weight sums below stay smaller.
+    # W is built without being cached: T is, and a campaign over F_p would
+    # otherwise hold ~9 KB of Python ints per table for nothing.
+    W = integer_weights.__wrapped__(m, n, k)
+    # Each output entry of the kernel sums (m+1)(n+1) products of residues.
     if (m + 1) * (n + 1) * (prime - 1) ** 2 >= 2 ** 63:
         raise ValueError(
             f"prime {prime} is too large for exact int64 transvectants of "
@@ -58,23 +98,9 @@ def transvectant_matrix(m: int, n: int, k: int, prime: int) -> np.ndarray:
     pref = PrimeField(prime).from_fraction(
         Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
     )
-    top = max(m, n)
-    fall = [[_falling(x, t) % prime for t in range(k + 1)] for x in range(top + 1)]
-    left = np.array(
-        [[fall[m - u][k - i] * fall[u][i] % prime for i in range(k + 1)] for u in range(m + 1)],
-        dtype=np.int64,
-    )
-    right = np.array(
-        [
-            [(-1) ** i * comb(k, i) * fall[n - v][i] * fall[v][k - i] % prime for i in range(k + 1)]
-            for v in range(n + 1)
-        ],
-        dtype=np.int64,
-    )
-    weight = (left @ right.T) % prime * pref % prime
+    weight = (W % prime).astype(np.int64) * pref % prime
     u, v = np.indices((m + 1, n + 1))
     out = u + v - k
-    # Outside this band every term has a vanishing falling factorial.
     band = (out >= 0) & (out <= m + n - 2 * k)
     T = np.zeros(((m + 1) * (n + 1), m + n - 2 * k + 1), dtype=np.int64)
     T[(u * (n + 1) + v)[band], out[band]] = weight[band]
@@ -82,29 +108,49 @@ def transvectant_matrix(m: int, n: int, k: int, prime: int) -> np.ndarray:
     return T
 
 
-def transvect(G: np.ndarray, H: np.ndarray, k: int, prime: int) -> np.ndarray:
-    """(g, h)_k for every row pair of G (P, m+1) and H (P, n+1), reduced mod p.
+def transvect(G: np.ndarray, H: np.ndarray, k: int, prime: Optional[int]) -> np.ndarray:
+    """(g, h)_k for every row pair of G (P, m+1) and H (P, n+1).
 
-    Entries of G and H must lie in [0, p).
+    With a prime, entries of G and H must lie in [0, p) and the result is
+    reduced mod p.  With `prime=None`, G and H are object arrays of Python
+    ints and the result is the exact integer value without the prefactor:
+    (g, h)_k / pref.
     """
-    T = transvectant_matrix(G.shape[1] - 1, H.shape[1] - 1, k, prime)
+    m, n = G.shape[1] - 1, H.shape[1] - 1
+    if prime is None:
+        W = integer_weights(m, n, k)
+        out = np.zeros((G.shape[0], m + n - 2 * k + 1), dtype=object)
+        for u in range(m + 1):
+            # Output columns u + v - k for the v on the band.
+            lo, hi = max(0, k - u), min(n, m + n - k - u)
+            if lo <= hi:
+                out[:, u + lo - k : u + hi - k + 1] += (
+                    G[:, u, None] * (H[:, lo : hi + 1] * W[u, lo : hi + 1])
+                )
+        return out
+    T = transvectant_matrix(m, n, k, prime)
     outer = (G[:, :, None] * H[:, None, :]) % prime
     return outer.reshape(G.shape[0], T.shape[0]) @ T % prime
 
 
 class BatchEvaluator:
-    """Evaluates expressions at a batch of base forms over F_p at once.
+    """Evaluates expressions at a batch of base forms over F_p, or Z, at once.
 
     `forms` holds one base form per row, shape (P, n + 1).  Every node value
     is a jet: `(value,)`, or `(value, slope)` when `slopes` (same shape as
     `forms`) gives the direction of a derivative at each row.  Shared
-    subtrees are evaluated once per batch.
+    subtrees are evaluated once per batch.  With `prime=None` the base forms
+    must be integers and values are exact without transvectant prefactors
+    (see `transvect`).
     """
 
-    def __init__(self, forms, prime: int, slopes=None):
+    def __init__(self, forms, prime: Optional[int], slopes=None):
         self.prime = prime
         parts = (forms,) if slopes is None else (forms, slopes)
-        self._base: Jet = tuple(np.asarray(a, dtype=np.int64) % prime for a in parts)
+        if prime is None:
+            self._base: Jet = tuple(np.array(a, dtype=object) for a in parts)
+        else:
+            self._base = tuple(np.asarray(a, dtype=np.int64) % prime for a in parts)
         self._memo: Dict[Expr, Jet] = {}
 
     def eval(self, e: Expr) -> Jet:
@@ -132,7 +178,9 @@ class BatchEvaluator:
         for j in range(len(a)):
             acc = transvect(a[0], b[j], k, p)
             for i in range(1, j + 1):
-                acc = (acc + transvect(a[i], b[j - i], k, p)) % p
+                acc = acc + transvect(a[i], b[j - i], k, p)
+                if p is not None:
+                    acc %= p
             out.append(acc)
         return tuple(out)
 

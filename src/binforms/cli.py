@@ -310,6 +310,8 @@ def _cmd_hsop_check(args) -> int:
     candidates = _named_set(args.n, args.set)
     degrees = _parse_degree_list(args.membership_degrees)
     cfg.validate(args.n, max(degrees, default=0))
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     basis = None
     try:
         if degrees:

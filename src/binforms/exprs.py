@@ -11,9 +11,9 @@ land on the same memo slots during evaluation.  An `Evaluator` is bound to one
 (ring, base form, definitions) triple and memoizes every node, so the heavily
 shared covariants of the catalogs are computed once no matter how many
 invariants mention them.  It serves any scalar ring (exact rationals,
-polynomial rings, single forms for `binforms eval`); values at many points
-over F_p come from `batch.BatchEvaluator`, which evaluates a whole point set
-at once.
+polynomial rings, single forms for `binforms eval`); values at many forms,
+over F_p or exactly over the integers, come from `batch.BatchEvaluator`,
+which evaluates a whole batch at once.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ only, so reports carry the prime, seed, and margin that produced them.
 
 Certification of a candidate parameter system combines four kinds of
 evidence: the degree-divisibility filters, a Jacobian rank at sampled points
-(algebraic independence), vanishing on random nullforms plus non-vanishing on
-generic forms (the nullcone criterion, sampled in both directions), and
+(algebraic independence), vanishing on random nullforms (exact, in the
+integer mode of the batch) plus non-vanishing on generic forms (the nullcone
+criterion, sampled in both directions), and
 graded ideal-membership ranks compared against the numerator of the
 Poincare rational form.
 """
@@ -24,14 +25,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain
-from math import ceil
+from math import ceil, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .batch import BatchEvaluator
 from .cache import EvalCache
-from .exprs import Expr, F, Evaluator, expr_to_text, pw, tr
+from .exprs import Expr, F, expr_to_text, pw, tr
 from .modlinalg import ModMatrix, StreamingEchelon, rank as matrix_rank
 from .nullcone import random_nullform
 from .rings import QQ, is_prime
@@ -536,30 +537,72 @@ class VanishReport:
     generic_all_vanish: int
 
 
+# Nullforms evaluated per exact batch; small blocks keep the object arrays
+# (values reach hundreds of bits) from raising peak memory.
+_NULLFORM_BLOCK = 10
+
+
+def _integer_row(form) -> List[int]:
+    """The coefficients of a rational form times the lcm of their denominators."""
+    scale = lcm(*(c.denominator for c in form.coeffs))
+    return [c.numerator * (scale // c.denominator) for c in form.coeffs]
+
+
 def vanish_on_nullcone_sample(
     exprs: Sequence[Expr], n: int, trials: int, seed: int, prime: int
 ) -> VanishReport:
-    """Evaluate candidates on random nullforms (exact rationals; every value
-    must vanish) and on generic forms over F_p (simultaneous vanishing off
-    the nullcone would witness a common zero the nullcone does not contain).
+    """Evaluate candidates on random nullforms (exactly; every value must
+    vanish) and on generic forms over F_p (simultaneous vanishing off the
+    nullcone would witness a common zero the nullcone does not contain).
+
+    Each nullform is scaled by the lcm L of its denominators to an integer
+    form and evaluated in an exact integer batch, which leaves out the
+    transvectant prefactors.  An invariant I of degree d then reads
+    L^d * prod(1 / pref) * I(nf), a nonzero rational multiple of I(nf), so
+    it is zero exactly when I vanishes on the nullform: the check stays a
+    proof.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     failures: List[str] = []
     all_vanish = 0
-    for t in range(trials):
-        nf = random_nullform(n, QQ, seed * 100003 + t)
-        ev = Evaluator(nf)
-        values = [ev.scalar(e) for e in exprs]
-        if all(v == 0 for v in values):
-            all_vanish += 1
-        else:
-            bad = [str(i) for i, v in enumerate(values) if v != 0]
-            failures.append(f"trial {t}: nonzero at candidate index {','.join(bad)}")
+    for start in range(0, trials, _NULLFORM_BLOCK):
+        block = range(start, min(start + _NULLFORM_BLOCK, trials))
+        forms = [_integer_row(random_nullform(n, QQ, seed * 100003 + t)) for t in block]
+        ev = BatchEvaluator(forms, prime=None)
+        nonzero = [ev.scalar(e)[0] != 0 for e in exprs]
+        for row, t in enumerate(block):
+            bad = [str(i) for i, nz in enumerate(nonzero) if nz[row]]
+            if bad:
+                failures.append(f"trial {t}: nonzero at candidate index {','.join(bad)}")
+            else:
+                all_vanish += 1
     rng = random.Random(f"generic:{seed}:{n}:{prime}")
     generic = BatchEvaluator(_random_forms(rng, n, trials, prime), prime)
     vanish = np.ones(trials, dtype=bool)
     for e in exprs:
         vanish &= generic.scalar(e)[0] == 0
     return VanishReport(trials, all_vanish, tuple(failures), trials, int(vanish.sum()))
+
+
+def _add_rows_until(ech: StreamingEchelon, rows: Iterable[np.ndarray], dim: int) -> int:
+    """Feed `rows` to `ech` in blocks of 256 until its rank reaches `dim`.
+
+    Rows are drawn lazily, so none past the block that saturates the rank is
+    computed.  Returns the number of rows the echelon consumed.
+    """
+    used = 0
+    block: List[np.ndarray] = []
+    for row in rows:
+        block.append(row)
+        if len(block) == 256:
+            used += ech.add_rows(np.vstack(block), stop_at=dim)
+            block.clear()
+            if ech.rank >= dim:
+                return used
+    if block and ech.rank < dim:
+        used += ech.add_rows(np.vstack(block), stop_at=dim)
+    return used
 
 
 @dataclass(frozen=True)
@@ -620,23 +663,15 @@ def ideal_membership_dim(
     npts = dim + cfg.margin(dim)
     points = PointSet(n, cfg.prime, cfg.seed, npts, f"membership:{degree}")
     pevals = PointEvaluations(points, cache)
+
+    def rows() -> Iterator[np.ndarray]:
+        for _, expr, hdeg in hsop:
+            hvec = pevals.vector(expr)
+            for mono in monomials_of_degree(basis, degree - hdeg):
+                yield hvec * _monomial_vector(pevals, basis, mono, cfg.prime) % cfg.prime
+
     ech = StreamingEchelon(cfg.prime, npts)
-    rows_used = 0
-    block: List[np.ndarray] = []
-    for name, expr, hdeg in hsop:
-        hvec = pevals.vector(expr)
-        for mono in monomials_of_degree(basis, degree - hdeg):
-            row = hvec * _monomial_vector(pevals, basis, mono, cfg.prime) % cfg.prime
-            block.append(row)
-            if len(block) == 256:
-                rows_used += ech.add_rows(np.vstack(block), stop_at=dim)
-                block.clear()
-                if ech.rank >= dim:
-                    break
-        if ech.rank >= dim:
-            break
-    if block and ech.rank < dim:
-        rows_used += ech.add_rows(np.vstack(block), stop_at=dim)
+    rows_used = _add_rows_until(ech, rows(), dim)
     return MembershipResult(degree, dim, ech.rank, expected, a_i, rows_used, npts)
 
 
@@ -662,16 +697,12 @@ def verify_basis_spans(
         points = PointSet(n, cfg.prime, cfg.seed, npts, f"spans:{j}")
         pevals = PointEvaluations(points, cache)
         ech = StreamingEchelon(cfg.prime, npts)
-        block: List[np.ndarray] = []
-        for mono in monomials_of_degree(basis, j):
-            block.append(_monomial_vector(pevals, basis, mono, cfg.prime))
-            if len(block) == 256:
-                ech.add_rows(np.vstack(block), stop_at=dim)
-                block.clear()
-                if ech.rank >= dim:
-                    break
-        if block and ech.rank < dim:
-            ech.add_rows(np.vstack(block), stop_at=dim)
+        _add_rows_until(
+            ech,
+            (_monomial_vector(pevals, basis, mono, cfg.prime)
+             for mono in monomials_of_degree(basis, j)),
+            dim,
+        )
         out[j] = (ech.rank, dim)
     return out
 

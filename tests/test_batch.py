@@ -1,12 +1,16 @@
-"""The batched F_p engine against the scalar evaluator it replaced.
+"""The batched engine against the scalar evaluator it replaced.
 
 `ScalarBatch` is the reference: the per-point scalar `Evaluator` over
 GF(p) (or over dual numbers for slopes) behind the `BatchEvaluator`
 interface.  Swapping it into the pipeline reproduces the scalar path end to
-end, which the golden-output tests use.
+end, which the golden-output tests use.  The exact integer mode is checked
+against the scalar `Evaluator` over QQ, and the nullform check against the
+per-trial QQ loop it replaced.
 """
 
 import random
+from fractions import Fraction
+from math import factorial, lcm
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +21,11 @@ from binforms import pipeline
 from binforms.batch import BatchEvaluator, transvect, transvectant_matrix
 from binforms.catalog import catalog_for
 from binforms.cli import main
-from binforms.exprs import Evaluator, F, Pow, Tr
-from binforms.forms import BinaryForm, transvectant
-from binforms.pipeline import PointEvaluations, PointSet
-from binforms.rings import DualNumbers, PrimeField
+from binforms.exprs import Evaluator, F, Pow, Tr, tr
+from binforms.forms import BinaryForm, random_form, transvectant
+from binforms.nullcone import random_nullform
+from binforms.pipeline import PointEvaluations, PointSet, VanishReport
+from binforms.rings import QQ, DualNumbers, PrimeField
 
 DATA = Path(__file__).parent / "data"
 BASIS_ARGV = ["basis", "--n", "9", "--max-degree", "12", "--json"]
@@ -72,6 +77,28 @@ def test_kernel_matches_scalar_transvectant_through_order_18():
                         k,
                     )
                     assert list(got[row]) == list(want.coeffs), (m, n, k)
+
+
+def _pref(m, n, k):
+    return Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
+
+
+def test_exact_kernel_times_prefactor_matches_rational_transvectant_through_order_12():
+    rng = np.random.default_rng(5)
+    for m in range(13):
+        for n in range(13):
+            G = rng.integers(-60, 61, (2, m + 1)).astype(object)
+            H = rng.integers(-60, 61, (2, n + 1)).astype(object)
+            for k in range(min(m, n) + 1):
+                got = transvect(G, H, k, None)
+                assert got.dtype == object and got.shape == (2, m + n - 2 * k + 1)
+                for row in range(2):
+                    want = transvectant(
+                        BinaryForm(QQ, m, [Fraction(int(c)) for c in G[row]]),
+                        BinaryForm(QQ, n, [Fraction(int(c)) for c in H[row]]),
+                        k,
+                    )
+                    assert [_pref(m, n, k) * c for c in got[row]] == list(want.coeffs), (m, n, k)
 
 
 def test_transvectant_matrix_is_cached_read_only_and_guarded():
@@ -147,6 +174,36 @@ def test_batched_dag_values_match_scalar_evaluator(dag, prime, seed):
             assert list(row) == list(ev.eval(e).coeffs), e
 
 
+def _integer_forms(n, rng):
+    """Integer forms of order n over QQ: generic, with a root of multiplicity
+    above n / 2, and a random nullform scaled by its denominators."""
+    generic = BinaryForm(QQ, n, [Fraction(rng.randint(-9, 9)) for _ in range(n + 1)])
+    r = rng.randint(n // 2 + 1, n)
+    root = BinaryForm(QQ, 1, (Fraction(rng.randint(1, 4)), Fraction(rng.randint(-4, 4))))
+    rest = BinaryForm(QQ, n - r, [Fraction(rng.randint(-5, 5)) for _ in range(n - r + 1)])
+    nf = random_nullform(n, QQ, rng.randrange(10**6))
+    scale = lcm(*(c.denominator for c in nf.coeffs))
+    return [generic, root.power(r) * rest, nf.scale_int(scale)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dags(), st.integers(0, 2**32))
+def test_exact_dag_values_are_a_fixed_multiple_of_rational_values(dag, seed):
+    n, nodes = dag
+    forms = _integer_forms(n, random.Random(seed))
+    batch = BatchEvaluator([[int(c) for c in f.coeffs] for f in forms], prime=None)
+    scalar = [Evaluator(f) for f in forms]
+    for e, order in nodes:
+        (value,) = batch.eval(e)
+        assert value.shape == (3, order + 1)
+        ratios = set()
+        for row, ev in zip(value, scalar):
+            want = ev.eval(e).coeffs
+            assert [c == 0 for c in row] == [w == 0 for w in want], e
+            ratios.update(Fraction(int(c)) / w for c, w in zip(row, want) if w)
+        assert len(ratios) <= 1 and 0 not in ratios, e
+
+
 def test_batched_jacobian_matches_dual_numbers_for_thm_set():
     p = 32003
     cat = catalog_for(9)
@@ -188,6 +245,52 @@ def test_generic_vanish_counts_match_scalar_path(names, prime, trials):
     assert rep.generic_all_vanish == expected
     if len(names) == 1:
         assert expected > 0
+
+
+def _qq_nullform_loop(exprs, n, trials, seed):
+    """The per-trial QQ loop that the exact batched nullform check replaced."""
+    failures = []
+    all_vanish = 0
+    for t in range(trials):
+        ev = Evaluator(pipeline.random_nullform(n, QQ, seed * 100003 + t))
+        values = [ev.scalar(e) for e in exprs]
+        if all(v == 0 for v in values):
+            all_vanish += 1
+        else:
+            bad = [str(i) for i, v in enumerate(values) if v != 0]
+            failures.append(f"trial {t}: nonzero at candidate index {','.join(bad)}")
+    return all_vanish, tuple(failures)
+
+
+@pytest.mark.parametrize("trials", [1, 10, 23])
+def test_nullform_failures_match_rational_loop(monkeypatch, trials):
+    real = pipeline.random_nullform
+
+    def sometimes_generic(n, ring, seed):
+        if seed % 3 == 2:  # trials 0, 3, 6, ... at seed 2
+            return random_form(ring, n, random.Random(seed))
+        return real(n, ring, seed)
+
+    monkeypatch.setattr(pipeline, "random_nullform", sometimes_generic)
+    cat = catalog_for(9)
+    # (f, f)_9 is an odd self-transvectant, identically zero, so a failing
+    # trial names only some candidates.
+    exprs = [cat.closed("j_4"), tr(F, F, 9), cat.closed("B_8")]
+    rep = pipeline.vanish_on_nullcone_sample(exprs, 9, trials, seed=2, prime=32003)
+    all_vanish, failures = _qq_nullform_loop(exprs, 9, trials, 2)
+    assert (rep.nullform_all_vanish, rep.nullform_failures) == (all_vanish, failures)
+    assert rep.nullform_trials == trials
+    assert failures and failures[0].endswith("index 0,2")
+    if trials > 1:
+        assert all_vanish
+
+
+def test_nullform_check_of_no_trials_and_negative_trials():
+    j4 = catalog_for(9).closed("j_4")
+    rep = pipeline.vanish_on_nullcone_sample([j4], 9, 0, seed=1, prime=32003)
+    assert rep == VanishReport(0, 0, (), 0, 0)
+    with pytest.raises(ValueError, match="trials"):
+        pipeline.vanish_on_nullcone_sample([j4], 9, -1, seed=1, prime=32003)
 
 
 def _run(capsys, argv):

@@ -263,3 +263,19 @@ def test_hsop_check_rejects_int64_unsafe_prime_before_degree_filter(capsys, monk
     assert code == 2
     assert out == ""
     assert "int64" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--membership-degrees", "4,8,12")])
+def test_hsop_check_rejects_negative_trials_before_any_work(capsys, monkeypatch, extra):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --trials was checked")
+
+    # Work started first would surface as an unexpected crash (exit 3).
+    monkeypatch.setattr("binforms.cli.find_basic_invariants", no_work)
+    monkeypatch.setattr("binforms.cli.certify_hsop", no_work)
+    code, out, err = run_cli(
+        capsys, "hsop", "check", "--n", "9", "--set", "thm", "--trials", "-1", *extra,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err
