@@ -17,7 +17,7 @@ from .exprs import (
     tr,
 )
 from .forms import BinaryForm, mixed_partial, random_form, random_sl2, sl2_act, transvectant
-from .multipoly import MultiPoly, PolynomialRing, gcd_univariate, partial_derivative, poly_arith
+from .multipoly import MultiPoly, PolynomialRing, gcd_univariate, partial_derivative
 from .nullcone import (
     MultiplicityReport,
     is_nullform,
@@ -35,9 +35,7 @@ from .pipeline import (
     PipelineConfig,
     certify_hsop,
     compute_dm,
-    evaluate_at_points,
     find_basic_invariants,
-    generate_candidate,
     ideal_membership_dim,
     jacobian_rank,
     spanning_products,

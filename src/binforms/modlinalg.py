@@ -1,10 +1,9 @@
-"""Dense linear algebra over a prime field.
+"""Linear algebra over a prime field.
 
 Ranks here certify dimension counts, so everything is exact and
-deterministic: pivots are always the first nonzero entry in the current
-column, and the row-update loop may be split across threads because each
-row's update is independent of the others (the result is bit-identical for
-any thread count).
+deterministic.  `rank` is a dense forward elimination in int64 whose pivot
+is always the first nonzero entry in the current column; every product it
+forms stays below p**2, so it is exact while (p - 1)**2 < 2**63.
 
 `StreamingEchelon` consumes rows one at a time while maintaining a reduced
 echelon basis, so a rank lower bound can be certified without materializing
@@ -15,122 +14,36 @@ into BLAS calls while keeping the arithmetic exact.
 
 from __future__ import annotations
 
-import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 
-@dataclass
-class ModMatrix:
-    """Row-major matrix over F_p; entries always reduced into [0, p)."""
-
-    p: int
-    data: np.ndarray
-
-    def __init__(self, p: int, data):
-        arr = np.asarray(data, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError("matrix data must be two-dimensional")
-        self.p = p
-        self.data = arr % p
-
-    @property
-    def n_rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def zeros(cls, p: int, n_rows: int, n_cols: int) -> "ModMatrix":
-        return cls(p, np.zeros((n_rows, n_cols), dtype=np.int64))
-
-    @classmethod
-    def from_rows(cls, p: int, rows: Iterable) -> "ModMatrix":
-        return cls(p, np.array([list(r) for r in rows], dtype=np.int64))
-
-    def transpose(self) -> "ModMatrix":
-        return ModMatrix(self.p, self.data.T.copy())
-
-
-def _eliminate(M: np.ndarray, p: int, threads: int = 1) -> Tuple[np.ndarray, List[int]]:
-    """In-place forward elimination; returns (matrix, pivot column list)."""
+def rank(rows, p: int) -> int:
+    """Exact rank over F_p of a two-dimensional array-like of integers."""
+    if (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError("(p - 1)**2 exceeds the exact int64 range")
+    M = np.asarray(rows, dtype=np.int64) % p
+    if M.ndim != 2:
+        raise ValueError("matrix data must be two-dimensional")
     n_rows, n_cols = M.shape
-    pivots: List[int] = []
     r = 0
-    pool = ThreadPoolExecutor(threads) if threads > 1 else None
-    try:
-        for c in range(n_cols):
-            if r == n_rows:
-                break
-            col = M[r:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            piv = r + int(nz[0])
-            if piv != r:
-                M[[r, piv]] = M[[piv, r]]
-            inv = pow(int(M[r, c]), -1, p)
-            M[r] = M[r] * inv % p
-            below = M[r + 1 :]
-            factors = below[:, c]
-            nzr = np.nonzero(factors)[0]
-            if nzr.size:
-                if pool is None or nzr.size < 4 * threads:
-                    below[nzr] = (below[nzr] - np.outer(factors[nzr], M[r])) % p
-                else:
-                    chunks = np.array_split(nzr, threads)
-                    row = M[r]
-
-                    def update(idx):
-                        below[idx] = (below[idx] - np.outer(factors[idx], row)) % p
-
-                    list(pool.map(update, [ch for ch in chunks if ch.size]))
-            pivots.append(c)
-            r += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return M, pivots
-
-
-def rank(m: ModMatrix, threads: int = 1) -> int:
-    """Exact rank over F_p (fraction-free elimination, first-nonzero pivots)."""
-    if m.n_rows == 0 or m.n_cols == 0:
-        return 0
-    _, pivots = _eliminate(m.data.copy(), m.p, threads)
-    return len(pivots)
-
-
-def nullspace(m: ModMatrix) -> List[Tuple[int, ...]]:
-    """Basis of the left nullspace {v : v M = 0}, reduced echelon-normalized."""
-    p = m.p
-    if m.n_rows == 0:
-        return []
-    aug = np.concatenate(
-        [m.data.copy(), np.eye(m.n_rows, dtype=np.int64)], axis=1
-    )
-    reduced, _ = _eliminate(aug, p, 1)
-    relations = [
-        row[m.n_cols :] for row in reduced if not row[: m.n_cols].any()
-    ]
-    if not relations:
-        return []
-    rel = np.array(relations, dtype=np.int64)
-    rel, _ = _eliminate(rel, p, 1)
-    # Back-substitute to reduced row echelon form.
-    rows = [r for r in rel if r.any()]
-    for i in range(len(rows) - 1, -1, -1):
-        lead = int(np.nonzero(rows[i])[0][0])
-        for j in range(i):
-            f = int(rows[j][lead])
-            if f:
-                rows[j] = (rows[j] - f * rows[i]) % p
-    return [tuple(int(x) for x in r) for r in rows]
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            M[[r, piv]] = M[[piv, r]]
+        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
+        below = M[r + 1 :]
+        nzr = np.nonzero(below[:, c])[0]
+        if nzr.size:
+            below[nzr] = (below[nzr] - np.outer(below[nzr, c], M[r])) % p
+        r += 1
+    return r
 
 
 class StreamingEchelon:
@@ -248,49 +161,3 @@ class StreamingEchelon:
             if self._nfresh == self._FOLD:
                 self._fold()
         return consumed
-
-    def basis(self) -> np.ndarray:
-        self._fold()
-        return self._settled.astype(np.int64)
-
-
-@dataclass(frozen=True)
-class StreamRankResult:
-    achieved_rank: int
-    rows_consumed: int
-
-
-def rank_streaming(
-    rows: Iterator,
-    n_cols: int,
-    p: int,
-    target_rank: int,
-    max_rows: Optional[int] = None,
-) -> StreamRankResult:
-    """Consume rows until the target rank is certified or rows run out."""
-    ech = StreamingEchelon(p, n_cols)
-    consumed = 0
-    for row in rows:
-        if max_rows is not None and consumed >= max_rows:
-            break
-        ech.add_row(row)
-        consumed += 1
-        if ech.rank >= target_rank:
-            break
-    return StreamRankResult(ech.rank, consumed)
-
-
-# ---------------------------------------------------------------------------
-# Binary dump (little-endian: u64 p, n_rows, n_cols; then u32 entries).
-
-def dump_matrix(m: ModMatrix, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<QQQ", m.p, m.n_rows, m.n_cols))
-        fh.write(m.data.astype("<u4").tobytes())
-
-
-def load_matrix(path: str) -> ModMatrix:
-    with open(path, "rb") as fh:
-        p, n_rows, n_cols = struct.unpack("<QQQ", fh.read(24))
-        data = np.frombuffer(fh.read(4 * n_rows * n_cols), dtype="<u4")
-    return ModMatrix(p, data.reshape(n_rows, n_cols).astype(np.int64))

@@ -254,15 +254,6 @@ class MultiPoly:
         return f"<{self}>"
 
 
-def poly_arith(p: MultiPoly, q: MultiPoly, op: str) -> MultiPoly:
-    """Add or multiply; rejects mismatched rings."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
-
-
 def partial_derivative(p: MultiPoly, var: str) -> MultiPoly:
     """Formal partial derivative with respect to a declared variable."""
     ring = p.ring

@@ -33,7 +33,7 @@ import numpy as np
 from .batch import BatchEvaluator
 from .cache import EvalCache
 from .exprs import Expr, F, expr_to_text, pw, tr
-from .modlinalg import ModMatrix, StreamingEchelon, rank as matrix_rank
+from .modlinalg import StreamingEchelon, rank as matrix_rank
 from .nullcone import random_nullform
 from .rings import QQ, is_prime
 from .series import DegreeSequence, invariant_dimension, poincare_series, to_rational
@@ -201,16 +201,6 @@ def spanning_products(basis: Sequence[BasisRecord], m: int,
     ]
 
 
-def evaluate_at_points(
-    exprs: Sequence[Expr], pevals: PointEvaluations, prime: int
-) -> ModMatrix:
-    """Matrix of invariant values: rows = expressions, columns = points."""
-    if not exprs:
-        return ModMatrix.zeros(prime, 0, pevals.points.count)
-    rows = [pevals.vector(e) for e in exprs]
-    return ModMatrix(prime, np.vstack(rows))
-
-
 def _monomial_vector(
     pevals: PointEvaluations, basis: Sequence[BasisRecord], mono, prime: int
 ) -> np.ndarray:
@@ -340,32 +330,6 @@ class CandidateGenerator:
                     raise RuntimeError(
                         f"no degree-{m} invariant reachable from the pool"
                     )
-
-
-def generate_candidate(
-    n: int,
-    degree: int,
-    seed: int,
-    prime: int = 32003,
-    fingerprint_points: int = 8,
-    max_draws: int = 2000,
-) -> Expr:
-    """One seeded random order-0 expression of exactly the given degree.
-
-    Candidates that evaluate to zero at the fingerprint points are redrawn;
-    running out of draws means the degree is unreachable from the pool.
-    """
-    gen = CandidateGenerator(n, seed)
-    pts = PointSet(n, prime, seed, fingerprint_points, f"gencand:{degree}")
-    pevals = PointEvaluations(pts)
-    stream = gen.candidates(degree)
-    for _ in range(max_draws):
-        cand = next(stream)
-        if pevals.vector(cand).any():
-            return cand
-    raise SaturationError(
-        f"no nonzero degree-{degree} candidate found within {max_draws} draws"
-    )
 
 
 @dataclass(frozen=True)
@@ -525,7 +489,7 @@ def jacobian_rank(
     forms = np.tile([c % prime for c in point], (n + 1, 1))
     ev = BatchEvaluator(forms, prime, slopes=np.eye(n + 1, dtype=np.int64))
     rows = [ev.scalar(e)[1] for e in exprs]
-    return matrix_rank(ModMatrix(prime, rows))
+    return matrix_rank(rows, prime)
 
 
 @dataclass(frozen=True)
@@ -771,7 +735,10 @@ def certify_hsop(
             f"sampled points (got {jranks})"
         )
     vanish = vanish_on_nullcone_sample(exprs, n, nullcone_trials, cfg.seed, cfg.prime)
-    if vanish.nullform_all_vanish != vanish.nullform_trials:
+    nullcone_ok = 0 < vanish.nullform_trials == vanish.nullform_all_vanish
+    if vanish.nullform_trials == 0:
+        reasons.append("nullcone criterion not sampled (0 nullform trials)")
+    elif not nullcone_ok:
         reasons.append("an invariant failed to vanish on a nullform (hard bug)")
     if vanish.generic_all_vanish:
         reasons.append(
@@ -800,7 +767,7 @@ def certify_hsop(
     refuted = (not filt.ok) or (not jacobian_ok) or vanish.generic_all_vanish > 0
     if refuted:
         verdict = "refuted"
-    elif inconclusive or vanish.nullform_all_vanish != vanish.nullform_trials:
+    elif inconclusive or not nullcone_ok:
         verdict = "inconclusive"
     else:
         verdict = "certified-at-sampling-level"

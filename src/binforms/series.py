@@ -26,6 +26,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .modlinalg import rank
+
 # Built-in parameter-system degree sequences, used to seed and bound the
 # minimal-ecriture search.  (For n = 9 these are Dixmier's degrees.)
 SEED_DEGREES = {
@@ -93,37 +95,6 @@ def _weight_monomials(n: int, d: int, w: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _modular_rank(rows: List[dict], ncols: int, p: int) -> int:
-    """Rank over F_p of a small sparse integer matrix given as column dicts."""
-    if not rows or ncols == 0:
-        return 0
-    M = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            M[i, j] = v % p
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if M[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
-        nz = np.nonzero(M[r + 1 :, c])[0]
-        if nz.size:
-            block = M[r + 1 :]
-            block[nz] = (block[nz] - np.outer(block[nz, c], M[r])) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def dimension_by_lowering_operator(n: int, d: int) -> int:
     """Independent dimension oracle: nullity of the sl2 lowering operator.
 
@@ -141,20 +112,17 @@ def dimension_by_lowering_operator(n: int, d: int) -> int:
     sources = _weight_monomials(n, d, w)
     targets = _weight_monomials(n, d, w + 1)
     index = {mono: j for j, mono in enumerate(targets)}
-    rows: List[dict] = []
-    for mono in sources:
-        row: dict = {}
+    L = np.zeros((len(sources), len(targets)), dtype=np.int64)
+    for r, mono in enumerate(sources):
         for i in range(n):
             if mono[i] == 0:
                 continue
             img = list(mono)
             img[i] -= 1
             img[i + 1] += 1
-            j = index[tuple(img)]
-            row[j] = row.get(j, 0) + (n - i) * mono[i]
-        rows.append(row)
-    r1 = _modular_rank(rows, len(targets), 2147483629)
-    r2 = _modular_rank(rows, len(targets), 2147483647)
+            L[r, index[tuple(img)]] += (n - i) * mono[i]
+    r1 = rank(L, 2147483629)
+    r2 = rank(L, 2147483647)
     if r1 != r2:
         raise ArithmeticError("modular ranks disagree; escalate to exact arithmetic")
     return len(sources) - r1

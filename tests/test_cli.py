@@ -167,6 +167,17 @@ def test_hsop_check_refuted_exits_one(capsys):
     assert json.loads(out)["verdict"] == "refuted"
 
 
+def test_hsop_check_without_nullform_trials_is_inconclusive(capsys):
+    code, out, _ = run_cli(
+        capsys, "hsop", "check", "--n", "9", "--set", "thm", "--trials", "0", "--json",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "inconclusive"
+    assert payload["nullform_vanishing"] == "0/0"
+    assert any("not sampled" in r for r in payload["reasons"])
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["poincare"])  # missing required flags

@@ -5,7 +5,7 @@ import pytest
 
 from binforms.catalog import catalog_for
 from binforms.exprs import F, expr_meta, pw, tr
-from binforms.modlinalg import ModMatrix, rank
+from binforms.modlinalg import StreamingEchelon, rank
 from binforms.pipeline import (
     BasisRecord,
     CandidateGenerator,
@@ -15,7 +15,6 @@ from binforms.pipeline import (
     SaturationError,
     certify_hsop,
     compute_dm,
-    evaluate_at_points,
     find_basic_invariants,
     ideal_membership_dim,
     jacobian_rank,
@@ -81,8 +80,8 @@ def test_evaluate_at_points_single_row():
     cat = catalog_for(9)
     pts = PointSet(9, P, 1, 3, "t1")
     pe = PointEvaluations(pts)
-    M = evaluate_at_points([cat.closed("j_4")], pe, P)
-    assert M.data.shape == (1, 3)
+    M = np.vstack([pe.vector(e) for e in [cat.closed("j_4")]])
+    assert M.shape == (1, 3)
 
 
 def test_evaluate_at_points_proportional_rows_rank_one():
@@ -91,11 +90,11 @@ def test_evaluate_at_points_proportional_rows_rank_one():
     pts = PointSet(9, P, 1, 6, "t2")
     pe = PointEvaluations(pts)
     # duplicated (and hence proportional) rows collapse to rank 1
-    M = evaluate_at_points([j4, j4], pe, P)
-    assert rank(M) == 1
+    M = np.vstack([pe.vector(e) for e in [j4, j4]])
+    assert rank(M, P) == 1
     # while j_4 and j_4^2 are honestly independent as functions
-    M2 = evaluate_at_points([j4, tr(j4, j4, 0)], pe, P)
-    assert rank(M2) == 2
+    M2 = np.vstack([pe.vector(e) for e in [j4, tr(j4, j4, 0)]])
+    assert rank(M2, P) == 2
 
 
 def test_degree8_catalog_set_spans():
@@ -106,15 +105,13 @@ def test_degree8_catalog_set_spans():
         cat.closed("C_8"), cat.closed("D_8"),
         pw(j4, 2), pw(a4, 2), tr(a4, j4, 0),
     ]
-    pts = PointSet(9, P, 1, 8 + 6, "deg8")
-    M = evaluate_at_points(exprs, PointEvaluations(pts), P)
-    assert rank(M) == 8 == invariant_dimension(9, 8)
+    pe = PointEvaluations(PointSet(9, P, 1, 8 + 6, "deg8"))
+    M = np.vstack([pe.vector(e) for e in exprs])
+    assert rank(M, P) == 8 == invariant_dimension(9, 8)
 
 
 def test_degree8_rows_reach_target_rank_streamed():
-    # the same eight rows, consumed through the lazy rank interface
-    from binforms.modlinalg import rank_streaming
-
+    # the same eight rows, consumed through the streaming echelon
     cat = catalog_for(9)
     j4, a4 = cat.closed("j_4"), cat.closed("A_4")
     exprs = [
@@ -123,25 +120,17 @@ def test_degree8_rows_reach_target_rank_streamed():
         pw(j4, 2), pw(a4, 2), tr(a4, j4, 0),
     ]
     pe = PointEvaluations(PointSet(9, P, 1, 10, "deg8stream"))
-    res = rank_streaming((pe.vector(e) for e in exprs), 10, P, target_rank=8)
-    assert res.achieved_rank == 8
+    ech = StreamingEchelon(P, 10)
+    ech.add_rows(np.vstack([pe.vector(e) for e in exprs]), stop_at=8)
+    assert ech.rank == 8
 
 
 def test_degree10_catalog_set_spans():
     cat = catalog_for(9)
     exprs = [cat.closed(n) for n in ("j_10", "A_10", "B_10", "C_10", "D_10")]
-    pts = PointSet(9, P, 1, 5 + 6, "deg10")
-    M = evaluate_at_points(exprs, PointEvaluations(pts), P)
-    assert rank(M) == 5 == invariant_dimension(9, 10)
-
-
-def test_generate_candidate_contract():
-    from binforms.pipeline import generate_candidate
-
-    c1 = generate_candidate(9, 4, seed=11)
-    c2 = generate_candidate(9, 4, seed=11)
-    assert c1 == c2
-    assert expr_meta(c1, 9) == (0, 4)
+    pe = PointEvaluations(PointSet(9, P, 1, 5 + 6, "deg10"))
+    M = np.vstack([pe.vector(e) for e in exprs])
+    assert rank(M, P) == 5 == invariant_dimension(9, 10)
 
 
 def test_compute_dm_inconclusive_without_candidate_budget():
@@ -185,8 +174,7 @@ def test_fingerprints_nonzero_and_independent():
         assert any(rec.fingerprint), rec.name
         by_degree.setdefault(rec.degree, []).append(rec.fingerprint)
     for degree, fps in by_degree.items():
-        M = ModMatrix(P, np.array(fps, dtype=np.int64))
-        assert rank(M) == len(fps), degree
+        assert rank(fps, P) == len(fps), degree
 
 
 def test_find_basic_invariants_nonic_quick():
@@ -324,6 +312,16 @@ def test_certify_refutes_dependent_replacement():
     report = certify_hsop(swapped, 9, CFG, nullcone_trials=5)
     assert report.verdict == "refuted"
     assert max(report.jacobian_ranks) <= 6
+
+
+def test_certify_without_nullform_trials_is_inconclusive():
+    # no nullform sampled means no nullcone evidence in either direction
+    cat = catalog_for(9)
+    thm = [(e.name, cat.closed(e.name), e.degree) for e in cat.hsop()]
+    report = certify_hsop(thm, 9, CFG, nullcone_trials=0)
+    assert report.verdict == "inconclusive"
+    assert (report.vanish.nullform_trials, report.vanish.generic_trials) == (0, 0)
+    assert any("not sampled" in r for r in report.reasons)
 
 
 def test_small_order_catalog_sets_certify():
