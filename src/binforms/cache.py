@@ -3,8 +3,9 @@
 Keys are (point-set key, expression text); values are the evaluation vectors
 over F_p.  One pickle per point set, written atomically, so repeated CLI runs
 (quick suite, then the long membership checks) reuse the expensive basis
-evaluations.  Everything works without a cache directory; the pipeline then
-keeps values in memory only.
+evaluations.  Without a cache directory there is no cache object at all
+(`open_cache` returns None); each point set's vectors then live only in the
+pipeline's own memo.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ from typing import Dict, List, Optional
 ENV_VAR = "BINFORMS_CACHE_DIR"
 
 
+def open_cache(root: Optional[str]) -> Optional[EvalCache]:
+    """The cache in `root`, else in $BINFORMS_CACHE_DIR, else None."""
+    root = root or os.environ.get(ENV_VAR)
+    return EvalCache(root) if root else None
+
+
 class EvalCache:
-    def __init__(self, root: Optional[str] = None):
-        if root is None:
-            root = os.environ.get(ENV_VAR) or None
-        self.root = Path(root) if root else None
+    def __init__(self, root: str):
+        self.root = Path(root)
         self._store: Dict[str, Dict[str, List[int]]] = {}
         self._dirty: Dict[str, bool] = {}
 
@@ -31,14 +36,13 @@ class EvalCache:
         bucket = self._store.get(pointset_key)
         if bucket is None:
             bucket = {}
-            if self.root is not None:
-                path = self._path(pointset_key)
-                if path.exists():
-                    try:
-                        with open(path, "rb") as fh:
-                            bucket = pickle.load(fh)
-                    except Exception:
-                        bucket = {}
+            path = self._path(pointset_key)
+            if path.exists():
+                try:
+                    with open(path, "rb") as fh:
+                        bucket = pickle.load(fh)
+                except Exception:
+                    bucket = {}
             self._store[pointset_key] = bucket
             self._dirty[pointset_key] = False
         return bucket
@@ -55,8 +59,6 @@ class EvalCache:
         self._dirty[pointset_key] = True
 
     def flush(self) -> None:
-        if self.root is None:
-            return
         self.root.mkdir(parents=True, exist_ok=True)
         for key, bucket in self._store.items():
             if not self._dirty.get(key):

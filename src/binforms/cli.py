@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cache import EvalCache
+from .cache import open_cache
 from .catalog import catalog_for
 from .exprs import Evaluator, expr_from_text, expr_meta, expr_to_text
 from .forms import BinaryForm
@@ -229,14 +229,15 @@ def _cmd_eval(args) -> int:
 
 def _cmd_basis(args) -> int:
     cfg = args.run.pipeline()
-    cache = EvalCache(args.run.cache_dir)
+    cache = open_cache(args.run.cache_dir)
     try:
         table = find_basic_invariants(args.n, args.max_degree, cfg, cache=cache)
     except SaturationError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     finally:
-        cache.flush()
+        if cache is not None:
+            cache.flush()
     nonzero = table.nonzero()
     if args.fmt == "json":
         _emit_json(
@@ -306,7 +307,7 @@ def _membership_payload(res) -> dict:
 
 def _cmd_hsop_check(args) -> int:
     cfg = args.run.pipeline()
-    cache = EvalCache(args.run.cache_dir)
+    cache = open_cache(args.run.cache_dir)
     candidates = _named_set(args.n, args.set)
     degrees = _parse_degree_list(args.membership_degrees)
     cfg.validate(args.n, max(degrees, default=0))
@@ -323,7 +324,8 @@ def _cmd_hsop_check(args) -> int:
             nullcone_trials=args.trials, cache=cache,
         )
     finally:
-        cache.flush()
+        if cache is not None:
+            cache.flush()
     payload = {
         "n": report.n,
         "set": list(report.names),
@@ -361,7 +363,7 @@ def _cmd_hsop_check(args) -> int:
 
 def _cmd_hsop_membership(args) -> int:
     cfg = args.run.pipeline()
-    cache = EvalCache(args.run.cache_dir)
+    cache = open_cache(args.run.cache_dir)
     candidates = _named_set(args.n, args.set)
     degrees = _parse_degree_list(args.degrees)
     if not degrees:
@@ -375,7 +377,8 @@ def _cmd_hsop_membership(args) -> int:
         for i in degrees:
             results.append(ideal_membership_dim(candidates, table.records, i, args.n, cfg, cache))
     finally:
-        cache.flush()
+        if cache is not None:
+            cache.flush()
     payload = {
         "n": args.n,
         "set": [name for name, _, _ in candidates],

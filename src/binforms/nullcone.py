@@ -19,9 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Tuple
 
-from .forms import BinaryForm, random_sl2, sl2_act, transvectant
+from .forms import BinaryForm, random_sl2, transvectant
 from .multipoly import (
     PolynomialRing,
     dense_degree,
@@ -131,8 +132,27 @@ def pair_nullcone_test(g: BinaryForm, h: BinaryForm) -> bool:
     return dense_degree(dense_gcd(gg, hh)) >= 1
 
 
+def _times_linear(cs: List[int], lin: Tuple[int, int]) -> List[int]:
+    """Integer coefficients of (form cs) * (lin[0] x + lin[1] y)."""
+    a, b = lin
+    return [a * u + b * v for u, v in zip(cs + [0], [0] + cs)]
+
+
 def random_nullform(n: int, ring: Ring, seed: int) -> BinaryForm:
-    """A seeded random nullform: an SL2 image of x^(floor(n/2)+1) * r(x, y)."""
+    """A seeded random nullform: an SL2 image of x^(floor(n/2)+1) * r(x, y).
+
+    The value is exactly sl2_act(random_sl2(ring, rng), x^k * r) with
+    k = floor(n/2) + 1, from the same draws, but it is built in integer
+    arithmetic.  Write the base coefficients as C_i = N_i / q over their
+    common denominator q, and the matrix entries as b = bn/bd, c = cn/cd.
+    The substitution of sl2_act, x -> (cb + 1) x - b y and y -> -c x + y,
+    times bd*cd and cd gives the integer linear forms
+    LX = (cn bn + cd bd, -bn cd) and LY = (-cn, cd), so the image is
+    sum_i N_i bd^i LX^(n-i) LY^i / (q (bd cd)^n).  The sum is built by Horner
+    steps in Python ints and each coefficient is mapped into the ring once.
+    The draws must be rationals: prime-field draws are ints with denominator
+    1, and the same sum gives their values mod p.
+    """
     if n < 1:
         raise ValueError("order must be >= 1")
     rng = random.Random(f"nullform:{seed}:{n}")
@@ -141,8 +161,21 @@ def random_nullform(n: int, ring: Ring, seed: int) -> BinaryForm:
         rest = [ring.random(rng) for _ in range(n - k + 1)]
         if not all(ring.is_zero(c) for c in rest):
             break
-    base = BinaryForm.monomial(ring, k, 0) * BinaryForm(ring, n - k, rest)
-    return sl2_act(random_sl2(ring, rng), base)
+    (_, b), (c, _) = random_sl2(ring, rng)
+    bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
+    q = lcm(*(r.denominator for r in rest))
+    nums = [r.numerator * (q // r.denominator) for r in rest]
+    lx, ly = (cn * bn + cd * bd, -bn * cd), (-cn, cd)
+    # Horner: after step i, out = sum_(j <= i) N_j bd^j LX^(i-j) LY^j.
+    out, ypow = [nums[0]], [1]
+    for i in range(1, n + 1):
+        out = _times_linear(out, lx)
+        ypow = _times_linear(ypow, ly)
+        if i < len(nums):
+            w = nums[i] * bd**i
+            out = [u + w * v for u, v in zip(out, ypow)]
+    den = q * (bd * cd) ** n
+    return BinaryForm(ring, n, [ring.from_fraction(Fraction(v, den)) for v in out])
 
 
 @dataclass(frozen=True)

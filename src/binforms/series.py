@@ -143,8 +143,9 @@ class DimTable:
         return self.dims[d]
 
 
+@lru_cache(maxsize=None)
 def poincare_series(n: int, max_degree: int) -> DimTable:
-    """Dimension table for degrees 0..max_degree."""
+    """Dimension table for degrees 0..max_degree (frozen, so shared safely)."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     if n < 1:

@@ -110,6 +110,27 @@ def test_random_nullform_is_deterministic_and_null():
         assert is_nullform(f1)
 
 
+def _nullform_by_sl2_act(n, ring, seed):
+    """The reference construction: the same draws, acted on by sl2_act."""
+    rng = random.Random(f"nullform:{seed}:{n}")
+    k = n // 2 + 1
+    while True:
+        rest = [ring.random(rng) for _ in range(n - k + 1)]
+        if not all(ring.is_zero(c) for c in rest):
+            break
+    base = BinaryForm.monomial(ring, k, 0) * BinaryForm(ring, n - k, rest)
+    return sl2_act(random_sl2(ring, rng), base)
+
+
+def test_random_nullform_equals_sl2_act_image():
+    for ring in (QQ, PrimeField(32003), PrimeField(7)):
+        for n in range(1, 13):
+            for seed in range(100):
+                got = random_nullform(n, ring, seed)
+                assert got.order == n
+                assert got.coeffs == _nullform_by_sl2_act(n, ring, seed).coeffs, (ring, n, seed)
+
+
 def test_all_low_degree_invariants_vanish_on_nullforms_mod_p():
     gf = PrimeField(32003)
     cat = catalog_for(9)

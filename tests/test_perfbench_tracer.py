@@ -27,4 +27,5 @@ def test_tracer_patches_rank_and_echelon(tmp_path):
     assert proc.returncode == 0, proc.stderr
     patched = json.loads((tmp_path / "S.json").read_text())["patched"]
     assert "binforms.pipeline.matrix_rank" in patched
+    assert "binforms.pipeline.random_nullform" in patched
     assert "binforms.modlinalg.StreamingEchelon.add_rows" in patched
