@@ -7,7 +7,6 @@ from .exprs import (
     Evaluator,
     Expr,
     F,
-    evaluate_expr,
     expr_from_text,
     expr_meta,
     expr_to_text,

@@ -280,13 +280,6 @@ class Evaluator:
         return self.eval(e).scalar()
 
 
-def evaluate_expr(
-    e: Expr, form: BinaryForm, resolve: Optional[Mapping[str, Expr]] = None
-) -> BinaryForm:
-    """One-shot evaluation; see `Evaluator` for reuse across expressions."""
-    return Evaluator(form, resolve).eval(e)
-
-
 def inline_refs(
     e: Expr, resolve: Mapping[str, Expr], _memo: Optional[dict] = None
 ) -> Expr:

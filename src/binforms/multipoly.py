@@ -190,12 +190,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         if not self.terms:
             return -1

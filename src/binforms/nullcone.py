@@ -235,10 +235,6 @@ class LemmaReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _form_from_polys(ring: PolynomialRing, coeffs) -> BinaryForm:
-    return BinaryForm(ring, len(coeffs) - 1, coeffs)
-
-
 def _check_form(checks: list, lemma: str, label: str, got: BinaryForm, expected) -> None:
     want = list(expected)
     ok = list(got.coeffs) == want

@@ -215,17 +215,29 @@ def _monomial_vector(
 Closing = Tuple[int, int, int]  # (pool index i, pool index j >= i, order)
 
 
+def _shuffle_draws(rng: random.Random, count: int) -> None:
+    """Make the draws of `rng.shuffle` on `count` items (its `_randbelow`)."""
+    getrandbits = rng.getrandbits
+    for n in range(count, 1, -1):
+        k = n.bit_length()
+        while getrandbits(k) >= n:
+            pass
+
+
 @dataclass
 class _ClosingIndex:
     """The closings of degree `m` among the first `scanned` pool entries.
 
     `groups` maps each order (in order of first appearance) to one list per
     pool entry of that order, in pool order, holding the closings the entry
-    starts; `partners` finds those lists by (order, degree).
+    starts; `partners` finds those lists by (order, degree).  `count` is the
+    number of closings held and `fresh` how many of them are not yet emitted.
     """
 
     m: int
     scanned: int = 0
+    count: int = 0
+    fresh: int = 0
     groups: Dict[int, List[List[Closing]]] = field(default_factory=dict)
     partners: Dict[Tuple[int, int], List[Tuple[int, List[Closing]]]] = field(
         default_factory=dict
@@ -253,7 +265,10 @@ class CandidateGenerator:
     closings (groups by first appearance of their order, pairs `i <= j` in
     lexicographic order, `(A, A)_odd` left out), emits those not yet emitted,
     then grows the pool.  The stream for a given seed therefore never
-    depends on how the closings are found.
+    depends on how the closings are found.  A stall pass, one that finds
+    every closing already emitted, builds and shuffles no list: it makes
+    the draws a shuffle of that many items makes (`_shuffle_draws`), which
+    leaves the rng in the same state.
     """
 
     def __init__(self, n: int, seed: int, order_cap: int = 0):
@@ -290,8 +305,8 @@ class CandidateGenerator:
             self._seen_pool.add(e)
             self._pool.append((e, order, da + db))
 
-    def _closings(self, m: int) -> List[Closing]:
-        """Every closing of degree m in the current pool, in canonical order."""
+    def _indexed(self, m: int) -> _ClosingIndex:
+        """The index of the closings of degree m, extended to the whole pool."""
         if self._index.m != m:
             self._index = _ClosingIndex(m)
         index = self._index
@@ -300,27 +315,45 @@ class CandidateGenerator:
             if o < 1 or d >= m:
                 continue
             starts = [(i, i, o)] if 2 * d == m and o % 2 == 0 else []
+            added = list(starts)
             for j, partner_starts in index.partners.get((o, m - d), ()):
                 partner_starts.append((j, i, o))
+                added.append((j, i, o))
+            index.count += len(added)
+            index.fresh += sum(c not in self._seen_out for c in added)
             index.groups.setdefault(o, []).append(starts)
             index.partners.setdefault((o, d), []).append((i, starts))
         index.scanned = len(self._pool)
-        return list(chain.from_iterable(chain.from_iterable(index.groups.values())))
+        return index
+
+    def _closings(self, m: int) -> List[Closing]:
+        """Every closing of degree m in the current pool, in canonical order."""
+        groups = self._indexed(m).groups.values()
+        return list(chain.from_iterable(chain.from_iterable(groups)))
 
     def candidates(self, m: int) -> Iterator[Expr]:
         """Endless stream of distinct degree-m invariant expressions."""
         attempts_without_close = 0
         while True:
-            closings = self._closings(m)
-            self.rng.shuffle(closings)
+            index = self._indexed(m)
             emitted = False
-            for closing in closings:
-                if closing in self._seen_out:
-                    continue
-                self._seen_out.add(closing)
-                emitted = True
-                i, j, o = closing
-                yield tr(self._pool[i][0], self._pool[j][0], o)
+            if not index.fresh:
+                _shuffle_draws(self.rng, index.count)
+            else:
+                closings = self._closings(m)
+                self.rng.shuffle(closings)
+                for closing in closings:
+                    if closing in self._seen_out:
+                        continue
+                    self._seen_out.add(closing)
+                    # The closing is fresh in the index of degree m, also
+                    # when another stream indexed m anew while this one was
+                    # suspended; an index of another degree does not hold it.
+                    if self._index.m == m:
+                        self._index.fresh -= 1
+                    emitted = True
+                    i, j, o = closing
+                    yield tr(self._pool[i][0], self._pool[j][0], o)
             self.grow(max_degree=m - 1)
             if emitted:
                 attempts_without_close = 0
