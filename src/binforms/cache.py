@@ -5,12 +5,13 @@ over F_p.  One pickle per point set, written atomically, so repeated CLI runs
 (quick suite, then the long membership checks) reuse the expensive basis
 evaluations.  Without a cache directory there is no cache object at all
 (`open_cache` returns None); each point set's vectors then live only in the
-pipeline's own memo.
+pipeline's own memo.  A file is named by the SHA-256 of its point-set key;
+`hashlib` (and with it OpenSSL's libcrypto) loads only when a cache directory
+is given, so a run without one never maps it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import tempfile
@@ -48,6 +49,9 @@ class EvalCache:
         return bucket
 
     def _path(self, pointset_key: str) -> Path:
+        # hashlib maps OpenSSL's libcrypto; only runs given a cache directory need it.
+        import hashlib
+
         digest = hashlib.sha256(pointset_key.encode()).hexdigest()[:24]
         return self.root / f"points-{digest}.pkl"
 

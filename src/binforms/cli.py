@@ -12,7 +12,6 @@ so golden-file comparisons are byte-stable.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -21,7 +20,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .cache import open_cache
-from .catalog import catalog_for
 from .exprs import Evaluator, expr_from_text, expr_meta, expr_to_text
 from .forms import BinaryForm
 from .nullcone import is_nullform, root_multiplicity_max, verify_lemma_expansions
@@ -64,6 +62,9 @@ def _emit_json(payload) -> None:
 
 
 def _emit_csv(rows: Sequence[Sequence]) -> None:
+    # csv: only the four commands that offer --format csv write it.
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
@@ -178,6 +179,9 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    # The covariant catalog: only catalog, eval and hsop resolve names; basis never does.
+    from .catalog import catalog_for
+
     cat = catalog_for(args.n)
     rows = [
         {
@@ -208,6 +212,9 @@ def _cmd_eval(args) -> int:
     ring = QQ if args.prime is None else PrimeField(args.prime)
     form = parse_form_literal(args.form, ring, args.a_convention)
     expr = expr_from_text(args.expr)
+    # The covariant catalog: only catalog, eval and hsop resolve names; basis never does.
+    from .catalog import catalog_for
+
     cat = catalog_for(args.n) if args.n in (2, 3, 6, 7, 9) else None
     defs = cat.defs if cat else {}
     order, degree = expr_meta(expr, args.n, defs)
@@ -273,6 +280,9 @@ def _cmd_basis(args) -> int:
 
 
 def _named_set(n: int, selector: str) -> List[Tuple[str, object, int]]:
+    # The covariant catalog: only catalog, eval and hsop resolve names; basis never does.
+    from .catalog import catalog_for
+
     cat = catalog_for(n)
     if selector == "thm":
         names = [e.name for e in cat.hsop()]
@@ -406,12 +416,11 @@ def _parse_degree_list(text: Optional[str]) -> List[int]:
     return sorted({int(part) for part in text.split(",") if part.strip()})
 
 
-def _add_common(sub, *, needs_n=True, compute=False):
+def _add_common(sub, *, needs_n=True, compute=False, csv=False):
     if needs_n:
         sub.add_argument("--n", type=int, required=True, help="order of the base form")
-    sub.add_argument(
-        "--format", dest="fmt", choices=("text", "json", "csv"), default="text"
-    )
+    formats = ("text", "json", "csv") if csv else ("text", "json")
+    sub.add_argument("--format", dest="fmt", choices=formats, default="text")
     sub.add_argument("--json", dest="fmt", action="store_const", const="json")
     if compute:
         sub.add_argument("--prime", type=int, default=32003)
@@ -429,12 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("poincare", help="invariant dimensions by degree")
-    _add_common(sp)
+    _add_common(sp, csv=True)
     sp.add_argument("--max-degree", type=int, required=True)
     sp.set_defaults(func=_cmd_poincare)
 
     sp = subs.add_parser("ecriture", help="minimal-product rational forms of the series")
-    _add_common(sp)
+    _add_common(sp, csv=True)
     sp.set_defaults(func=_cmd_ecriture)
 
     sp = subs.add_parser("nullcone", help="nullform tests")
@@ -453,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify_lemmas)
 
     sp = subs.add_parser("catalog", help="named covariants and invariants")
-    _add_common(sp)
+    _add_common(sp, csv=True)
     sp.set_defaults(func=_cmd_catalog)
 
     sp = subs.add_parser("eval", help="evaluate a covariant expression at a form")
@@ -465,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_eval)
 
     sp = subs.add_parser("basis", help="discover basic invariants degree by degree")
-    _add_common(sp, compute=True)
+    _add_common(sp, compute=True, csv=True)
     sp.add_argument("--max-degree", type=int, required=True)
     sp.set_defaults(func=_cmd_basis)
 

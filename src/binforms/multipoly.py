@@ -274,10 +274,6 @@ def dense_trim(cs: list) -> list:
     return cs
 
 
-def dense_degree(cs: list) -> int:
-    return len(cs) - 1
-
-
 def dense_monic(cs: list) -> list:
     if not cs:
         return []

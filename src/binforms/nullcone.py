@@ -12,6 +12,10 @@ displayed covariant expansion and scalar identity used in the three nullcone
 reduction lemmas (the nonic case analysis and the two pair-nullcone
 reductions for V_2 + V_7 and V_6 + V_3) and compares them against hard-coded
 transcriptions, exact constants included.
+
+Every command imports this module (the pipeline samples `random_nullform`,
+which needs only integers), so the multiplicity and lemma code import
+`multipoly` when they run rather than here.
 """
 
 from __future__ import annotations
@@ -20,16 +24,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .forms import BinaryForm, random_sl2, transvectant
-from .multipoly import (
-    PolynomialRing,
-    dense_degree,
-    dense_derivative,
-    dense_gcd,
-    dense_trim,
-)
 from .rings import QQ, Ring
 
 
@@ -40,8 +37,15 @@ class MultiplicityReport:
     is_zero_form: bool = False
 
 
-def _dehomogenize(f: BinaryForm) -> Tuple[int, List[Fraction]]:
-    """(power of y dividing f, coefficients of f(x, 1) / y^that, low first)."""
+def _root_chain(f: BinaryForm) -> Tuple[int, List[List[Fraction]]]:
+    """(power b of y dividing f, gcd chain of g_0 = f(x, 1) / y^b).
+
+    g_(k+1) = gcd(g_k, g_k'), stopping at the first constant; coefficient
+    lists run low degree first.
+    """
+    # multipoly's dense rational gcd: only `nullcone test` needs it.
+    from .multipoly import dense_derivative, dense_gcd, dense_trim
+
     coeffs = [Fraction(c) for c in f.coeffs]
     b = 0
     while b <= f.order and coeffs[b] == 0:
@@ -52,16 +56,11 @@ def _dehomogenize(f: BinaryForm) -> Tuple[int, List[Fraction]]:
     dense = [Fraction(0)] * (n - b + 1)
     for i in range(b, n + 1):
         dense[n - i] = coeffs[i]
-    return b, dense_trim(dense)
-
-
-def _gcd_chain(dense: List[Fraction]) -> List[List[Fraction]]:
-    """g_0 = poly, g_(k+1) = gcd(g_k, g_k'); stops at the first constant."""
-    chain = [dense]
-    while dense_degree(chain[-1]) > 0:
+    chain = [dense_trim(dense)]
+    while len(chain[-1]) > 1:
         g = chain[-1]
         chain.append(dense_gcd(g, dense_derivative(g)))
-    return chain
+    return b, chain
 
 
 def root_multiplicity_max(f: BinaryForm) -> MultiplicityReport:
@@ -70,11 +69,10 @@ def root_multiplicity_max(f: BinaryForm) -> MultiplicityReport:
         raise ValueError("multiplicity is computed over the rationals")
     if f.is_zero():
         return MultiplicityReport(f.order + 1, "zero form", is_zero_form=True)
-    y_mult, dense = _dehomogenize(f)
-    if dense_degree(dense) < 1:
+    y_mult, chain = _root_chain(f)
+    if len(chain) == 1:
         # f = c * y^order (up to the split); only the point at infinity.
         return MultiplicityReport(y_mult, "point at infinity")
-    chain = _gcd_chain(dense)
     finite_mult = len(chain) - 1
     if y_mult >= finite_mult:
         return MultiplicityReport(max(y_mult, finite_mult), "point at infinity" if y_mult > finite_mult else _witness(chain, finite_mult))
@@ -85,7 +83,7 @@ def _witness(chain: List[List[Fraction]], mult: int) -> str:
     """The squarefree factor whose roots attain the maximal multiplicity."""
     sf = chain[mult - 1]
     terms = []
-    for k in range(dense_degree(sf), -1, -1):
+    for k in range(len(sf) - 1, -1, -1):
         c = sf[k]
         if c:
             terms.append(f"{c}*z^{k}" if k else f"{c}")
@@ -98,38 +96,6 @@ def is_nullform(f: BinaryForm) -> bool:
     if report.is_zero_form:
         return True
     return 2 * report.max_multiplicity > f.order
-
-
-def _multiplicity_ge(dense: List[Fraction], k: int) -> List[Fraction]:
-    """Squarefree-ish polynomial whose roots have multiplicity >= k + 1."""
-    g = dense
-    for _ in range(k):
-        if dense_degree(g) < 1:
-            return []
-        g = dense_gcd(g, dense_derivative(g))
-    return g
-
-
-def pair_nullcone_test(g: BinaryForm, h: BinaryForm) -> bool:
-    """Common root of multiplicity > n/2 in g and > m/2 in h?
-
-    This membership criterion for the pair nullcone of V_n + V_m is taken as
-    the definition.
-    """
-    if g.is_zero() or h.is_zero():
-        raise ValueError("pair test needs nonzero forms")
-    yg, dg = _dehomogenize(g)
-    yh, dh = _dehomogenize(h)
-    n, m = g.order, h.order
-    if 2 * yg > n and 2 * yh > m:
-        return True
-    # Finite roots: multiplicity > n/2 means >= floor(n/2) + 1, i.e. the root
-    # survives floor(n/2) gcd-chain steps.
-    gg = _multiplicity_ge(dg, n // 2)
-    hh = _multiplicity_ge(dh, m // 2)
-    if dense_degree(gg) < 1 or dense_degree(hh) < 1:
-        return False
-    return dense_degree(dense_gcd(gg, hh)) >= 1
 
 
 def _times_linear(cs: List[int], lin: Tuple[int, int]) -> List[int]:
@@ -178,40 +144,6 @@ def random_nullform(n: int, ring: Ring, seed: int) -> BinaryForm:
     return BinaryForm(ring, n, [ring.from_fraction(Fraction(v, den)) for v in out])
 
 
-@dataclass(frozen=True)
-class WeymanVerdict:
-    branch: str
-    hypothesis_holds: bool
-    conclusion_holds: Optional[bool]
-    multiplicity: int
-    required_multiplicity: int
-
-
-def weyman_check(f: BinaryForm, k: int) -> WeymanVerdict:
-    """Check one instance of the vanishing-transvectants multiplicity bound.
-
-    For d = order(f): if d > 4k - 4 and (f,f)_2k, (f,f)_(2k+2), ... all
-    vanish, f has a root of multiplicity d - k + 1; for d = 4k - 4 the
-    hypothesis additionally includes ((f,f)_(2k-2), f)_d.
-    """
-    d = f.order
-    if d > 4 * k - 4:
-        branch = "d>4k-4"
-        hyp = [transvectant(f, f, j) for j in range(2 * k, d + 1, 2)]
-    elif d == 4 * k - 4:
-        branch = "d=4k-4"
-        hyp = [transvectant(transvectant(f, f, 2 * k - 2), f, d)]
-        hyp += [transvectant(f, f, j) for j in range(2 * k, d + 1, 2)]
-    else:
-        raise ValueError(f"branch precondition unmet: d = {d}, k = {k}")
-    hypothesis = all(t.is_zero() for t in hyp)
-    required = d - k + 1
-    if not hypothesis:
-        return WeymanVerdict(branch, False, None, -1, required)
-    mult = root_multiplicity_max(f).max_multiplicity
-    return WeymanVerdict(branch, True, mult >= required, mult, required)
-
-
 # ---------------------------------------------------------------------------
 # Symbolic verification of the displayed lemma expansions.
 
@@ -251,21 +183,19 @@ def _check_scalar(checks: list, lemma: str, label: str, got: BinaryForm, expecte
 
 def verify_lemma_expansions() -> LemmaReport:
     """Recompute every displayed expansion of the nullcone lemmas symbolically."""
+    # multipoly's symbolic coefficient rings: only `verify-lemmas` needs them.
+    from .multipoly import PolynomialRing
+
     checks: List[LemmaCheck] = []
-    _nonic_case_checks(checks)
-    _pair_v2_v7_checks(checks)
-    _pair_v6_v3_checks(checks)
+    _nonic_case_checks(checks, PolynomialRing(tuple(f"a{i}" for i in range(10))))
+    _pair_v2_v7_checks(checks, PolynomialRing(("b1", "b2", "b3", "b4")))
+    _pair_v6_v3_checks(checks, PolynomialRing(("b1", "b2", "b3")))
     return LemmaReport(tuple(checks))
 
 
-def _nonic_ring():
-    ring = PolynomialRing(tuple(f"a{i}" for i in range(10)))
-    return ring, [ring.var(f"a{i}") for i in range(10)]
-
-
-def _nonic_case_checks(checks: List[LemmaCheck]) -> None:
+def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
     lemma = "nonic-multiplicity"
-    ring, a = _nonic_ring()
+    a = [ring.var(f"a{i}") for i in range(10)]
     zero = ring.zero
 
     # Generic nonic: p = (f, x^2)_2 = (1/72) sum_{i>=2} binom(9,i) i (i-1) a_i x^(9-i) y^(i-2)
@@ -415,9 +345,8 @@ def _nonic_case_checks(checks: List[LemmaCheck]) -> None:
     _check_form(checks, lemma, "case q=x^4y(x+y): l with a8 = a7 = a6", l4, expected_l4)
 
 
-def _pair_v2_v7_checks(checks: List[LemmaCheck]) -> None:
+def _pair_v2_v7_checks(checks: List[LemmaCheck], ring) -> None:
     lemma = "pair-V2+V7"
-    ring = PolynomialRing(("b1", "b2", "b3", "b4"))
     b1, b2, b3, b4 = ring.vars()
     zero = ring.zero
     # g = x^2, h = y^4 (b1 x^3 + b2 x^2 y + b3 x y^2 + b4 y^3)
@@ -454,9 +383,8 @@ def _pair_v2_v7_checks(checks: List[LemmaCheck]) -> None:
     )
 
 
-def _pair_v6_v3_checks(checks: List[LemmaCheck]) -> None:
+def _pair_v6_v3_checks(checks: List[LemmaCheck], ring) -> None:
     lemma = "pair-V6+V3"
-    ring = PolynomialRing(("b1", "b2", "b3"))
     b1, b2, b3 = ring.vars()
     zero = ring.zero
     # g = x^4 (b1 x^2 + b2 x y + b3 y^2)

@@ -290,3 +290,36 @@ def test_hsop_check_rejects_negative_trials_before_any_work(capsys, monkeypatch,
     assert code == 2
     assert out == ""
     assert "--trials" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hsop", "check", "--n", "9", "--set", "thm", "--trials", "2"),
+        ("hsop", "membership", "--n", "9", "--set", "thm", "--degrees", "12"),
+        ("eval", "--n", "2", "--expr", "f", "--form", "2: 1,0,1"),
+        ("nullcone", "test", "--n", "2", "--form", "2: 1,0,1"),
+        ("nullcone", "verify-lemmas"),
+        ("verify-lemmas",),
+    ],
+)
+def test_csv_rejected_where_no_csv_is_written(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (("catalog", "--n", "3"), "name,order,degree,hsop,expr"),
+        (("ecriture", "--n", "3"), "numerator_degree,degrees"),
+    ],
+)
+def test_csv_written_by_catalog_and_ecriture(capsys, argv, header):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == header

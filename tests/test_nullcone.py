@@ -1,18 +1,14 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from binforms.catalog import catalog_for
 from binforms.exprs import Evaluator
 from binforms.forms import BinaryForm, random_form, random_sl2, sl2_act
 from binforms.nullcone import (
     is_nullform,
-    pair_nullcone_test,
     random_nullform,
     root_multiplicity_max,
     verify_lemma_expansions,
-    weyman_check,
 )
 from binforms.rings import QQ, PrimeField
 
@@ -71,37 +67,6 @@ def test_nullform_invariance_under_sl2():
         assert is_nullform(sl2_act(g, base))
 
 
-def test_pair_nullcone_examples():
-    x2 = BinaryForm.monomial(QQ, 2, 0)
-    assert pair_nullcone_test(x2, BinaryForm.monomial(QQ, 4, 3))
-    assert not pair_nullcone_test(x2, BinaryForm.monomial(QQ, 0, 7))
-    assert not pair_nullcone_test(
-        BinaryForm.monomial(QQ, 1, 1), BinaryForm.monomial(QQ, 4, 3)
-    )
-
-
-def test_pair_nullcone_infinity_root():
-    # common root at infinity: y-powers on both sides
-    g = BinaryForm.monomial(QQ, 0, 2)
-    h = BinaryForm.monomial(QQ, 3, 4)  # y^4 x^3: mult 4 > 3.5
-    assert pair_nullcone_test(g, h)
-
-
-def test_pair_nullcone_symmetry():
-    rng = random.Random(4)
-    for _ in range(10):
-        g = lin(2, -1).power(2) * random_form(QQ, 2, rng)
-        h = lin(2, -1).power(4) * random_form(QQ, 3, rng)
-        if g.is_zero() or h.is_zero():
-            continue
-        assert pair_nullcone_test(g, h) == pair_nullcone_test(h, g)
-
-
-def test_pair_nullcone_rejects_zero():
-    with pytest.raises(ValueError):
-        pair_nullcone_test(BinaryForm.zero(QQ, 2), BinaryForm.monomial(QQ, 1, 1))
-
-
 def test_random_nullform_is_deterministic_and_null():
     for seed in range(10):
         f1 = random_nullform(9, QQ, seed)
@@ -152,38 +117,6 @@ def test_invariants_vanish_exactly_over_rationals():
             ev = Evaluator(nf, cat.defs)
             for e in invariants:
                 assert ev.scalar(e.expr) == 0, (n, seed, e.name)
-
-
-def test_weyman_monomial_pair():
-    v = weyman_check(BinaryForm.monomial(QQ, 8, 1), 2)
-    assert v.hypothesis_holds and v.conclusion_holds and v.multiplicity == 8
-
-
-def test_weyman_generic_vacuous():
-    rng = random.Random(5)
-    roots = rng.sample(range(-30, 30), 9)
-    f = lin(1, -roots[0])
-    for r in roots[1:]:
-        f = f * lin(1, -r)
-    v = weyman_check(f, 2)
-    assert not v.hypothesis_holds and v.conclusion_holds is None
-
-
-def test_weyman_pure_power():
-    v = weyman_check(BinaryForm.monomial(QQ, 9, 0), 2)
-    assert v.hypothesis_holds and v.conclusion_holds and v.multiplicity == 9
-
-
-def test_weyman_equality_branch():
-    # d = 4k - 4 with k = 3, d = 8: x^6 y^2 has multiplicity 6 = d - k + 1
-    v = weyman_check(BinaryForm.monomial(QQ, 6, 2), 3)
-    assert v.branch == "d=4k-4"
-    assert v.hypothesis_holds and v.conclusion_holds
-
-
-def test_weyman_branch_precondition():
-    with pytest.raises(ValueError):
-        weyman_check(BinaryForm.monomial(QQ, 5, 0), 3)  # d = 5 < 4k - 4 = 8
 
 
 def test_lemma_expansions_all_pass():
