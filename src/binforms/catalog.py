@@ -17,14 +17,12 @@ at load time; a mismatch is a programming error and raises immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .exprs import Expr, F, Ref, expr_meta, inline_refs, pw, tr
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     expr: Expr
     order: int

@@ -15,9 +15,8 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cache import open_cache
 from .exprs import Evaluator, expr_from_text, expr_meta, expr_to_text
@@ -31,7 +30,7 @@ from .pipeline import (
     ideal_membership_dim,
 )
 from .rings import QQ, PrimeField
-from .series import ecriture_minimale_search, poincare_series
+from .series import SEED_DEGREES, ecriture_minimale_search, poincare_series
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -39,17 +38,13 @@ EXIT_USAGE = 2
 EXIT_CRASH = 3
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Options shared by the computational subcommands."""
 
-    n: int
-    prime: int = 32003
-    seed: int = 1
-    max_degree: int = 0
-    margin_floor: int = 10
-    fmt: str = "text"
-    cache_dir: Optional[str] = None
+    prime: int
+    seed: int
+    margin_floor: int
+    cache_dir: Optional[str]
 
     def pipeline(self) -> PipelineConfig:
         return PipelineConfig(
@@ -112,6 +107,12 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_ecriture(args) -> int:
+    if args.n not in SEED_DEGREES:
+        known = ", ".join(str(n) for n in sorted(SEED_DEGREES))
+        raise ValueError(
+            f"ecriture has a built-in seed degree sequence only for n = {known}; "
+            f"got n = {args.n}"
+        )
     rows = ecriture_minimale_search(args.n)
     payload = {
         "n": args.n,
@@ -499,14 +500,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "prime") and hasattr(args, "seed"):
-        args.run = RunConfig(
-            n=getattr(args, "n", 0),
-            prime=args.prime,
-            seed=args.seed,
-            margin_floor=getattr(args, "margin", 10),
-            fmt=args.fmt,
-            cache_dir=getattr(args, "cache_dir", None),
-        )
+        args.run = RunConfig(args.prime, args.seed, args.margin, args.cache_dir)
     try:
         return args.func(args)
     except (ValueError, KeyError, ZeroDivisionError) as exc:

@@ -21,17 +21,15 @@ which needs only integers), so the multiplicity and lemma code import
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .forms import BinaryForm, random_sl2, transvectant
 from .rings import QQ, Ring
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
+class MultiplicityReport(NamedTuple):
     max_multiplicity: int
     witness: str
     is_zero_form: bool = False
@@ -147,16 +145,14 @@ def random_nullform(n: int, ring: Ring, seed: int) -> BinaryForm:
 # ---------------------------------------------------------------------------
 # Symbolic verification of the displayed lemma expansions.
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     lemma: str
     label: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     checks: Tuple[LemmaCheck, ...]
 
     @property

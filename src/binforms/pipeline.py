@@ -23,10 +23,9 @@ Poincare rational form.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import chain
 from math import ceil, lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,8 +38,7 @@ from .rings import QQ, is_prime
 from .series import DegreeSequence, invariant_dimension, poincare_series, to_rational
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     prime: int = 32003
     seed: int = 1
     margin_floor: int = 10
@@ -136,8 +134,7 @@ class PointEvaluations:
         return vec
 
 
-@dataclass(frozen=True)
-class BasisRecord:
+class BasisRecord(NamedTuple):
     """One discovered basic invariant with its evaluation fingerprint."""
 
     name: str
@@ -224,7 +221,6 @@ def _shuffle_draws(rng: random.Random, count: int) -> None:
             pass
 
 
-@dataclass
 class _ClosingIndex:
     """The closings of degree `m` among the first `scanned` pool entries.
 
@@ -234,14 +230,13 @@ class _ClosingIndex:
     number of closings held and `fresh` how many of them are not yet emitted.
     """
 
-    m: int
-    scanned: int = 0
-    count: int = 0
-    fresh: int = 0
-    groups: Dict[int, List[List[Closing]]] = field(default_factory=dict)
-    partners: Dict[Tuple[int, int], List[Tuple[int, List[Closing]]]] = field(
-        default_factory=dict
-    )
+    def __init__(self, m: int):
+        self.m = m
+        self.scanned = 0
+        self.count = 0
+        self.fresh = 0
+        self.groups: Dict[int, List[List[Closing]]] = {}
+        self.partners: Dict[Tuple[int, int], List[Tuple[int, List[Closing]]]] = {}
 
 
 class CandidateGenerator:
@@ -365,8 +360,7 @@ class CandidateGenerator:
                     )
 
 
-@dataclass(frozen=True)
-class DegreeEvidence:
+class DegreeEvidence(NamedTuple):
     degree: int
     dim: int
     n_products: int
@@ -376,13 +370,13 @@ class DegreeEvidence:
     new_names: Tuple[str, ...]
 
 
-@dataclass
 class DmTable:
-    n: int
-    prime: int
-    seed: int
-    evidence: Dict[int, DegreeEvidence] = field(default_factory=dict)
-    records: List[BasisRecord] = field(default_factory=list)
+    def __init__(self, n: int, prime: int, seed: int):
+        self.n = n
+        self.prime = prime
+        self.seed = seed
+        self.evidence: Dict[int, DegreeEvidence] = {}
+        self.records: List[BasisRecord] = []
 
     def d(self, m: int) -> int:
         ev = self.evidence.get(m)
@@ -525,18 +519,12 @@ def jacobian_rank(
     return matrix_rank(rows, prime)
 
 
-@dataclass(frozen=True)
-class VanishReport:
+class VanishReport(NamedTuple):
     nullform_trials: int
     nullform_all_vanish: int
     nullform_failures: Tuple[str, ...]
     generic_trials: int
     generic_all_vanish: int
-
-
-# Nullforms evaluated per exact batch; small blocks keep the object arrays
-# (values reach hundreds of bits) from raising peak memory.
-_NULLFORM_BLOCK = 10
 
 
 def _integer_row(form) -> List[int]:
@@ -561,25 +549,22 @@ def vanish_on_nullcone_sample(
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    forms = [_integer_row(random_nullform(n, QQ, seed * 100003 + t)) for t in range(trials)]
+    ev = BatchEvaluator(np.array(forms, dtype=object).reshape(trials, n + 1), prime=None)
+    nonzero = [ev.scalar(e)[0] != 0 for e in exprs]
     failures: List[str] = []
-    all_vanish = 0
-    for start in range(0, trials, _NULLFORM_BLOCK):
-        block = range(start, min(start + _NULLFORM_BLOCK, trials))
-        forms = [_integer_row(random_nullform(n, QQ, seed * 100003 + t)) for t in block]
-        ev = BatchEvaluator(forms, prime=None)
-        nonzero = [ev.scalar(e)[0] != 0 for e in exprs]
-        for row, t in enumerate(block):
-            bad = [str(i) for i, nz in enumerate(nonzero) if nz[row]]
-            if bad:
-                failures.append(f"trial {t}: nonzero at candidate index {','.join(bad)}")
-            else:
-                all_vanish += 1
+    for t in range(trials):
+        bad = [str(i) for i, nz in enumerate(nonzero) if nz[t]]
+        if bad:
+            failures.append(f"trial {t}: nonzero at candidate index {','.join(bad)}")
     rng = random.Random(f"generic:{seed}:{n}:{prime}")
     generic = BatchEvaluator(_random_forms(rng, n, trials, prime), prime)
     vanish = np.ones(trials, dtype=bool)
     for e in exprs:
         vanish &= generic.scalar(e)[0] == 0
-    return VanishReport(trials, all_vanish, tuple(failures), trials, int(vanish.sum()))
+    return VanishReport(
+        trials, trials - len(failures), tuple(failures), trials, int(vanish.sum())
+    )
 
 
 def _add_rows_until(ech: StreamingEchelon, rows: Iterable[np.ndarray], dim: int) -> int:
@@ -602,8 +587,7 @@ def _add_rows_until(ech: StreamingEchelon, rows: Iterable[np.ndarray], dim: int)
     return used
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     degree: int
     dim: int
     achieved_rank: int
@@ -704,8 +688,7 @@ def verify_basis_spans(
     return out
 
 
-@dataclass(frozen=True)
-class HsopReport:
+class HsopReport(NamedTuple):
     n: int
     names: Tuple[str, ...]
     degrees: Tuple[int, ...]

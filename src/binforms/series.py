@@ -19,10 +19,9 @@ minimales" of the Poincare series).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,8 +127,7 @@ def dimension_by_lowering_operator(n: int, d: int) -> int:
     return len(sources) - r1
 
 
-@dataclass(frozen=True)
-class DimTable:
+class DimTable(NamedTuple):
     """Invariant-space dimensions, degree 0 .. max_degree inclusive."""
 
     n: int
@@ -153,14 +151,11 @@ def poincare_series(n: int, max_degree: int) -> DimTable:
     return DimTable(n, tuple(_dimensions(n, max_degree)))
 
 
-@dataclass(frozen=True)
 class DegreeSequence:
     """Sorted multiset of parameter degrees."""
 
-    degrees: Tuple[int, ...]
-
     def __init__(self, degrees: Sequence[int]):
-        object.__setattr__(self, "degrees", tuple(sorted(int(d) for d in degrees)))
+        self.degrees: Tuple[int, ...] = tuple(sorted(int(d) for d in degrees))
         if any(d < 1 for d in self.degrees):
             raise ValueError("degrees must be positive")
 
@@ -179,8 +174,7 @@ class DegreeSequence:
         return len(self.degrees)
 
 
-@dataclass(frozen=True)
-class PoincareRational:
+class PoincareRational(NamedTuple):
     """P(t) = numerator / prod(1 - t^d) with the stated denominator degrees."""
 
     numerator: Tuple[int, ...]
@@ -321,8 +315,7 @@ def min_degree_count(n: int, t: int) -> Tuple[int, int]:
     return (n - j) // t, t
 
 
-@dataclass(frozen=True)
-class SequenceCheck:
+class SequenceCheck(NamedTuple):
     ok: bool
     violations: Tuple[Tuple[int, int, int, int], ...]
     """Each violation is (t, divisor, required, found)."""
@@ -345,8 +338,7 @@ def check_sequence(n: int, degrees: Sequence[int]) -> SequenceCheck:
 # ---------------------------------------------------------------------------
 # Minimal ecritures.
 
-@dataclass(frozen=True)
-class EcritureRow:
+class EcritureRow(NamedTuple):
     degrees: Tuple[int, ...]
     numerator: Tuple[int, ...]
 
@@ -377,10 +369,13 @@ class EcritureContext:
         if ref is None:
             raise ValueError(f"seed degrees {self.seed.degrees} are not a valid ecriture")
         self.reference = ref
+        # The least degree with invariants bounds every other degree of a
+        # sequence from below (4 for n = 3, 7, 9; 2 for the sextic).
+        self.least = next(d for d, dim in enumerate(self.table.dims) if d and dim)
         # Degrees with invariants.  Beyond the partition-counted table the
         # series is extended through the validated rational form, which is
         # exact once the guard window has certified the numerator.
-        bound = max(4, self.seed.product // (4 ** (len(self.seed) - 1)))
+        bound = max(self.least, self.seed.product // (self.least ** (len(self.seed) - 1)))
         self.extended = self.reference.expand(bound)
 
     def has_invariants(self, d: int) -> bool:
@@ -409,7 +404,7 @@ def ecriture_minimale_search(
     ctx = EcritureContext(n, seed_degrees)
     k = n - 2
     budget = ctx.seed.product
-    domain = _candidate_degrees(ctx, budget // (4 ** (k - 1)) if k > 1 else budget)
+    domain = _candidate_degrees(ctx, budget // ctx.least ** (k - 1))
     constraints = [
         (divisor, required)
         for t in range(2, max(domain, default=2) + 1)

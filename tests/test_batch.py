@@ -263,7 +263,7 @@ def _qq_nullform_loop(exprs, n, trials, seed):
     return all_vanish, tuple(failures)
 
 
-@pytest.mark.parametrize("trials", [1, 10, 23])
+@pytest.mark.parametrize("trials", [1, 10, 23, 100])
 def test_nullform_failures_match_rational_loop(monkeypatch, trials):
     real = pipeline.random_nullform
 

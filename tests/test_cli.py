@@ -39,6 +39,43 @@ def test_ecriture_five_rows(capsys):
     assert sorted(r["numerator_degree"] for r in payload["rows"]) == [66, 74, 78, 86, 90]
 
 
+# n = 6 needs its degree bounds read from the sextic's degree-2 invariant.
+ECRITURE_TEXT = {
+    3: """minimal ecritures for order 3 (product 4):
+  numerator degree 0: denominator degrees (4,)
+""",
+    6: """minimal ecritures for order 6 (product 480):
+  numerator degree 15: denominator degrees (2, 4, 6, 10)
+""",
+    7: """minimal ecritures for order 7 (product 92160):
+  numerator degree 48: denominator degrees (4, 8, 12, 12, 20)
+  numerator degree 54: denominator degrees (4, 8, 8, 12, 30)
+""",
+    9: """minimal ecritures for order 9 (product 10321920):
+  numerator degree 66: denominator degrees (4, 8, 10, 12, 12, 14, 16)
+  numerator degree 74: denominator degrees (4, 4, 10, 12, 14, 16, 24)
+  numerator degree 78: denominator degrees (4, 4, 8, 12, 14, 16, 30)
+  numerator degree 86: denominator degrees (4, 4, 8, 10, 12, 16, 42)
+  numerator degree 90: denominator degrees (4, 4, 8, 10, 12, 14, 48)
+""",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ECRITURE_TEXT))
+def test_ecriture_text_for_every_seeded_order(capsys, n):
+    assert run_cli(capsys, "ecriture", "--n", str(n)) == (0, ECRITURE_TEXT[n], "")
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_ecriture_without_a_seed_names_the_seeded_orders(capsys, n):
+    code, out, err = run_cli(capsys, "ecriture", "--n", str(n))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: ecriture has a built-in seed degree sequence only for "
+        f"n = 3, 6, 7, 9; got n = {n}\n"
+    )
+
+
 def test_byte_identical_reruns(capsys):
     argv = ("ecriture", "--n", "7", "--json")
     _, out1, _ = run_cli(capsys, *argv)
