@@ -65,23 +65,11 @@ class Catalog:
             self._closed[name] = got
         return got
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self.entries)
-
     def invariants(self) -> Tuple[CatalogEntry, ...]:
         return tuple(e for e in self.entries.values() if e.order == 0)
 
-    def covariants(self) -> Tuple[CatalogEntry, ...]:
-        return tuple(e for e in self.entries.values() if e.order > 0)
-
     def hsop(self) -> Tuple[CatalogEntry, ...]:
         return tuple(e for e in self.entries.values() if e.hsop)
-
-    def hsop_degrees(self) -> Tuple[int, ...]:
-        return tuple(sorted(e.degree for e in self.hsop()))
 
 
 def _nonic() -> Catalog:

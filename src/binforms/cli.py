@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: poincare, ecriture, nullcone (test, verify-lemmas), catalog,
-eval, basis, hsop (check, membership), verify-lemmas.
+Subcommands: poincare, ecriture, nullcone test, verify-lemmas, catalog,
+eval, basis, hsop (check, membership).
 
 Exit codes: 0 success; 1 mathematically meaningful mismatch (a refuted
 candidate, an inconclusive campaign, a failed lemma transcription); 2 usage
@@ -240,9 +240,6 @@ def _cmd_basis(args) -> int:
     cache = open_cache(args.run.cache_dir)
     try:
         table = find_basic_invariants(args.n, args.max_degree, cfg, cache=cache)
-    except SaturationError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     finally:
         if cache is not None:
             cache.flush()
@@ -302,6 +299,16 @@ def _named_set(n: int, selector: str) -> List[Tuple[str, object, int]]:
     return out
 
 
+def _basis_degree(candidates, degrees: Sequence[int]) -> int:
+    """The degree the basis must reach for membership rows at `degrees`.
+
+    A degree-i row is h * (a basis monomial of degree i - deg h), so the
+    basis is needed up to max(degrees) minus the smallest candidate degree;
+    degrees below that smallest degree need no basis at all.
+    """
+    return max(0, max(degrees) - min(d for _, _, d in candidates))
+
+
 def _membership_payload(res) -> dict:
     return {
         "degree": res.degree,
@@ -327,8 +334,7 @@ def _cmd_hsop_check(args) -> int:
     basis = None
     try:
         if degrees:
-            min_deg = min(d for _, _, d in candidates)
-            need = max(degrees) - min_deg
+            need = _basis_degree(candidates, degrees)
             basis = find_basic_invariants(args.n, need, cfg, cache=cache).records
         report = certify_hsop(
             candidates, args.n, cfg, membership_degrees=degrees, basis=basis,
@@ -380,8 +386,7 @@ def _cmd_hsop_membership(args) -> int:
     if not degrees:
         raise ValueError("--degrees is required")
     cfg.validate(args.n, max(degrees))
-    min_deg = min(d for _, _, d in candidates)
-    need = max(degrees) - min_deg
+    need = _basis_degree(candidates, degrees)
     results = []
     try:
         table = find_basic_invariants(args.n, need, cfg, cache=cache)
@@ -454,10 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     spt.add_argument("--form", required=True, help="form literal 'order: c0,...,cn'")
     spt.add_argument("--a-convention", action="store_true")
     spt.set_defaults(func=_cmd_nullcone_test)
-    spv = nsubs.add_parser("verify-lemmas", help="recompute the displayed lemma expansions")
-    _add_common(spv, needs_n=False)
-    spv.set_defaults(func=_cmd_verify_lemmas)
-
     sp = subs.add_parser("verify-lemmas", help="recompute the displayed lemma expansions")
     _add_common(sp, needs_n=False)
     sp.set_defaults(func=_cmd_verify_lemmas)

@@ -276,9 +276,6 @@ class Evaluator:
         self._memo[e] = val
         return val
 
-    def scalar(self, e: Expr):
-        return self.eval(e).scalar()
-
 
 def inline_refs(
     e: Expr, resolve: Mapping[str, Expr], _memo: Optional[dict] = None

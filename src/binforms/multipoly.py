@@ -7,8 +7,9 @@ carry the symbolic coefficients a_0..a_n and b_1..b_4 used by the lemma
 verification fixtures, so arithmetic is exact and unsimplified terms never
 survive (zero coefficients are dropped eagerly).
 
-Univariate gcd over the rationals lives here too; it backs the
-root-multiplicity chains of the nullcone module.
+Dense univariate helpers over the rationals (coefficient lists, low degree
+first) live here too; their gcd backs the root-multiplicity chains of the
+nullcone module.
 """
 
 from __future__ import annotations
@@ -79,14 +80,6 @@ class PolynomialRing(Ring):
         return MultiPoly(
             self, {e: base.mul_int(c, k) for e, c in a.terms.items()}
         )
-
-    def random(self, rng):
-        # A random linear-ish polynomial; handy for property tests.
-        out = self.const(self.base.random(rng))
-        for v in self.variables:
-            if rng.random() < 0.5:
-                out = out + self.var(v) * self.const(self.base.random(rng))
-        return out
 
     def __eq__(self, other):
         return (
@@ -190,36 +183,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
-        i = self.ring._index[name]
-        return max(e[i] for e in self.terms)
-
-    def coefficient(self, monomial: dict) -> object:
-        """Coefficient of the monomial given as {var: exp}."""
-        exp = [0] * len(self.ring.variables)
-        for v, k in monomial.items():
-            exp[self.ring._index[v]] = k
-        return self.terms.get(tuple(exp), self.ring.base.zero)
-
-    def evaluate(self, env: dict, target: Ring):
-        """Evaluate into `target`, mapping each variable through `env`."""
-        order = self.ring.variables
-        out = target.zero
-        for e, c in self.terms.items():
-            if isinstance(c, Fraction):
-                term = target.from_fraction(c)
-            elif isinstance(c, int):
-                term = target.from_int(c)
-            else:
-                term = c
-            for v, k in zip(order, e):
-                for _ in range(k):
-                    term = target.mul(term, env[v])
-            out = target.add(out, term)
-        return out
-
     def sorted_terms(self) -> list:
         """Terms in canonical order: graded lex, highest first."""
         return sorted(
@@ -246,23 +209,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"<{self}>"
-
-
-def partial_derivative(p: MultiPoly, var: str) -> MultiPoly:
-    """Formal partial derivative with respect to a declared variable."""
-    ring = p.ring
-    if var not in ring._index:
-        raise ValueError(f"unknown variable {var!r}")
-    i = ring._index[var]
-    base = ring.base
-    out: dict = {}
-    for e, c in p.terms.items():
-        if e[i] == 0:
-            continue
-        d = list(e)
-        d[i] -= 1
-        out[tuple(d)] = base.mul_int(c, e[i])
-    return MultiPoly(ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -310,43 +256,3 @@ def dense_gcd(a: list, b: list) -> list:
         a, b = b, dense_trim(r)
     return dense_monic(a)
 
-
-def _to_dense(p: MultiPoly) -> tuple:
-    """(variable index or None, dense coefficients); rejects multivariate."""
-    used = set()
-    for e in p.terms:
-        for i, k in enumerate(e):
-            if k:
-                used.add(i)
-    if len(used) > 1:
-        raise ValueError("multivariate input to a univariate operation")
-    idx = used.pop() if used else None
-    deg = max((e[idx] for e in p.terms), default=0) if idx is not None else 0
-    cs = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        if not isinstance(c, (int, Fraction)):
-            raise ValueError("univariate gcd requires rational coefficients")
-        cs[e[idx] if idx is not None else 0] += Fraction(c)
-    return idx, dense_trim(cs)
-
-
-def gcd_univariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Monic gcd of univariate rational polynomials; gcd(p, 0) = monic(p)."""
-    ring = p.ring
-    if ring != q.ring:
-        raise ValueError("polynomial ring mismatch")
-    ip, dp = _to_dense(p)
-    iq, dq = _to_dense(q)
-    if ip is not None and iq is not None and ip != iq:
-        raise ValueError("multivariate input to a univariate operation")
-    idx = ip if ip is not None else iq
-    g = dense_gcd(dp, dq)
-    out: dict = {}
-    nvars = len(ring.variables)
-    for k, c in enumerate(g):
-        if c:
-            e = [0] * nvars
-            if idx is not None:
-                e[idx] = k
-            out[tuple(e)] = ring.base.from_fraction(c)
-    return MultiPoly(ring, out)

@@ -159,9 +159,6 @@ class LemmaReport(NamedTuple):
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> Tuple[LemmaCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
 
 def _check_form(checks: list, lemma: str, label: str, got: BinaryForm, expected) -> None:
     want = list(expected)

@@ -9,7 +9,8 @@ all points of a set at once and memoizes shared subtrees per set.  Random
 transvectant trees of the right degree are then adjoined greedily, one rank
 unit at a time, until the combined rank saturates the dimension; the number
 of adjoined generators is d_m.  Monte Carlo ranks certify at sampling level
-only, so reports carry the prime, seed, and margin that produced them.
+only, so reports carry the prime, the seed and the number of points that
+produced them.
 
 Certification of a candidate parameter system combines four kinds of
 evidence: the degree-divisibility filters, a Jacobian rank at sampled points
@@ -31,35 +32,37 @@ import numpy as np
 
 from .batch import BatchEvaluator
 from .cache import EvalCache
-from .exprs import Expr, F, expr_to_text, pw, tr
+from .exprs import Expr, F, expr_to_text, tr
 from .modlinalg import StreamingEchelon, rank as matrix_rank
 from .nullcone import random_nullform
 from .rings import QQ, is_prime
 from .series import DegreeSequence, invariant_dimension, poincare_series, to_rational
 
 
+MARGIN_FRAC = 0.05
+FINGERPRINT_POINTS = 32
+CANDIDATE_BUDGET = 600  # draws per degree, plus 80 per missing rank unit
+
+
 class PipelineConfig(NamedTuple):
     prime: int = 32003
     seed: int = 1
     margin_floor: int = 10
-    margin_frac: float = 0.05
-    fingerprint_points: int = 32
-    candidate_budget: int = 600
-    pool_order_cap: int = 0  # 0 means 2 * n
 
     def margin(self, dim: int) -> int:
-        return max(self.margin_floor, ceil(self.margin_frac * dim))
+        return max(self.margin_floor, ceil(MARGIN_FRAC * dim))
 
     def validate(self, n: int, max_degree: int = 0) -> None:
-        """Reject a prime the run cannot use, before any work starts.
+        """Reject a prime or a margin the run cannot use, before any work starts.
 
         `max_degree` is the largest degree whose points the run will rank;
         the streaming echelon is exact only while points * (p - 1)^2 < 2^53,
         and a retried degree doubles its margin.  The batched transvectant
         kernel is exact in int64 only while (m + 1)(n + 1)(p - 1)^2 < 2^63
-        for operand orders m and n, which the pool keeps at most its order
-        cap (2n by default).
+        for operand orders m and n, which the candidate pool keeps at most 2n.
         """
+        if self.margin_floor < 0:
+            raise ValueError(f"--points-margin must be >= 0, got {self.margin_floor}")
         if self.prime == 2 or not is_prime(self.prime):
             raise ValueError(f"prime {self.prime} is not an odd prime")
         if self.prime <= 2 * n + 1:
@@ -74,7 +77,7 @@ class PipelineConfig(NamedTuple):
                 f"prime {self.prime} is too large for exact ranks at {points} "
                 "points: need points * (p - 1)^2 < 2^53"
             )
-        cap = self.pool_order_cap or 2 * n
+        cap = 2 * n
         if (cap + 1) ** 2 * (self.prime - 1) ** 2 >= 2 ** 63:
             raise ValueError(
                 f"prime {self.prime} is too large for exact int64 transvectants "
@@ -144,22 +147,18 @@ class BasisRecord(NamedTuple):
 
 
 def monomials_of_degree(
-    basis: Sequence[BasisRecord], m: int, require_factor: Optional[set] = None
+    basis: Sequence[BasisRecord], m: int
 ) -> List[Tuple[Tuple[int, int], ...]]:
     """Multisets of basis records with total degree exactly m.
 
     Each monomial is a tuple of (basis index, exponent) pairs, enumerated
-    deterministically (earlier records first, higher exponents first).  With
-    `require_factor` only monomials containing at least one factor from that
-    set of basis indices are kept.
+    deterministically (earlier records first, higher exponents first).
     """
     out: List[Tuple[Tuple[int, int], ...]] = []
 
     def rec(i: int, remaining: int, acc: List[Tuple[int, int]]):
         if remaining == 0:
-            mono = tuple(acc)
-            if require_factor is None or any(idx in require_factor for idx, _ in mono):
-                out.append(mono)
+            out.append(tuple(acc))
             return
         if i == len(basis):
             return
@@ -174,28 +173,6 @@ def monomials_of_degree(
 
     rec(0, m, [])
     return out
-
-
-def monomial_expr(basis: Sequence[BasisRecord], mono) -> Expr:
-    """Expression tree for a product monomial (index-0 transvectant chain)."""
-    factors = [
-        basis[idx].expr if k == 1 else pw(basis[idx].expr, k) for idx, k in mono
-    ]
-    e = factors[0]
-    for g in factors[1:]:
-        e = tr(e, g, 0)
-    return e
-
-
-def spanning_products(basis: Sequence[BasisRecord], m: int,
-                      require_factor: Optional[set] = None) -> List[Expr]:
-    """All monomials in the basis with total degree exactly m, as expressions."""
-    if require_factor is None and any(rec.degree >= m for rec in basis):
-        raise ValueError("spanning products expect basis entries of degree < m")
-    return [
-        monomial_expr(basis, mono)
-        for mono in monomials_of_degree(basis, m, require_factor)
-    ]
 
 
 def _monomial_vector(
@@ -266,10 +243,10 @@ class CandidateGenerator:
     leaves the rng in the same state.
     """
 
-    def __init__(self, n: int, seed: int, order_cap: int = 0):
+    def __init__(self, n: int, seed: int):
         self.n = n
         self.rng = random.Random(f"candidates:{seed}:{n}")
-        self.order_cap = order_cap or 2 * n
+        self.order_cap = 2 * n
         self._pool: List[Tuple[Expr, int, int]] = [(F, n, 1)]
         self._seen_pool = {F}
         self._seen_out: set = set()
@@ -378,10 +355,6 @@ class DmTable:
         self.evidence: Dict[int, DegreeEvidence] = {}
         self.records: List[BasisRecord] = []
 
-    def d(self, m: int) -> int:
-        ev = self.evidence.get(m)
-        return ev.d if ev else 0
-
     def nonzero(self) -> Dict[int, int]:
         return {m: ev.d for m, ev in sorted(self.evidence.items()) if ev.d}
 
@@ -394,7 +367,7 @@ class SaturationError(RuntimeError):
 
 
 def _fingerprint_evals(n: int, cfg: PipelineConfig, cache) -> PointEvaluations:
-    pts = PointSet(n, cfg.prime, cfg.seed, cfg.fingerprint_points, "fingerprint")
+    pts = PointSet(n, cfg.prime, cfg.seed, FINGERPRINT_POINTS, "fingerprint")
     return PointEvaluations(pts, cache)
 
 
@@ -415,7 +388,7 @@ def compute_dm(
     if any(rec.degree >= m for rec in basis):
         raise ValueError(f"basis passed to compute_dm must be settled below degree {m}")
     if gen is None:
-        gen = CandidateGenerator(n, cfg.seed, cfg.pool_order_cap)
+        gen = CandidateGenerator(n, cfg.seed)
     if fingerprints is None:
         fingerprints = _fingerprint_evals(n, cfg, cache)
     monos = monomials_of_degree(basis, m)
@@ -429,7 +402,7 @@ def compute_dm(
             ech.add_row(_monomial_vector(pevals, basis, mono, cfg.prime))
         product_rank = ech.rank
         new_records: List[BasisRecord] = []
-        budget = cfg.candidate_budget + 80 * (dim - product_rank)
+        budget = CANDIDATE_BUDGET + 80 * (dim - product_rank)
         draws = 0
         stall = 0
         stream = gen.candidates(m)
@@ -479,14 +452,13 @@ def find_basic_invariants(
     max_degree: int,
     cfg: PipelineConfig,
     cache: Optional[EvalCache] = None,
-    progress=None,
 ) -> DmTable:
     """Run the discovery campaign for every degree up to max_degree."""
     bound = _stop_bound(n)
     top = max_degree if bound is None else min(max_degree, bound)
     cfg.validate(n, top)
     table = DmTable(n, cfg.prime, cfg.seed)
-    gen = CandidateGenerator(n, cfg.seed, cfg.pool_order_cap)
+    gen = CandidateGenerator(n, cfg.seed)
     fingerprints = _fingerprint_evals(n, cfg, cache)
     for m in range(1, top + 1):
         if invariant_dimension(n, m) == 0:
@@ -496,8 +468,6 @@ def find_basic_invariants(
         )
         table.evidence[m] = evidence
         table.records.extend(new_records)
-        if progress is not None:
-            progress(evidence)
     return table
 
 
@@ -654,38 +624,6 @@ def ideal_membership_dim(
     ech = StreamingEchelon(cfg.prime, npts)
     rows_used = _add_rows_until(ech, rows(), dim)
     return MembershipResult(degree, dim, ech.rank, expected, a_i, rows_used, npts)
-
-
-def verify_basis_spans(
-    basis: Sequence[BasisRecord],
-    degrees: Iterable[int],
-    n: int,
-    cfg: PipelineConfig,
-    cache: Optional[EvalCache] = None,
-) -> Dict[int, Tuple[int, int]]:
-    """For each degree j: (achieved rank of basis monomials, dim I_j).
-
-    Ranks below the dimension mean the basis cannot span I_j and any
-    membership computation built on it would undercount.
-    """
-    out: Dict[int, Tuple[int, int]] = {}
-    for j in sorted(set(degrees)):
-        dim = invariant_dimension(n, j)
-        if dim == 0:
-            out[j] = (0, 0)
-            continue
-        npts = dim + cfg.margin(dim)
-        points = PointSet(n, cfg.prime, cfg.seed, npts, f"spans:{j}")
-        pevals = PointEvaluations(points, cache)
-        ech = StreamingEchelon(cfg.prime, npts)
-        _add_rows_until(
-            ech,
-            (_monomial_vector(pevals, basis, mono, cfg.prime)
-             for mono in monomials_of_degree(basis, j)),
-            dim,
-        )
-        out[j] = (ech.rank, dim)
-    return out
 
 
 class HsopReport(NamedTuple):

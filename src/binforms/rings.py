@@ -1,12 +1,10 @@
-"""Scalar rings: exact rationals, prime fields, and dual numbers.
+"""Scalar rings: exact rationals and prime fields.
 
 Ring objects operate on plain unboxed values so the inner loops of covariant
 evaluation stay cheap:
 
 * rationals are `fractions.Fraction`,
-* prime-field elements are ints in [0, p),
-* dual numbers are (value, slope) pairs of prime-field elements with
-  eps**2 = 0, used for exact forward-mode derivatives.
+* prime-field elements are ints in [0, p).
 
 Polynomial rings (with `MultiPoly` elements) live in `multipoly` and follow
 the same protocol.
@@ -74,9 +72,6 @@ class Ring:
     def from_fraction(self, q: Fraction):
         raise NotImplementedError
 
-    def inv(self, a):
-        raise NotImplementedError
-
     def mul_int(self, a, k: int):
         """a * k for an integer k; overridden where a faster path exists."""
         return self.mul(a, self.from_int(k))
@@ -118,11 +113,6 @@ class RationalField(Ring):
 
     def from_fraction(self, q):
         return q
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
 
     def mul_int(self, a, k):
         return a * k
@@ -175,11 +165,6 @@ class PrimeField(Ring):
             )
         return q.numerator % self.p * pow(den, -1, self.p) % self.p
 
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
     def mul_int(self, a, k):
         return a * k % self.p
 
@@ -206,64 +191,3 @@ class PrimeField(Ring):
     def __repr__(self):
         return f"GF({self.p})"
 
-
-class DualNumbers(Ring):
-    """Dual numbers a + b*eps (eps**2 = 0) over a prime field.
-
-    Evaluating a polynomial map at (a + eps) yields (value, derivative),
-    giving exact forward-mode differentiation over F_p.
-    """
-
-    __slots__ = ("field", "zero", "one")
-
-    def __init__(self, field: PrimeField):
-        self.field = field
-        self.zero = (0, 0)
-        self.one = (1, 0)
-
-    def lift(self, a, slope=0):
-        return (a % self.field.p, slope % self.field.p)
-
-    def add(self, a, b):
-        f = self.field
-        return (f.add(a[0], b[0]), f.add(a[1], b[1]))
-
-    def sub(self, a, b):
-        f = self.field
-        return (f.sub(a[0], b[0]), f.sub(a[1], b[1]))
-
-    def mul(self, a, b):
-        p = self.field.p
-        return (a[0] * b[0] % p, (a[0] * b[1] + a[1] * b[0]) % p)
-
-    def neg(self, a):
-        f = self.field
-        return (f.neg(a[0]), f.neg(a[1]))
-
-    def from_int(self, k):
-        return (k % self.field.p, 0)
-
-    def from_fraction(self, q):
-        return (self.field.from_fraction(q), 0)
-
-    def inv(self, a):
-        # (a + b eps)^-1 = a^-1 - b a^-2 eps, needs a invertible.
-        ia = self.field.inv(a[0])
-        p = self.field.p
-        return (ia, (p - a[1]) * ia % p * ia % p)
-
-    def mul_int(self, a, k):
-        p = self.field.p
-        return (a[0] * k % p, a[1] * k % p)
-
-    def random(self, rng):
-        return (self.field.random(rng), 0)
-
-    def __eq__(self, other):
-        return isinstance(other, DualNumbers) and other.field == self.field
-
-    def __hash__(self):
-        return hash(("DualNumbers", self.field.p))
-
-    def __repr__(self):
-        return f"Dual({self.field!r})"

@@ -137,9 +137,6 @@ class DimTable(NamedTuple):
     def max_degree(self) -> int:
         return len(self.dims) - 1
 
-    def dim(self, d: int) -> int:
-        return self.dims[d]
-
 
 @lru_cache(maxsize=None)
 def poincare_series(n: int, max_degree: int) -> DimTable:
@@ -166,9 +163,6 @@ class DegreeSequence:
     @property
     def total(self) -> int:
         return sum(self.degrees)
-
-    def __iter__(self):
-        return iter(self.degrees)
 
     def __len__(self):
         return len(self.degrees)

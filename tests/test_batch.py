@@ -26,7 +26,8 @@ from binforms.exprs import Evaluator, F, Pow, Tr, tr
 from binforms.forms import BinaryForm, random_form, transvectant
 from binforms.nullcone import random_nullform
 from binforms.pipeline import PointEvaluations, PointSet, VanishReport
-from binforms.rings import QQ, DualNumbers, PrimeField
+from binforms.rings import QQ, PrimeField
+from dual_numbers import DualNumbers
 
 DATA = Path(__file__).parent / "data"
 BASIS_ARGV = ["basis", "--n", "9", "--max-degree", "12", "--json"]
@@ -55,7 +56,7 @@ class ScalarBatch:
             ]
 
     def scalar(self, e):
-        values = [ev.scalar(e) for ev in self._evs]
+        values = [ev.eval(e).scalar() for ev in self._evs]
         if not self.dual:
             return (np.array(values, dtype=np.int64),)
         return tuple(np.array(part, dtype=np.int64) for part in zip(*values))
@@ -228,7 +229,7 @@ def _scalar_generic_vanish(exprs, n, trials, seed, prime):
     count = 0
     for _ in range(trials):
         ev = Evaluator(BinaryForm(gf, n, [rng.randrange(prime) for _ in range(n + 1)]))
-        if all(ev.scalar(e) == 0 for e in exprs):
+        if all(ev.eval(e).scalar() == 0 for e in exprs):
             count += 1
     return count
 
@@ -254,7 +255,7 @@ def _qq_nullform_loop(exprs, n, trials, seed):
     all_vanish = 0
     for t in range(trials):
         ev = Evaluator(pipeline.random_nullform(n, QQ, seed * 100003 + t))
-        values = [ev.scalar(e) for e in exprs]
+        values = [ev.eval(e).scalar() for e in exprs]
         if all(v == 0 for v in values):
             all_vanish += 1
         else:

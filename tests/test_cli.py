@@ -1,10 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from binforms.cli import main, parse_form_literal
+from binforms.cli import build_parser, main, parse_form_literal
 from binforms.rings import QQ
 
 
@@ -114,9 +115,34 @@ def test_verify_lemmas_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify-lemmas")
     assert code == 0
     assert "26/26 checks passed" in out
-    code, out, _ = run_cli(capsys, "nullcone", "verify-lemmas", "--json")
+    code, out, _ = run_cli(capsys, "verify-lemmas", "--json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def _command_tree(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {name: _command_tree(sub) for name, sub in action.choices.items()}
+    return None
+
+
+def test_command_line_surface_is_pinned(capsys):
+    assert _command_tree(build_parser()) == {
+        "poincare": None,
+        "ecriture": None,
+        "nullcone": {"test": None},
+        "verify-lemmas": None,
+        "catalog": None,
+        "eval": None,
+        "basis": None,
+        "hsop": {"check": None, "membership": None},
+    }
+    # verify-lemmas exists once, at top level
+    with pytest.raises(SystemExit) as exc:
+        main(["nullcone", "verify-lemmas"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'verify-lemmas'" in capsys.readouterr().err
 
 
 def test_catalog_listing(capsys):
@@ -251,6 +277,48 @@ def test_bad_prime_rejected_before_any_work(capsys, monkeypatch, argv, prime, re
     assert reason in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("basis", "--n", "9", "--max-degree", "12"),
+        ("hsop", "check", "--n", "9", "--set", "thm", "--membership-degrees", "4,8,12"),
+        ("hsop", "membership", "--n", "9", "--set", "thm", "--degrees", "8"),
+    ],
+)
+def test_negative_points_margin_rejected_before_any_work(capsys, monkeypatch, argv):
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point set was built before the margin was checked")
+
+    monkeypatch.setattr("binforms.pipeline.PointSet", no_points)
+    code, out, err = run_cli(capsys, *argv, "--points-margin", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--points-margin must be >= 0, got -1" in err
+
+
+def test_membership_below_the_smallest_set_degree(capsys):
+    # Degrees below deg j_4 = 4 have no membership rows and need no basis.
+    code, out, err = run_cli(
+        capsys, "hsop", "membership", "--n", "9", "--set", "thm", "--degrees", "2"
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("degree 2: dim 0, rank 0 -> contained")
+    code, out, _ = run_cli(
+        capsys, "hsop", "membership", "--n", "9", "--set", "thm", "--degrees", "0", "--json"
+    )
+    assert code == 0
+    (m,) = json.loads(out)["membership"]
+    assert (m["dim"], m["expected_ideal_dim"], m["consistent"]) == (1, 0, True)
+    code, out, _ = run_cli(
+        capsys, "hsop", "check", "--n", "9", "--set", "thm", "--trials", "5",
+        "--membership-degrees", "2,3", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "certified-at-sampling-level"
+    assert [m["consistent"] for m in payload["membership"]] == [True, True]
+
+
 def test_nullcone_order_mismatch_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "nullcone", "test", "--n", "9", "--form", "2: 1,0,1"
@@ -336,7 +404,6 @@ def test_hsop_check_rejects_negative_trials_before_any_work(capsys, monkeypatch,
         ("hsop", "membership", "--n", "9", "--set", "thm", "--degrees", "12"),
         ("eval", "--n", "2", "--expr", "f", "--form", "2: 1,0,1"),
         ("nullcone", "test", "--n", "2", "--form", "2: 1,0,1"),
-        ("nullcone", "verify-lemmas"),
         ("verify-lemmas",),
     ],
 )

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from binforms import pipeline
 from binforms.catalog import catalog_for
 from binforms.exprs import F, expr_meta, pw, tr
 from binforms.modlinalg import StreamingEchelon, rank
@@ -19,9 +20,7 @@ from binforms.pipeline import (
     ideal_membership_dim,
     jacobian_rank,
     monomials_of_degree,
-    spanning_products,
     vanish_on_nullcone_sample,
-    verify_basis_spans,
 )
 from binforms.series import invariant_dimension
 
@@ -37,23 +36,6 @@ def _dummy_records(degree_counts):
     return recs
 
 
-def test_spanning_products_pair_of_quartics():
-    recs = _dummy_records({4: 2})
-    prods = spanning_products(recs, 8)
-    assert len(prods) == 3  # P^2, PQ, Q^2
-
-
-def test_spanning_products_empty_when_unreachable():
-    recs = _dummy_records({4: 2})
-    assert spanning_products(recs, 6) == []
-
-
-def test_spanning_products_rejects_settled_degree():
-    recs = _dummy_records({8: 1})
-    with pytest.raises(ValueError):
-        spanning_products(recs, 8)
-
-
 def test_degree20_monomial_counts_match_published_construction():
     # Full enumeration over the discovered generator counts gives 225
     # monomials of degree 20; restricting to monomials divisible by one of
@@ -64,8 +46,11 @@ def test_degree20_monomial_counts_match_published_construction():
     all_monos = monomials_of_degree(recs, 20)
     assert len(all_monos) == 225
     required = set(range(7)) | {10, 11}
-    restricted = monomials_of_degree(recs, 20, require_factor=required)
+    restricted = [m for m in all_monos if any(idx in required for idx, _ in m)]
     assert len(restricted) == 219
+    quartics = _dummy_records({4: 2})
+    assert len(monomials_of_degree(quartics, 8)) == 3  # P^2, PQ, Q^2
+    assert monomials_of_degree(quartics, 6) == []
 
 
 def test_monomial_enumeration_is_deterministic():
@@ -133,12 +118,12 @@ def test_degree10_catalog_set_spans():
     assert rank(M, P) == 5 == invariant_dimension(9, 10)
 
 
-def test_compute_dm_inconclusive_without_candidate_budget():
+def test_compute_dm_inconclusive_without_candidate_budget(monkeypatch):
     # a negative budget forbids any draw, so degrees needing new generators
     # must surface as inconclusive rather than a wrong d_m
-    starved = PipelineConfig(seed=1, candidate_budget=-(10 ** 6))
+    monkeypatch.setattr(pipeline, "CANDIDATE_BUDGET", -(10 ** 6))
     with pytest.raises(SaturationError):
-        compute_dm(9, 4, [], starved)
+        compute_dm(9, 4, [], CFG)
 
 
 def test_candidate_generator_determinism_and_metadata():
@@ -274,13 +259,6 @@ def test_ideal_membership_requires_reachable_basis():
     thm = [(e.name, cat.closed(e.name), e.degree) for e in cat.hsop()]
     with pytest.raises(ValueError):
         ideal_membership_dim(thm, [], 12, 9, CFG)
-
-
-def test_verify_basis_spans():
-    basis = find_basic_invariants(9, 8, CFG).records
-    spans = verify_basis_spans(basis, [4, 8], 9, CFG)
-    assert spans[4] == (2, 2)
-    assert spans[8] == (8, 8)
 
 
 def test_certify_flagged_parameter_system():
