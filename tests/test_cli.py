@@ -404,6 +404,7 @@ def test_hsop_check_rejects_negative_trials_before_any_work(capsys, monkeypatch,
         ("hsop", "membership", "--n", "9", "--set", "thm", "--degrees", "12"),
         ("eval", "--n", "2", "--expr", "f", "--form", "2: 1,0,1"),
         ("nullcone", "test", "--n", "2", "--form", "2: 1,0,1"),
+        ("verify-lemmas", "--json"),
         ("verify-lemmas",),
     ],
 )
