@@ -11,10 +11,11 @@ where G (x) H is the row-wise outer product flattened to (P, (m+1)(n+1)) and
 T is the bilinear map of the transvectant on coefficient pairs
 (`transvectant_matrix`).  A power is a chain of index-0 transvectants.
 
-Both modes share one weight table.  `integer_weights(m, n, k)` holds the
-integer weight W[u, v] that carries g_u * h_v into output coefficient
-u + v - k; the transvectant is pref * W with pref = (m-k)! (n-k)! / (m! n!),
-and the F_p table T is W reduced mod p, times pref mod p, on its band.
+Both modes, and the single-form `forms.transvectant`, share one weight
+table.  `forms.integer_weights(m, n, k)` holds the integer weight W[u, v]
+that carries g_u * h_v into output coefficient u + v - k; the transvectant
+is pref * W with pref = (m-k)! (n-k)! / (m! n!), and the F_p table T is W
+reduced mod p, times pref mod p, on its band.
 
 With `prime=None` the batch is exact over the integers instead: values are
 object arrays of Python ints, nothing is reduced, and a transvectant applies
@@ -33,49 +34,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, factorial
-from operator import mul
+from math import factorial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .exprs import Base, Expr, Pow, Tr
+from .forms import integer_weights
 from .rings import PrimeField
 
 Jet = Tuple[np.ndarray, ...]
-
-
-@lru_cache(maxsize=None)
-def integer_weights(m: int, n: int, k: int) -> np.ndarray:
-    """The integer weights of (g, h)_k on coefficient pairs, shape (m+1, n+1).
-
-    Entry (u, v) carries g_u * h_v into output coefficient u + v - k:
-
-        W[u, v] = sum_i (-1)^i C(k, i) (m-u)_{k-i} (u)_i (n-v)_i (v)_{k-i}
-
-    where (x)_t is the falling factorial; (g, h)_k = pref * W with
-    pref = (m-k)! (n-k)! / (m! n!), the closed form of `forms.transvectant`
-    expanded through `mixed_partial`.  Every term vanishes off the band
-    0 <= u + v - k <= m + n - 2k.  Entries are Python ints (object dtype);
-    the result is read-only and shared by every exact-mode caller.
-    """
-    if not 0 <= k <= min(m, n):
-        raise ValueError(f"transvectant index {k} exceeds min(order) = {min(m, n)}")
-    # fall[x][t] = (x)_t for t <= k
-    fall = [list(accumulate(range(x, x - k, -1), mul, initial=1)) for x in range(max(m, n) + 1)]
-    sign = [(-1) ** i * comb(k, i) for i in range(k + 1)]
-    left = np.array(
-        [[fall[m - u][k - i] * fall[u][i] for i in range(k + 1)] for u in range(m + 1)],
-        dtype=object,
-    )
-    right = np.array(
-        [[sign[i] * fall[n - v][i] * fall[v][k - i] for i in range(k + 1)] for v in range(n + 1)],
-        dtype=object,
-    )
-    W = left @ right.T
-    W.flags.writeable = False
-    return W
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +56,7 @@ def transvectant_matrix(m: int, n: int, k: int, prime: int) -> np.ndarray:
     """
     # W is built without being cached: T is, and a campaign over F_p would
     # otherwise hold ~9 KB of Python ints per table for nothing.
-    W = integer_weights.__wrapped__(m, n, k)
+    W = np.array(integer_weights.__wrapped__(m, n, k), dtype=object)
     # Each output entry of the kernel sums (m+1)(n+1) products of residues.
     if (m + 1) * (n + 1) * (prime - 1) ** 2 >= 2 ** 63:
         raise ValueError(
@@ -118,7 +86,7 @@ def transvect(G: np.ndarray, H: np.ndarray, k: int, prime: Optional[int]) -> np.
     """
     m, n = G.shape[1] - 1, H.shape[1] - 1
     if prime is None:
-        W = integer_weights(m, n, k)
+        W = np.array(integer_weights(m, n, k), dtype=object)
         out = np.zeros((G.shape[0], m + n - 2 * k + 1), dtype=object)
         for u in range(m + 1):
             # Output columns u + v - k for the v on the band.

@@ -16,7 +16,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cache import open_cache
 from .exprs import Evaluator, expr_from_text, expr_meta, expr_to_text
@@ -36,20 +36,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CRASH = 3
-
-
-class RunConfig(NamedTuple):
-    """Options shared by the computational subcommands."""
-
-    prime: int
-    seed: int
-    margin_floor: int
-    cache_dir: Optional[str]
-
-    def pipeline(self) -> PipelineConfig:
-        return PipelineConfig(
-            prime=self.prime, seed=self.seed, margin_floor=self.margin_floor
-        )
 
 
 def _emit_json(payload) -> None:
@@ -236,8 +222,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    cfg = args.run.pipeline()
-    cache = open_cache(args.run.cache_dir)
+    cfg = PipelineConfig(args.prime, args.seed, args.margin)
+    cache = open_cache(args.cache_dir)
     try:
         table = find_basic_invariants(args.n, args.max_degree, cfg, cache=cache)
     finally:
@@ -324,13 +310,13 @@ def _membership_payload(res) -> dict:
 
 
 def _cmd_hsop_check(args) -> int:
-    cfg = args.run.pipeline()
-    cache = open_cache(args.run.cache_dir)
-    candidates = _named_set(args.n, args.set)
-    degrees = _parse_degree_list(args.membership_degrees)
+    degrees = _parse_degree_list(args.membership_degrees, "--membership-degrees")
+    cfg = PipelineConfig(args.prime, args.seed, args.margin)
     cfg.validate(args.n, max(degrees, default=0))
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    cache = open_cache(args.cache_dir)
+    candidates = _named_set(args.n, args.set)
     basis = None
     try:
         if degrees:
@@ -379,13 +365,13 @@ def _cmd_hsop_check(args) -> int:
 
 
 def _cmd_hsop_membership(args) -> int:
-    cfg = args.run.pipeline()
-    cache = open_cache(args.run.cache_dir)
-    candidates = _named_set(args.n, args.set)
-    degrees = _parse_degree_list(args.degrees)
+    degrees = _parse_degree_list(args.degrees, "--degrees")
     if not degrees:
         raise ValueError("--degrees is required")
+    cfg = PipelineConfig(args.prime, args.seed, args.margin)
     cfg.validate(args.n, max(degrees))
+    cache = open_cache(args.cache_dir)
+    candidates = _named_set(args.n, args.set)
     need = _basis_degree(candidates, degrees)
     results = []
     try:
@@ -416,10 +402,21 @@ def _cmd_hsop_membership(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _parse_degree_list(text: Optional[str]) -> List[int]:
-    if not text:
-        return []
-    return sorted({int(part) for part in text.split(",") if part.strip()})
+def _parse_degree_list(text: Optional[str], option: str) -> List[int]:
+    """The distinct degrees of a comma-separated list, ascending."""
+    degrees = set()
+    for part in (text or "").split(","):
+        part = part.strip()
+        if not part:
+            continue
+        try:
+            degree = int(part)
+        except ValueError:
+            degree = None
+        if degree is None or degree < 0:
+            raise ValueError(f"{option} takes degrees >= 0, got {part!r}")
+        degrees.add(degree)
+    return sorted(degrees)
 
 
 def _add_common(sub, *, needs_n=True, compute=False, csv=False):
@@ -500,8 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "prime") and hasattr(args, "seed"):
-        args.run = RunConfig(args.prime, args.seed, args.margin, args.cache_dir)
     try:
         return args.func(args)
     except (ValueError, KeyError, ZeroDivisionError) as exc:

@@ -13,7 +13,9 @@ shared covariants of the catalogs are computed once no matter how many
 invariants mention them.  It serves any scalar ring (exact rationals,
 polynomial rings, single forms for `binforms eval`); values at many forms,
 over F_p or exactly over the integers, come from `batch.BatchEvaluator`,
-which evaluates a whole batch at once.
+which evaluates a whole batch at once.  Both apply the one transvectant
+weight table, `forms.integer_weights`: a power is a chain of 0-th
+transvectants, that is, of form products.
 """
 
 from __future__ import annotations

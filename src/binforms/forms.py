@@ -11,16 +11,24 @@ The p-th transvectant of g (order m) and h (order n) is
                sum_{i=0}^{p} (-1)^i binom(p, i)
                    d^p g / dx^(p-i) dy^i  *  d^p h / dx^i dy^(p-i)
 
-a form of order m + n - 2p.  The prefactor is computed exactly over the
-rationals and mapped into the scalar ring, so a prime dividing one of the
-factorials is rejected rather than silently wrapped.
+a form of order m + n - 2p.  Expanded on coefficients, the sum is one integer
+weight per coefficient pair, `integer_weights(m, n, p)`; that table is the
+only transvectant formula in the package.  `transvectant` applies it with
+the scalar ring's own operations, so it serves rationals, prime fields and
+polynomial rings alike, and `batch` applies it to whole arrays of forms.  The
+product of forms is the 0-th transvectant.  The prefactor is computed exactly
+over the rationals and mapped into the scalar ring, so a prime dividing one
+of the factorials is rejected rather than silently wrapped.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, perm
+from typing import Tuple
 
 from .rings import Ring
 
@@ -97,21 +105,12 @@ class BinaryForm:
         return BinaryForm(self.ring, self.order, [self.ring.neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
-        """Product of forms; orders add."""
-        self._check(other)
-        return BinaryForm(
-            self.ring,
-            self.order + other.order,
-            self.ring.poly_mul(list(self.coeffs), list(other.coeffs)),
-        )
+        """Product of forms, the 0-th transvectant; orders add."""
+        return transvectant(self, other, 0)
 
     def scale(self, c) -> "BinaryForm":
         mul = self.ring.mul
         return BinaryForm(self.ring, self.order, [mul(c, v) for v in self.coeffs])
-
-    def scale_int(self, k: int) -> "BinaryForm":
-        mul_int = self.ring.mul_int
-        return BinaryForm(self.ring, self.order, [mul_int(v, k) for v in self.coeffs])
 
     def power(self, k: int) -> "BinaryForm":
         if k < 1:
@@ -136,25 +135,26 @@ class BinaryForm:
         return f"BinaryForm(order={self.order}, coeffs={list(self.coeffs)})"
 
 
-def _falling(x: int, t: int) -> int:
-    r = 1
-    for k in range(t):
-        r *= x - k
-    return r
+@lru_cache(maxsize=None)
+def integer_weights(m: int, n: int, k: int) -> Tuple[Tuple[int, ...], ...]:
+    """The integer weights of (g, h)_k on coefficient pairs: m+1 rows of n+1.
 
+    Entry (u, v) carries g_u * h_v into output coefficient u + v - k:
 
-def mixed_partial(f: BinaryForm, xderivs: int, yderivs: int) -> BinaryForm:
-    """d^(a+b) f / dx^a dy^b, computed from the closed coefficient formula."""
-    m = f.order
-    a, b = xderivs, yderivs
-    if a + b > m:
-        return BinaryForm.zero(f.ring, 0)
-    mul_int = f.ring.mul_int
-    out = []
-    for k in range(m - a - b + 1):
-        s = _falling(m - k - b, a) * _falling(k + b, b)
-        out.append(mul_int(f.coeffs[k + b], s))
-    return BinaryForm(f.ring, m - a - b, out)
+        W[u, v] = sum_i (-1)^i C(k, i) (m-u)_{k-i} (u)_i (n-v)_i (v)_{k-i}
+
+    where (x)_t = perm(x, t) is the falling factorial; (g, h)_k = pref * W with
+    pref = (m-k)! (n-k)! / (m! n!).  This is the derivative sum of the module
+    docstring with d^a/dx^a d^b/dy^b of x^(m-u) y^u written out.  Every term
+    vanishes off the band 0 <= u + v - k <= m + n - 2k.  The table is a tuple
+    of rows of Python ints, shared by every caller.
+    """
+    if not 0 <= k <= min(m, n):
+        raise ValueError(f"transvectant index {k} exceeds min(order) = {min(m, n)}")
+    sign = [(-1) ** i * comb(k, i) for i in range(k + 1)]
+    left = [[perm(m - u, k - i) * perm(u, i) for i in range(k + 1)] for u in range(m + 1)]
+    right = [[sign[i] * perm(n - v, i) * perm(v, k - i) for i in range(k + 1)] for v in range(n + 1)]
+    return tuple(tuple(sum(map(operator.mul, lu, rv)) for rv in right) for lu in left)
 
 
 def transvectant(g: BinaryForm, h: BinaryForm, p: int) -> BinaryForm:
@@ -162,19 +162,25 @@ def transvectant(g: BinaryForm, h: BinaryForm, p: int) -> BinaryForm:
     if g.ring != h.ring:
         raise ValueError("scalar ring mismatch")
     m, n = g.order, h.order
-    if p < 0 or p > min(m, n):
-        raise ValueError(f"transvectant index {p} exceeds min(order) = {min(m, n)}")
+    W = integer_weights(m, n, p)
     ring = g.ring
-    acc = BinaryForm.zero(ring, m + n - 2 * p)
-    for i in range(p + 1):
-        dg = mixed_partial(g, p - i, i)
-        dh = mixed_partial(h, i, p - i)
-        term = (dg * dh).scale_int((-1) ** i * comb(p, i))
-        acc = acc + term
-    pref = Fraction(
-        factorial(m - p) * factorial(n - p), factorial(m) * factorial(n)
-    )
-    return acc.scale(ring.from_fraction(pref))
+    add, mul, mul_int, is_zero = ring.add, ring.mul, ring.mul_int, ring.is_zero
+    nonzero_h = [(v, c) for v, c in enumerate(h.coeffs) if not is_zero(c)]
+    out = [ring.zero] * (m + n - 2 * p + 1)
+    for u, gu in enumerate(g.coeffs):
+        if is_zero(gu):
+            continue
+        row = W[u]
+        # W is zero off the band, so the weight test also keeps u + v - p in range.
+        for v, hv in nonzero_h:
+            w = row[v]
+            if w:
+                out[u + v - p] = add(out[u + v - p], mul_int(mul(gu, hv), w))
+    pref = Fraction(factorial(m - p) * factorial(n - p), factorial(m) * factorial(n))
+    if pref != 1:
+        c = ring.from_fraction(pref)
+        out = [mul(c, x) for x in out]
+    return BinaryForm(ring, m + n - 2 * p, out)
 
 
 def sl2_act(mat, f: BinaryForm) -> BinaryForm:

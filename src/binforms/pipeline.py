@@ -40,8 +40,8 @@ from .series import DegreeSequence, invariant_dimension, poincare_series, to_rat
 
 
 MARGIN_FRAC = 0.05
-FINGERPRINT_POINTS = 32
 CANDIDATE_BUDGET = 600  # draws per degree, plus 80 per missing rank unit
+JACOBIAN_POINTS = 5  # sampled points at which certify_hsop takes the Jacobian rank
 
 
 class PipelineConfig(NamedTuple):
@@ -138,12 +138,11 @@ class PointEvaluations:
 
 
 class BasisRecord(NamedTuple):
-    """One discovered basic invariant with its evaluation fingerprint."""
+    """One discovered basic invariant."""
 
     name: str
     degree: int
     expr: Expr
-    fingerprint: Tuple[int, ...]
 
 
 def monomials_of_degree(
@@ -366,11 +365,6 @@ class SaturationError(RuntimeError):
     """Candidate generation failed to span I_m within budget (inconclusive)."""
 
 
-def _fingerprint_evals(n: int, cfg: PipelineConfig, cache) -> PointEvaluations:
-    pts = PointSet(n, cfg.prime, cfg.seed, FINGERPRINT_POINTS, "fingerprint")
-    return PointEvaluations(pts, cache)
-
-
 def compute_dm(
     n: int,
     m: int,
@@ -378,7 +372,6 @@ def compute_dm(
     cfg: PipelineConfig,
     gen: Optional[CandidateGenerator] = None,
     cache: Optional[EvalCache] = None,
-    fingerprints: Optional[PointEvaluations] = None,
 ) -> Tuple[DegreeEvidence, List[BasisRecord]]:
     """Evidence for d_m plus the newly adjoined basic invariants."""
     cfg.validate(n, m)
@@ -389,8 +382,6 @@ def compute_dm(
         raise ValueError(f"basis passed to compute_dm must be settled below degree {m}")
     if gen is None:
         gen = CandidateGenerator(n, cfg.seed)
-    if fingerprints is None:
-        fingerprints = _fingerprint_evals(n, cfg, cache)
     monos = monomials_of_degree(basis, m)
     margin = cfg.margin(dim)
     for attempt in (1, 2):
@@ -414,9 +405,8 @@ def compute_dm(
                 continue
             if ech.add_row(vec):
                 stall = 0
-                fp = tuple(int(v) for v in fingerprints.vector(cand))
                 name = f"i{m}_{len(new_records) + 1}"
-                new_records.append(BasisRecord(name, m, cand, fp))
+                new_records.append(BasisRecord(name, m, cand))
             else:
                 stall += 1
                 if stall % 60 == 0:
@@ -459,13 +449,10 @@ def find_basic_invariants(
     cfg.validate(n, top)
     table = DmTable(n, cfg.prime, cfg.seed)
     gen = CandidateGenerator(n, cfg.seed)
-    fingerprints = _fingerprint_evals(n, cfg, cache)
     for m in range(1, top + 1):
         if invariant_dimension(n, m) == 0:
             continue
-        evidence, new_records = compute_dm(
-            n, m, table.records, cfg, gen, cache, fingerprints
-        )
+        evidence, new_records = compute_dm(n, m, table.records, cfg, gen, cache)
         table.evidence[m] = evidence
         table.records.extend(new_records)
     return table
@@ -649,7 +636,6 @@ def certify_hsop(
     membership_degrees: Sequence[int] = (),
     basis: Optional[Sequence[BasisRecord]] = None,
     nullcone_trials: int = 100,
-    jacobian_points: int = 5,
     cache: Optional[EvalCache] = None,
 ) -> HsopReport:
     """Aggregate sampling-level evidence that a candidate set is an hsop."""
@@ -680,12 +666,12 @@ def certify_hsop(
         jacobian_rank(
             exprs, [rng.randrange(cfg.prime) for _ in range(n + 1)], n, cfg.prime
         )
-        for _ in range(jacobian_points)
+        for _ in range(JACOBIAN_POINTS)
     )
     jacobian_ok = max(jranks, default=0) == required
     if not jacobian_ok:
         reasons.append(
-            f"jacobian rank never reached {required} at {jacobian_points} "
+            f"jacobian rank never reached {required} at {JACOBIAN_POINTS} "
             f"sampled points (got {jranks})"
         )
     vanish = vanish_on_nullcone_sample(exprs, n, nullcone_trials, cfg.seed, cfg.prime)

@@ -6,8 +6,10 @@ evaluation stay cheap:
 * rationals are `fractions.Fraction`,
 * prime-field elements are ints in [0, p).
 
-Polynomial rings (with `MultiPoly` elements) live in `multipoly` and follow
-the same protocol.
+A transvectant (`forms.transvectant`, and so every product of forms) needs
+only `add`, `mul`, `mul_int`, `is_zero` and `from_fraction`.  Polynomial
+rings (with `MultiPoly` elements) live in `multipoly` and follow the same
+protocol.
 """
 
 from __future__ import annotations
@@ -75,16 +77,6 @@ class Ring:
     def mul_int(self, a, k: int):
         """a * k for an integer k; overridden where a faster path exists."""
         return self.mul(a, self.from_int(k))
-
-    def poly_mul(self, xs: list, ys: list) -> list:
-        """Convolution of two coefficient lists over this ring."""
-        out = [self.zero] * (len(xs) + len(ys) - 1)
-        for i, a in enumerate(xs):
-            if self.is_zero(a):
-                continue
-            for j, b in enumerate(ys):
-                out[i + j] = self.add(out[i + j], self.mul(a, b))
-        return out
 
     def random(self, rng: random.Random):
         raise NotImplementedError
@@ -167,17 +159,6 @@ class PrimeField(Ring):
 
     def mul_int(self, a, k):
         return a * k % self.p
-
-    def poly_mul(self, xs, ys):
-        # Delayed reduction: accumulate exact integer convolutions, then
-        # reduce once per output coefficient.
-        out = [0] * (len(xs) + len(ys) - 1)
-        for i, a in enumerate(xs):
-            if a:
-                for j, b in enumerate(ys):
-                    out[i + j] += a * b
-        p = self.p
-        return [v % p for v in out]
 
     def random(self, rng):
         return rng.randrange(self.p)

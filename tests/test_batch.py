@@ -5,7 +5,9 @@ GF(p) (or over dual numbers for slopes) behind the `BatchEvaluator`
 interface.  Swapping it into the pipeline reproduces the scalar path end to
 end, which the golden-output tests use.  The exact integer mode is checked
 against the scalar `Evaluator` over QQ, and the nullform check against the
-per-trial QQ loop it replaced.
+per-trial QQ loop it replaced.  Both kernels apply `forms.integer_weights`,
+so the kernel tests compare them with the derivative-sum oracle of
+`closed_form` instead.
 """
 
 import random
@@ -23,10 +25,11 @@ from binforms.cache import ENV_VAR, open_cache
 from binforms.catalog import catalog_for
 from binforms.cli import main
 from binforms.exprs import Evaluator, F, Pow, Tr, tr
-from binforms.forms import BinaryForm, random_form, transvectant
+from binforms.forms import BinaryForm, random_form
 from binforms.nullcone import random_nullform
 from binforms.pipeline import PointEvaluations, PointSet, VanishReport
 from binforms.rings import QQ, PrimeField
+from closed_form import transvectant as oracle_transvectant
 from dual_numbers import DualNumbers
 
 DATA = Path(__file__).parent / "data"
@@ -73,7 +76,7 @@ def test_kernel_matches_scalar_transvectant_through_order_18():
             for k in range(min(m, n) + 1):
                 got = transvect(G, H, k, p)
                 for row in range(2):
-                    want = transvectant(
+                    want = oracle_transvectant(
                         BinaryForm(gf, m, [int(c) for c in G[row]]),
                         BinaryForm(gf, n, [int(c) for c in H[row]]),
                         k,
@@ -95,7 +98,7 @@ def test_exact_kernel_times_prefactor_matches_rational_transvectant_through_orde
                 got = transvect(G, H, k, None)
                 assert got.dtype == object and got.shape == (2, m + n - 2 * k + 1)
                 for row in range(2):
-                    want = transvectant(
+                    want = oracle_transvectant(
                         BinaryForm(QQ, m, [Fraction(int(c)) for c in G[row]]),
                         BinaryForm(QQ, n, [Fraction(int(c)) for c in H[row]]),
                         k,
@@ -185,7 +188,7 @@ def _integer_forms(n, rng):
     rest = BinaryForm(QQ, n - r, [Fraction(rng.randint(-5, 5)) for _ in range(n - r + 1)])
     nf = random_nullform(n, QQ, rng.randrange(10**6))
     scale = lcm(*(c.denominator for c in nf.coeffs))
-    return [generic, root.power(r) * rest, nf.scale_int(scale)]
+    return [generic, root.power(r) * rest, nf.scale(Fraction(scale))]
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,11 +2,17 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from binforms.cli import build_parser, main, parse_form_literal
 from binforms.rings import QQ
+
+# Stdout and exit code of the commands that evaluate one form at a time,
+# recorded from the derivative-sum transvectant that the weight table
+# replaced.  The file is never re-pinned: a change here is a change of values.
+SCALAR_PATH = json.loads((Path(__file__).parent / "data" / "scalar_path.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -317,6 +323,35 @@ def test_membership_below_the_smallest_set_degree(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "certified-at-sampling-level"
     assert [m["consistent"] for m in payload["membership"]] == [True, True]
+
+
+@pytest.mark.parametrize(
+    "argv, option, bad",
+    [
+        (("hsop", "membership", "--degrees", "-2"), "--degrees", "'-2'"),
+        (("hsop", "check", "--membership-degrees=-3"), "--membership-degrees", "'-3'"),
+        (("hsop", "membership", "--degrees", "x"), "--degrees", "'x'"),
+    ],
+)
+def test_bad_membership_degrees_rejected_by_option_name(capsys, monkeypatch, argv, option, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the degrees were checked")
+
+    # Work started first would surface as an unexpected crash (exit 3).
+    for name in ("_named_set", "find_basic_invariants", "open_cache"):
+        monkeypatch.setattr(f"binforms.cli.{name}", no_work)
+    monkeypatch.setattr("binforms.cli.PipelineConfig.validate", no_work)
+    code, out, err = run_cli(capsys, *argv, "--n", "9", "--set", "thm")
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} takes degrees >= 0, got {bad}\n"
+
+
+@pytest.mark.parametrize(
+    "case", SCALAR_PATH, ids=[f"{case['argv'][0]}-{i}" for i, case in enumerate(SCALAR_PATH)]
+)
+def test_scalar_path_stdout_is_pinned(capsys, case):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 def test_nullcone_order_mismatch_is_usage_error(capsys):

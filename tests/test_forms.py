@@ -4,18 +4,13 @@ from math import comb
 
 import pytest
 
-from binforms.forms import (
-    BinaryForm,
-    mixed_partial,
-    random_form,
-    random_sl2,
-    sl2_act,
-    transvectant,
-)
+import closed_form
+from binforms.forms import BinaryForm, random_form, random_sl2, sl2_act, transvectant
 from binforms.multipoly import PolynomialRing
 from binforms.rings import QQ, PrimeField
 
-GF = PrimeField(32003)
+P = 32003
+GF = PrimeField(P)
 
 
 def test_form_construction_and_zero():
@@ -35,7 +30,45 @@ def test_zeroth_transvectant_is_product():
     for _ in range(5):
         g = random_form(QQ, 5, rng)
         h = random_form(QQ, 3, rng)
-        assert transvectant(g, h, 0) == g * h
+        want = [Fraction(0)] * 9
+        for i, a in enumerate(g.coeffs):
+            for j, b in enumerate(h.coeffs):
+                want[i + j] += a * b
+        assert list(transvectant(g, h, 0).coeffs) == want
+        assert list((g * h).coeffs) == want
+
+
+def test_gf_form_product_reduces_every_coefficient():
+    f = BinaryForm(GF, 29, [P - 1] * 30)
+    out = (f * f).coeffs
+    assert all(0 <= v < P for v in out)
+    assert out[0] == (P - 1) * (P - 1) % P
+
+
+def _symbolic_form(ring, order, rng):
+    # Coefficients are c0 + c1 * s with small random integers.
+    s = ring.var("s")
+    return BinaryForm(
+        ring, order,
+        [ring.const(rng.randint(-3, 3)) + ring.const(rng.randint(-3, 3)) * s for _ in range(order + 1)],
+    )
+
+
+def test_transvectant_matches_derivative_sum_oracle_through_order_12():
+    rng = random.Random(11)
+    # A one-variable ring over GF(p) keeps the symbolic sweep to about 1.5 s.
+    sym = PolynomialRing(("s",), GF)
+    for m in range(13):
+        for n in range(13):
+            pairs = [
+                (random_form(QQ, m, rng), random_form(QQ, n, rng)),
+                (random_form(GF, m, rng), random_form(GF, n, rng)),
+                (_symbolic_form(sym, m, rng), _symbolic_form(sym, n, rng)),
+            ]
+            for g, h in pairs:
+                for k in range(min(m, n) + 1):
+                    want = closed_form.transvectant(g, h, k)
+                    assert transvectant(g, h, k) == want, (g.ring, m, n, k)
 
 
 def test_odd_self_transvectant_vanishes():
@@ -116,7 +149,7 @@ def test_mixed_partial_closed_form():
         )
 
     step = diff_y(diff_y(diff_x(f)))
-    assert mixed_partial(f, 1, 2) == step
+    assert closed_form.mixed_partial(f, 1, 2) == step
 
 
 def test_act_identity_and_diagonal():

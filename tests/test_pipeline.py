@@ -32,7 +32,7 @@ def _dummy_records(degree_counts):
     recs = []
     for degree, count in sorted(degree_counts.items()):
         for k in range(count):
-            recs.append(BasisRecord(f"g{degree}_{k}", degree, F, ()))
+            recs.append(BasisRecord(f"g{degree}_{k}", degree, F))
     return recs
 
 
@@ -154,10 +154,12 @@ def test_compute_dm_first_degrees():
 
 def test_fingerprints_nonzero_and_independent():
     table = find_basic_invariants(9, 8, CFG)
+    values = PointEvaluations(PointSet(9, P, 1, 32, "fingerprint"))
     by_degree = {}
     for rec in table.records:
-        assert any(rec.fingerprint), rec.name
-        by_degree.setdefault(rec.degree, []).append(rec.fingerprint)
+        fingerprint = values.vector(rec.expr)
+        assert fingerprint.any(), rec.name
+        by_degree.setdefault(rec.degree, []).append(fingerprint)
     for degree, fps in by_degree.items():
         assert rank(fps, P) == len(fps), degree
 

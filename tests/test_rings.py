@@ -76,11 +76,3 @@ def test_dual_evaluates_derivative_of_polynomials():
         value = sum(c * pow(a, k, P) for k, c in enumerate(coeffs)) % P
         deriv = sum(k * c * pow(a, k - 1, P) for k, c in enumerate(coeffs) if k) % P
         assert acc == (value, deriv)
-
-
-def test_poly_mul_delayed_reduction():
-    xs = [P - 1] * 30
-    ys = [P - 1] * 30
-    out = GF.poly_mul(xs, ys)
-    assert all(0 <= v < P for v in out)
-    assert out[0] == (P - 1) * (P - 1) % P
