@@ -2,27 +2,23 @@
 
 Every F_p value the pipeline needs comes from here.  A covariant of order m
 evaluated at P base forms is an array of shape (P, m + 1), one row of
-coefficients per form, and the transvectant (g, h)_k of a whole batch over
-F_p is one int64 matrix product
-
-    ((G (x) H) mod p) @ T(m, n, k) mod p
-
-where G (x) H is the row-wise outer product flattened to (P, (m+1)(n+1)) and
-T is the bilinear map of the transvectant on coefficient pairs
-(`transvectant_matrix`).  A power is a chain of index-0 transvectants.
+coefficients per form.  A power is a chain of index-0 transvectants.
 
 Both modes, and the single-form `forms.transvectant`, share one weight
 table.  `forms.integer_weights(m, n, k)` holds the integer weight W[u, v]
 that carries g_u * h_v into output coefficient u + v - k; the transvectant
-is pref * W with pref = (m-k)! (n-k)! / (m! n!), and the F_p table T is W
-reduced mod p, times pref mod p, on its band.
+is pref * W with pref = (m-k)! (n-k)! / (m! n!).  `transvect` is one kernel
+for every mode: it gathers the band of W (`band`), multiplies the gathered
+coefficients of both operands by its weights, and sums each output column
+with one `np.add.reduceat`.  Over F_p the weights are pref * W mod p and the
+sums are reduced mod p, exact in int64 within `check_int64`'s bound.
 
 With `prime=None` the batch is exact over the integers instead: values are
-object arrays of Python ints, nothing is reduced, and a transvectant applies
-W without its prefactor, one banded pass per row u of W.  At integer base
-forms an exact value is therefore the true value times the product of
-1 / pref over the transvectant nodes of the expression, a nonzero rational
-constant, so it is zero exactly where the true value is.
+object arrays of Python ints, nothing is reduced, and the weights are W
+without its prefactor.  At integer base forms an exact value is therefore
+the true value times the product of 1 / pref over the transvectant nodes of
+the expression, a nonzero rational constant, so it is zero exactly where the
+true value is.
 
 Forward-mode derivatives use the same kernel.  A value then carries its
 first-order jet (value, slope) and bilinearity gives the product rule
@@ -46,34 +42,43 @@ from .rings import PrimeField
 Jet = Tuple[np.ndarray, ...]
 
 
-@lru_cache(maxsize=None)
-def transvectant_matrix(m: int, n: int, k: int, prime: int) -> np.ndarray:
-    """The map (g, h) -> (g, h)_k on coefficient pairs, reduced mod `prime`.
-
-    Row u * (n + 1) + v carries g_u * h_v into output coefficient u + v - k
-    (its only nonzero column) with weight pref * W[u, v] mod p, from
-    `integer_weights`.  The result is read-only and shared by every caller.
-    """
-    # W is built without being cached: T is, and a campaign over F_p would
-    # otherwise hold ~9 KB of Python ints per table for nothing.
-    W = np.array(integer_weights.__wrapped__(m, n, k), dtype=object)
-    # Each output entry of the kernel sums (m+1)(n+1) products of residues.
-    if (m + 1) * (n + 1) * (prime - 1) ** 2 >= 2 ** 63:
+def check_int64(m: int, n: int, prime: int) -> None:
+    """Reject a prime at which the int64 kernel on orders m and n could overflow."""
+    # Each output entry sums at most min(m, n) + 1 products below (p - 1)^2.
+    if (min(m, n) + 1) * (prime - 1) ** 2 >= 2 ** 63:
         raise ValueError(
             f"prime {prime} is too large for exact int64 transvectants of "
-            f"orders {m} and {n}"
+            f"orders {m} and {n}: need ({min(m, n)} + 1) * (p - 1)^2 < 2^63"
         )
-    pref = PrimeField(prime).from_fraction(
-        Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
-    )
-    weight = (W % prime).astype(np.int64) * pref % prime
-    u, v = np.indices((m + 1, n + 1))
-    out = u + v - k
-    band = (out >= 0) & (out <= m + n - 2 * k)
-    T = np.zeros(((m + 1) * (n + 1), m + n - 2 * k + 1), dtype=np.int64)
-    T[(u * (n + 1) + v)[band], out[band]] = weight[band]
-    T.flags.writeable = False
-    return T
+
+
+@lru_cache(maxsize=None)
+def band(m: int, n: int, k: int, prime: Optional[int]) -> Tuple[np.ndarray, ...]:
+    """The band of `integer_weights(m, n, k)` by output column: (U, V, w, starts).
+
+    Entry i carries g_U[i] * h_V[i] with weight w[i]; output column c sums
+    the entries from starts[c] to starts[c + 1].  Over F_p the weights are
+    pref * W mod p in int64; with `prime=None` they are W as Python ints.
+    The arrays are read-only and shared by every caller.
+    """
+    W = integer_weights(m, n, k)
+    pairs, starts = [], []
+    for c in range(m + n - 2 * k + 1):
+        starts.append(len(pairs))
+        pairs += [(u, c + k - u) for u in range(max(0, c + k - n), min(m, c + k) + 1)]
+    weights = [W[u][v] for u, v in pairs]
+    if prime is None:
+        w = np.array(weights, dtype=object)
+    else:
+        check_int64(m, n, prime)
+        pref = PrimeField(prime).from_fraction(
+            Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
+        )
+        w = np.array([x * pref % prime for x in weights], dtype=np.int64)
+    table = (*np.array(pairs).T, w, np.array(starts))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def transvect(G: np.ndarray, H: np.ndarray, k: int, prime: Optional[int]) -> np.ndarray:
@@ -84,21 +89,13 @@ def transvect(G: np.ndarray, H: np.ndarray, k: int, prime: Optional[int]) -> np.
     ints and the result is the exact integer value without the prefactor:
     (g, h)_k / pref.
     """
-    m, n = G.shape[1] - 1, H.shape[1] - 1
-    if prime is None:
-        W = np.array(integer_weights(m, n, k), dtype=object)
-        out = np.zeros((G.shape[0], m + n - 2 * k + 1), dtype=object)
-        for u in range(m + 1):
-            # Output columns u + v - k for the v on the band.
-            lo, hi = max(0, k - u), min(n, m + n - k - u)
-            if lo <= hi:
-                out[:, u + lo - k : u + hi - k + 1] += (
-                    G[:, u, None] * (H[:, lo : hi + 1] * W[u, lo : hi + 1])
-                )
-        return out
-    T = transvectant_matrix(m, n, k, prime)
-    outer = (G[:, :, None] * H[:, None, :]) % prime
-    return outer.reshape(G.shape[0], T.shape[0]) @ T % prime
+    U, V, w, starts = band(G.shape[1] - 1, H.shape[1] - 1, k, prime)
+    terms = H[:, V] * w
+    if prime is not None:
+        terms %= prime
+    terms *= G[:, U]
+    out = np.add.reduceat(terms, starts, axis=1)
+    return out if prime is None else out % prime
 
 
 class BatchEvaluator:
@@ -107,9 +104,10 @@ class BatchEvaluator:
     `forms` holds one base form per row, shape (P, n + 1).  Every node value
     is a jet: `(value,)`, or `(value, slope)` when `slopes` (same shape as
     `forms`) gives the direction of a derivative at each row.  Shared
-    subtrees are evaluated once per batch.  With `prime=None` the base forms
-    must be integers and values are exact without transvectant prefactors
-    (see `transvect`).
+    subtrees are evaluated once per batch, and every transvectant and power
+    node runs through the one band kernel, `transvect`.  With `prime=None`
+    the base forms must be integers and values are exact without
+    transvectant prefactors.
     """
 
     def __init__(self, forms, prime: Optional[int], slopes=None):

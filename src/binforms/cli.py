@@ -500,7 +500,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_USAGE
     except SaturationError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

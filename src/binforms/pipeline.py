@@ -30,7 +30,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .batch import BatchEvaluator
+from .batch import BatchEvaluator, check_int64
 from .cache import EvalCache
 from .exprs import Expr, F, expr_to_text, tr
 from .modlinalg import StreamingEchelon, rank as matrix_rank
@@ -58,8 +58,8 @@ class PipelineConfig(NamedTuple):
         `max_degree` is the largest degree whose points the run will rank;
         the streaming echelon is exact only while points * (p - 1)^2 < 2^53,
         and a retried degree doubles its margin.  The batched transvectant
-        kernel is exact in int64 only while (m + 1)(n + 1)(p - 1)^2 < 2^63
-        for operand orders m and n, which the candidate pool keeps at most 2n.
+        kernel is exact in int64 only within `batch.check_int64`'s bound for
+        its operand orders, which the candidate pool keeps at most 2n.
         """
         if self.margin_floor < 0:
             raise ValueError(f"--points-margin must be >= 0, got {self.margin_floor}")
@@ -77,12 +77,7 @@ class PipelineConfig(NamedTuple):
                 f"prime {self.prime} is too large for exact ranks at {points} "
                 "points: need points * (p - 1)^2 < 2^53"
             )
-        cap = 2 * n
-        if (cap + 1) ** 2 * (self.prime - 1) ** 2 >= 2 ** 63:
-            raise ValueError(
-                f"prime {self.prime} is too large for exact int64 transvectants "
-                f"of orders up to {cap}: need ({cap} + 1)^2 * (p - 1)^2 < 2^63"
-            )
+        check_int64(2 * n, 2 * n, self.prime)
 
 
 def _random_forms(rng: random.Random, n: int, count: int, prime: int) -> np.ndarray:
@@ -581,10 +576,12 @@ def ideal_membership_dim(
     """
     cfg.validate(n, degree)
     dim = invariant_dimension(n, degree)
-    min_deg = min(d for _, _, d in hsop)
-    needed = degree - min_deg
+    needed = degree - min(d for _, _, d in hsop)
+    reach = {0}  # the degrees of monomials in the basis, up to `needed`
     for j in range(1, needed + 1):
-        if invariant_dimension(n, j) and not monomials_of_degree(basis, j):
+        if any(j - r.degree in reach for r in basis):
+            reach.add(j)
+        elif invariant_dimension(n, j):
             raise ValueError(
                 f"basis cannot reach degree {j} (needed for membership rows at "
                 f"degree {degree}); run the discovery campaign further"

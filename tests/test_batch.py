@@ -10,6 +10,7 @@ so the kernel tests compare them with the derivative-sum oracle of
 `closed_form` instead.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from math import factorial, lcm
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binforms import pipeline
-from binforms.batch import BatchEvaluator, transvect, transvectant_matrix
+from binforms.batch import BatchEvaluator, band, transvect
 from binforms.cache import ENV_VAR, open_cache
 from binforms.catalog import catalog_for
 from binforms.cli import main
@@ -106,17 +107,33 @@ def test_exact_kernel_times_prefactor_matches_rational_transvectant_through_orde
                     assert [_pref(m, n, k) * c for c in got[row]] == list(want.coeffs), (m, n, k)
 
 
-def test_transvectant_matrix_is_cached_read_only_and_guarded():
-    T = transvectant_matrix(4, 3, 2, 32003)
-    assert T is transvectant_matrix(4, 3, 2, 32003)
-    assert T.shape == (20, 4)
+def test_band_table_is_cached_read_only_and_guarded():
+    table = band(4, 3, 2, 32003)
+    assert table is band(4, 3, 2, 32003)
+    U, V, w, starts = table
+    assert len(U) == len(V) == len(w) and len(starts) == 4
+    for part in table + band(4, 3, 2, None):
+        with pytest.raises(ValueError):
+            part[0] = 1
     with pytest.raises(ValueError):
-        T[0, 0] = 1
-    with pytest.raises(ValueError):
-        transvectant_matrix(2, 3, 3, 32003)
-    # 19 * 19 * (p - 1)^2 >= 2^63: sums of order-18 products would overflow
+        band(2, 3, 3, 32003)
+    # (18 + 1) * (p - 1)^2 < 2^63 just holds: residues near p - 1 are exact.
+    p = 696_735_691
+    gf = PrimeField(p)
+    rng = np.random.default_rng(7)
+    G, H = (p - 1 - rng.integers(0, 50, (2, 19)) for _ in range(2))
+    for k in (0, 5, 18):
+        got = transvect(G, H, k, p)
+        for row in range(2):
+            want = oracle_transvectant(
+                BinaryForm(gf, 18, [int(c) for c in G[row]]),
+                BinaryForm(gf, 18, [int(c) for c in H[row]]),
+                k,
+            )
+            assert list(got[row]) == list(want.coeffs), k
+    # The next prime is just outside the bound.
     with pytest.raises(ValueError, match="int64"):
-        transvectant_matrix(18, 18, 0, 200_000_033)
+        band(18, 18, 0, 696_735_727)
 
 
 def test_point_set_and_values_are_pinned():
@@ -315,6 +332,15 @@ def test_stdout_matches_scalar_path_golden_file(capsys, argv, golden):
     code, out = _run(capsys, argv)
     assert code == 0
     assert out == (DATA / golden).read_text()
+
+
+def test_degree_16_basis_stdout_is_pinned(capsys):
+    # The goldens above stop at degree 12, where every point set is small.
+    code, out = _run(capsys, ["basis", "--n", "9", "--max-degree", "16", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2e20f2d9943eab6cd84b7c0cf11be091518815015d030d7d78676e433cf6222e"
+    )
 
 
 def test_cache_filled_by_scalar_path_gives_same_stdout(capsys, monkeypatch, tmp_path):

@@ -361,6 +361,13 @@ def test_nullcone_order_mismatch_is_usage_error(capsys):
     assert code == 2 and "order" in err
 
 
+def test_unresolvable_name_error_is_not_quoted_twice(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--n", "9", "--expr", "@zz", "--form", "9: 1,0,0,0,0,0,0,0,0,1"
+    )
+    assert (code, out, err) == (2, "", "error: unresolvable name 'zz'\n")
+
+
 def test_form_literal_errors():
     with pytest.raises(ValueError):
         parse_form_literal("banana", QQ)
