@@ -36,7 +36,9 @@ from .exprs import Expr, F, expr_to_text, tr
 from .modlinalg import StreamingEchelon, rank as matrix_rank
 from .nullcone import random_nullform
 from .rings import QQ, is_prime
-from .series import DegreeSequence, invariant_dimension, poincare_series, to_rational
+from .series import (
+    SEED_DEGREES, PoincareRational, invariant_dimension, poincare_series, to_rational,
+)
 
 
 MARGIN_FRAC = 0.05
@@ -419,16 +421,16 @@ def compute_dm(
     )
 
 
+def _rational_form(n: int, degrees: Sequence[int]) -> Optional[PoincareRational]:
+    """The series of order n over prod(1 - t^d) for `degrees`, or None."""
+    return to_rational(poincare_series(n, sum(degrees) + max(degrees)), degrees)
+
+
 def _stop_bound(n: int) -> Optional[int]:
     """Degree beyond which no basic invariant exists, from the reference
     rational form (its numerator degree), when a seed sequence is known."""
-    from .series import SEED_DEGREES
-
     seed = SEED_DEGREES.get(n)
-    if seed is None:
-        return None
-    table = poincare_series(n, sum(seed) + max(seed))
-    rat = to_rational(table, seed)
+    rat = None if seed is None else _rational_form(n, seed)
     return rat.numerator_degree if rat else None
 
 
@@ -589,9 +591,7 @@ def ideal_membership_dim(
     a_i: Optional[int] = None
     expected: Optional[int] = None
     if len(hsop) == n - 2:
-        seq = DegreeSequence([d for _, _, d in hsop])
-        table = poincare_series(n, seq.total + max(seq.degrees))
-        rat = to_rational(table, seq.degrees)
+        rat = _rational_form(n, [d for _, _, d in hsop])
         if rat is not None:
             a_i = rat.numerator[degree] if degree <= rat.numerator_degree else 0
             expected = dim - a_i

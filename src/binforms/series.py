@@ -15,6 +15,12 @@ On top of the dimension table sit rational-form representations
 P(t) = a(t) / prod(1 - t^(d_i)), the divisibility restrictions on parameter
 degrees, and the search for minimal-product degree sequences (the "ecritures
 minimales" of the Poincare series).
+
+All power-series arithmetic is two in-place primitives on coefficient lists:
+`_mul_one_minus_tk` multiplies by (1 - t^k) and `_div_one_minus_tk` divides by
+it (prefix sums with stride k), both truncated at the list's length.  The
+divisibility restrictions of one order are one cached table, `restrictions(n)`,
+of (t, divisor, required) for t = 2..n; no restriction applies for t > n.
 """
 
 from __future__ import annotations
@@ -34,7 +40,20 @@ SEED_DEGREES = {
     6: (2, 4, 6, 10),
     7: (4, 8, 12, 12, 20),
     9: (4, 8, 10, 12, 12, 14, 16),
+    10: (2, 4, 6, 6, 8, 9, 10, 14),
 }
+
+
+def _mul_one_minus_tk(coeffs: List[int], k: int) -> None:
+    """coeffs *= (1 - t^k), in place, truncated at len(coeffs)."""
+    for j in range(len(coeffs) - 1, k - 1, -1):
+        coeffs[j] -= coeffs[j - k]
+
+
+def _div_one_minus_tk(coeffs: List[int], k: int) -> None:
+    """coeffs /= (1 - t^k) as a power series, in place, truncated at len(coeffs)."""
+    for j in range(k, len(coeffs)):
+        coeffs[j] += coeffs[j - k]
 
 
 def _dimensions(n: int, top: int) -> Iterator[int]:
@@ -50,9 +69,7 @@ def _dimensions(n: int, top: int) -> Iterator[int]:
     for d in range(1, top + 1):
         box.extend([0] * n)
         _mul_one_minus_tk(box, n + d)
-        # divide exactly by (1 - q^d)
-        for j in range(d, len(box)):
-            box[j] += box[j - d]
+        _div_one_minus_tk(box, d)  # exact: the result is a polynomial
         if (n * d) % 2 == 1:
             yield 0
         else:
@@ -65,11 +82,7 @@ def invariant_dimension(n: int, d: int) -> int:
     """dim of the degree-d invariants of forms of order n (exact)."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    if (n * d) % 2 == 1:
-        return 0
-    for dim in _dimensions(n, d):
-        pass
-    return dim
+    return poincare_series(n, d).dims[d]
 
 
 def _weight_monomials(n: int, d: int, w: int) -> List[Tuple[int, ...]]:
@@ -183,15 +196,32 @@ class PoincareRational(NamedTuple):
         out = list(self.numerator[: max_degree + 1])
         out += [0] * (max_degree + 1 - len(out))
         for d in self.denominator_degrees:
-            # divide by (1 - t^d): prefix sums with stride d
-            for j in range(d, max_degree + 1):
-                out[j] += out[j - d]
+            _div_one_minus_tk(out, d)
         return tuple(out)
 
+    def over(self, degrees: Sequence[int]) -> Optional["PoincareRational"]:
+        """The same series over prod(1 - t^d) for `degrees`; None unless the
+        new numerator a(t) * prod(1 - t^d) / prod(1 - t^e) is a nonnegative
+        polynomial.
 
-def _mul_one_minus_tk(coeffs: List[int], k: int) -> None:
-    for j in range(len(coeffs) - 1, k - 1, -1):
-        coeffs[j] -= coeffs[j - k]
+        The product is padded to its full degree, so each division by
+        (1 - t^e) is exact exactly when the top e coefficients of the
+        quotient series vanish; those are then dropped.
+        """
+        seq = DegreeSequence(degrees)
+        num = list(self.numerator) + [0] * seq.total
+        for d in seq.degrees:
+            _mul_one_minus_tk(num, d)
+        for e in self.denominator_degrees:
+            _div_one_minus_tk(num, e)
+            if any(num[-e:]):
+                return None
+            del num[-e:]
+        if any(c < 0 for c in num):
+            return None
+        while num and num[-1] == 0:
+            num.pop()
+        return PoincareRational(tuple(num), seq.degrees)
 
 
 def series_numerator(table: DimTable, degrees: Sequence[int]) -> List[int]:
@@ -213,22 +243,16 @@ def series_numerator(table: DimTable, degrees: Sequence[int]) -> List[int]:
     return coeffs
 
 
-def to_rational(
-    table: DimTable,
-    degrees: Sequence[int],
-    reference: Optional[PoincareRational] = None,
-) -> Optional[PoincareRational]:
+def to_rational(table: DimTable, degrees: Sequence[int]) -> Optional[PoincareRational]:
     """Try to write the series as a(t) / prod(1 - t^d_i); None on rejection.
 
-    Without a reference, acceptance demands nonnegative coefficients through
-    the degree sum plus an all-zero guard window of width max(degrees) above
-    it.  With a validated reference rational form the check is exact: the
-    candidate numerator is a(t) * prod(1 - t^d_i) / prod(1 - t^e_j), accepted
-    iff the division is exact and the quotient is nonnegative.
+    a(t) is the table times prod(1 - t^d_i), by `_mul_one_minus_tk`.
+    Acceptance demands nonnegative coefficients through the degree sum plus an
+    all-zero guard window of width max(degrees) above it.  Once a rational form
+    is validated, `PoincareRational.over` rewrites it over other degrees
+    exactly, with no table, by `_mul_one_minus_tk` and `_div_one_minus_tk`.
     """
     seq = DegreeSequence(degrees)
-    if reference is not None:
-        return _to_rational_exact(seq, reference)
     coeffs = series_numerator(table, seq.degrees)
     total = seq.total
     window_top = total + max(seq.degrees)
@@ -240,54 +264,6 @@ def to_rational(
     while num and num[-1] == 0:
         num.pop()
     return PoincareRational(tuple(num), seq.degrees)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _denominator_poly(degrees: Sequence[int]) -> List[int]:
-    out = [1]
-    for d in degrees:
-        factor = [0] * (d + 1)
-        factor[0] = 1
-        factor[d] = -1
-        out = _poly_mul(out, factor)
-    return out
-
-
-def _poly_divmod_exact(a: Sequence[int], b: Sequence[int]) -> Optional[List[int]]:
-    """Quotient of a by b when the division is exact, else None (b[0] = 1)."""
-    deg_q = len(a) - len(b)
-    if deg_q < 0:
-        return None if any(a) else [0]
-    q = [0] * (deg_q + 1)
-    rem = list(a)
-    for k in range(deg_q + 1):
-        q[k] = rem[k]
-        if q[k]:
-            for j, c in enumerate(b):
-                rem[k + j] -= q[k] * c
-    if any(rem):
-        return None
-    return q
-
-
-def _to_rational_exact(
-    seq: DegreeSequence, reference: PoincareRational
-) -> Optional[PoincareRational]:
-    num = _poly_mul(reference.numerator, _denominator_poly(seq.degrees))
-    quotient = _poly_divmod_exact(num, _denominator_poly(reference.denominator_degrees))
-    if quotient is None or any(c < 0 for c in quotient):
-        return None
-    while quotient and quotient[-1] == 0:
-        quotient.pop()
-    return PoincareRational(tuple(quotient), seq.degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +285,21 @@ def min_degree_count(n: int, t: int) -> Tuple[int, int]:
     return (n - j) // t, t
 
 
+@lru_cache(maxsize=None)
+def restrictions(n: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(t, divisor, required) for every t in 2..n with required > 0.
+
+    These are all the restrictions of order n: `min_degree_count` requires
+    at most (n - j) // t = 0 degrees for t > n, for both parities of n.
+    """
+    return tuple(
+        (t, divisor, required)
+        for t in range(2, n + 1)
+        for required, divisor in [min_degree_count(n, t)]
+        if required
+    )
+
+
 class SequenceCheck(NamedTuple):
     ok: bool
     violations: Tuple[Tuple[int, int, int, int], ...]
@@ -316,14 +307,11 @@ class SequenceCheck(NamedTuple):
 
 
 def check_sequence(n: int, degrees: Sequence[int]) -> SequenceCheck:
-    """Check every divisibility restriction for t in 2..max(degrees)."""
-    seq = tuple(sorted(degrees))
+    """Check every divisibility restriction of order n: the table
+    `restrictions(n)`, for t = 2..n whatever the largest degree."""
     bad = []
-    for t in range(2, max(seq) + 1):
-        required, divisor = min_degree_count(n, t)
-        if required == 0:
-            continue
-        found = sum(1 for d in seq if d % divisor == 0)
+    for t, divisor, required in restrictions(n):
+        found = sum(1 for d in degrees if d % divisor == 0)
         if found < required:
             bad.append((t, divisor, required, found))
     return SequenceCheck(not bad, tuple(bad))
@@ -346,7 +334,8 @@ class EcritureRow(NamedTuple):
 
 
 class EcritureContext:
-    """Dimension table plus a validated reference rational form for one n."""
+    """A validated reference rational form for one n, and the degrees with
+    invariants up to the search bound."""
 
     def __init__(self, n: int, seed_degrees: Optional[Sequence[int]] = None):
         if seed_degrees is None:
@@ -357,15 +346,14 @@ class EcritureContext:
             )
         self.n = n
         self.seed = DegreeSequence(seed_degrees)
-        depth = self.seed.total + max(self.seed.degrees)
-        self.table = poincare_series(n, depth)
-        ref = to_rational(self.table, self.seed.degrees)
+        table = poincare_series(n, self.seed.total + max(self.seed.degrees))
+        ref = to_rational(table, self.seed.degrees)
         if ref is None:
             raise ValueError(f"seed degrees {self.seed.degrees} are not a valid ecriture")
         self.reference = ref
         # The least degree with invariants bounds every other degree of a
-        # sequence from below (4 for n = 3, 7, 9; 2 for the sextic).
-        self.least = next(d for d, dim in enumerate(self.table.dims) if d and dim)
+        # sequence from below (4 for n = 3, 7, 9; 2 for n = 6, 10).
+        self.least = next(d for d, dim in enumerate(table.dims) if d and dim)
         # Degrees with invariants.  Beyond the partition-counted table the
         # series is extended through the validated rational form, which is
         # exact once the guard window has certified the numerator.
@@ -376,7 +364,7 @@ class EcritureContext:
         return d < len(self.extended) and self.extended[d] > 0
 
     def accept(self, degrees: Sequence[int]) -> Optional[PoincareRational]:
-        return to_rational(self.table, degrees, reference=self.reference)
+        return self.reference.over(degrees)
 
 
 def _candidate_degrees(ctx: EcritureContext, bound: int) -> List[int]:
@@ -399,16 +387,11 @@ def ecriture_minimale_search(
     k = n - 2
     budget = ctx.seed.product
     domain = _candidate_degrees(ctx, budget // ctx.least ** (k - 1))
-    constraints = [
-        (divisor, required)
-        for t in range(2, max(domain, default=2) + 1)
-        for (required, divisor) in [min_degree_count(n, t)]
-        if required > 0
-    ]
+    rules = restrictions(n)
     accepted: List[Tuple[Tuple[int, ...], PoincareRational]] = []
 
     def feasible(prefix: List[int], remaining: int) -> bool:
-        for divisor, required in constraints:
+        for _, divisor, required in rules:
             have = sum(1 for d in prefix if d % divisor == 0)
             if have + remaining < required:
                 return False
@@ -416,14 +399,12 @@ def ecriture_minimale_search(
 
     def rec(prefix: List[int], start_idx: int, product: int):
         remaining = k - len(prefix)
+        if not feasible(prefix, remaining):
+            return
         if remaining == 0:
-            if not check_sequence(n, prefix).ok:
-                return
             rat = ctx.accept(prefix)
             if rat is not None:
                 accepted.append((tuple(prefix), rat))
-            return
-        if not feasible(prefix, remaining):
             return
         for idx in range(start_idx, len(domain)):
             d = domain[idx]

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -65,6 +66,9 @@ ECRITURE_TEXT = {
   numerator degree 86: denominator degrees (4, 4, 8, 10, 12, 16, 42)
   numerator degree 90: denominator degrees (4, 4, 8, 10, 12, 14, 48)
 """,
+    10: """minimal ecritures for order 10 (product 2903040):
+  numerator degree 48: denominator degrees (2, 4, 6, 6, 8, 9, 10, 14)
+""",
 }
 
 
@@ -79,7 +83,17 @@ def test_ecriture_without_a_seed_names_the_seeded_orders(capsys, n):
     assert (code, out) == (2, "")
     assert err == (
         "error: ecriture has a built-in seed degree sequence only for "
-        f"n = 3, 6, 7, 9; got n = {n}\n"
+        f"n = 3, 6, 7, 9, 10; got n = {n}\n"
+    )
+
+
+def test_ecriture_nonic_json_is_pinned(capsys):
+    # Recorded before the exact division became prefix sums; pins every
+    # numerator coefficient of the five rows, which the tests above do not.
+    code, out, _ = run_cli(capsys, "ecriture", "--n", "9", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "77be46d9ef255759e162ddb27765819686431a520b4dde2b7e89f30f19bc075b"
     )
 
 
@@ -234,6 +248,19 @@ def test_hsop_check_refuted_exits_one(capsys):
     )
     assert code == 1
     assert json.loads(out)["verdict"] == "refuted"
+
+
+def test_hsop_check_reports_degree_filters_up_to_the_order(capsys):
+    code, out, _ = run_cli(
+        capsys, "hsop", "check", "--n", "9",
+        "--set", "j_4,A_4,j_4,A_4,j_4,A_4,j_4", "--trials", "2", "--json",
+    )
+    assert code == 1
+    reasons = [r for r in json.loads(out)["reasons"] if r.startswith("degree filter")]
+    assert reasons == [
+        f"degree filter t={t}: need {need} degrees divisible by {2 * t}, found 0"
+        for t, need in ((3, 2), (4, 2), (5, 1), (6, 1), (7, 1), (8, 1))
+    ]
 
 
 def test_hsop_check_without_nullform_trials_is_inconclusive(capsys):

@@ -11,6 +11,8 @@ from binforms.series import (
     invariant_dimension,
     min_degree_count,
     poincare_series,
+    restrictions,
+    series_numerator,
     to_rational,
 )
 
@@ -172,6 +174,58 @@ def test_check_sequence_failure_names_constraint():
     res = check_sequence(9, (4, 4, 4, 10, 12, 14, 16))
     assert not res.ok
     assert {t for t, _, _, _ in res.violations} == {3, 4}
+    # every degree is 4 < 9, yet the restrictions for t = 5..8 still apply
+    assert check_sequence(9, (4,) * 7).violations == (
+        (3, 6, 2, 0), (4, 8, 2, 0), (5, 10, 1, 0), (6, 12, 1, 0), (7, 14, 1, 0),
+        (8, 16, 1, 0),
+    )
+
+
+def test_no_restriction_above_the_order():
+    for n in range(3, 13):
+        for t in range(2, 4 * n + 1):
+            required, _ = min_degree_count(n, t)
+            assert t <= n or required == 0, (n, t)
+        assert restrictions(n) == tuple(
+            (t, divisor, required)
+            for t in range(2, 4 * n + 1)
+            for required, divisor in [min_degree_count(n, t)]
+            if required
+        )
+
+
+# Sequences whose series times prod(1 - t^d) is not a polynomial: the exact
+# division by the seed's denominator must fail, not just the sign test.
+INEXACT = {
+    7: [(4, 4, 8, 12, 20), (4, 8, 8, 12, 12)],
+    9: [(4,) * 7, (4, 4, 8, 8, 12, 12, 16)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(INEXACT))
+def test_exact_division_agrees_with_the_table(monkeypatch, n):
+    leaves = []
+    accept = EcritureContext.accept
+
+    def record(ctx, degrees):
+        leaves.append(tuple(degrees))
+        return accept(ctx, degrees)
+
+    monkeypatch.setattr(EcritureContext, "accept", record)
+    ecriture_minimale_search(n)
+    monkeypatch.undo()
+    assert leaves and max(map(sum, leaves)) <= 150
+    ctx = EcritureContext(n)
+    outcomes = set()
+    for degrees in leaves + INEXACT[n]:
+        table = poincare_series(n, sum(degrees) + max(degrees))
+        got = ctx.accept(degrees)
+        assert got == to_rational(table, degrees), degrees
+        exact = not any(series_numerator(table, degrees)[sum(degrees) + 1:])
+        outcomes.add((got is not None, exact))
+        assert degrees not in INEXACT[n] or not exact
+    # accepted, rejected for a negative coefficient, rejected as inexact
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_degree_sequence_invariants():
