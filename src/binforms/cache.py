@@ -18,12 +18,8 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional
 
-ENV_VAR = "BINFORMS_CACHE_DIR"
-
-
 def open_cache(root: Optional[str]) -> Optional[EvalCache]:
-    """The cache in `root`, else in $BINFORMS_CACHE_DIR, else None."""
-    root = root or os.environ.get(ENV_VAR)
+    """The cache in `root`, or None when no directory is given."""
     return EvalCache(root) if root else None
 
 

@@ -1,8 +1,8 @@
 """Covariant expression trees and their evaluation.
 
 Expressions are built from four node kinds: the base form `f`, transvectants,
-powers, and named references into a catalog.  The text grammar round-trips
-exactly:
+powers, and named references into a catalog.  The text grammar, which
+`expr_to_text` and `repr` print, round-trips exactly:
 
     f | (tr E E INT) | (pow E INT) | @name
 
@@ -31,6 +31,9 @@ class Expr:
     def __hash__(self):
         return self._hash
 
+    def __repr__(self):
+        return expr_to_text(self)
+
 
 class Base(Expr):
     """The generic base form f."""
@@ -44,9 +47,6 @@ class Base(Expr):
         return isinstance(other, Base)
 
     __hash__ = Expr.__hash__
-
-    def __repr__(self):
-        return "f"
 
 
 F = Base()
@@ -65,9 +65,6 @@ class Ref(Expr):
         return isinstance(other, Ref) and other.name == self.name
 
     __hash__ = Expr.__hash__
-
-    def __repr__(self):
-        return f"@{self.name}"
 
 
 class Tr(Expr):
@@ -96,9 +93,6 @@ class Tr(Expr):
 
     __hash__ = Expr.__hash__
 
-    def __repr__(self):
-        return f"(tr {self.left!r} {self.right!r} {self.index})"
-
 
 class Pow(Expr):
     """k-th power of a covariant, k >= 1."""
@@ -123,9 +117,6 @@ class Pow(Expr):
         )
 
     __hash__ = Expr.__hash__
-
-    def __repr__(self):
-        return f"(pow {self.child!r} {self.k})"
 
 
 def tr(left: Expr, right: Expr, index: int) -> Tr:

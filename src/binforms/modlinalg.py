@@ -5,15 +5,19 @@ deterministic.  `rank` is a dense forward elimination in int64 whose pivot
 is always the first nonzero entry in the current column; every product it
 forms stays below p**2, so it is exact while (p - 1)**2 < 2**63.
 
-`StreamingEchelon` consumes rows one at a time while maintaining a reduced
-echelon basis, so a rank lower bound can be certified without materializing
-the full matrix; the reduction step runs on float64 matrices whose entries
-are exact integers (products stay below 2**53), which turns the inner loop
-into BLAS calls while keeping the arithmetic exact.
+`StreamingEchelon` consumes rows while maintaining a reduced echelon basis,
+so a rank lower bound can be certified without materializing the full
+matrix.  `add_rows` draws its rows lazily from any iterable, one chunk at a
+time, and stops drawing once the rank reaches its target; `add_row` inserts
+one row and says whether it raised the rank.  The reduction step runs on
+float64 matrices whose entries are exact integers (products stay below
+2**53), which turns the inner loop into BLAS calls while keeping the
+arithmetic exact.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import List, Optional
 
 import numpy as np
@@ -133,21 +137,25 @@ class StreamingEchelon:
         return added
 
     def add_rows(self, block, stop_at: Optional[int] = None) -> int:
-        """Insert a block of rows (chunked BLAS reductions); rows consumed."""
-        B = np.asarray(block, dtype=np.float64) % self.p
-        if B.ndim != 2 or B.shape[1] != self.n_cols:
-            raise ValueError("block shape mismatch")
+        """Insert rows from `block`, a 2-D array or any iterable of rows,
+        until the rank reaches `stop_at`; returns the rows consumed.
+
+        Rows are drawn one chunk at a time, at most as many as the fresh tier
+        has room for, so a fold can only happen between chunks and the new
+        pivots of the current chunk are a suffix of the fresh tier.  No row
+        past the chunk that reaches `stop_at` is drawn.
+        """
+        rows = iter(block)
         consumed = 0
-        i = 0
-        while i < B.shape[0]:
-            if stop_at is not None and self.rank >= stop_at:
+        while stop_at is None or self.rank < stop_at:
+            chunk = list(islice(rows, self._FOLD - self._nfresh))
+            if not chunk:
                 break
-            # Chunk so a fold can only happen between chunks; then the new
-            # pivots of the current chunk are a suffix of the fresh tier.
-            cap = self._FOLD - self._nfresh
-            chunk = self._reduce_block(B[i : i + cap])
+            B = np.asarray(chunk, dtype=np.float64) % self.p
+            if B.ndim != 2 or B.shape[1] != self.n_cols:
+                raise ValueError("block shape mismatch")
             fresh_start = self._nfresh
-            for v in chunk:
+            for v in self._reduce_block(B):
                 if stop_at is not None and self.rank >= stop_at:
                     break
                 new_piv = self._fpiv[fresh_start:]
@@ -157,7 +165,6 @@ class StreamingEchelon:
                         v = (v - coeffs @ self._fresh[fresh_start : self._nfresh]) % self.p
                 self._insert_reduced(v)
                 consumed += 1
-                i += 1
             if self._nfresh == self._FOLD:
                 self._fold()
         return consumed

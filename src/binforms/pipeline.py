@@ -3,9 +3,14 @@
 The discovery campaign works degree by degree.  For each degree m the
 dimension table says how big the space of invariants I_m is; products of the
 basic invariants already found are evaluated at dim + margin random points
-over F_p and their rank measures how much of I_m is already known.  Every
-F_p value comes from `batch.BatchEvaluator`, which evaluates an expression at
-all points of a set at once and memoizes shared subtrees per set.  Random
+over F_p and their rank measures how much of I_m is already known.  The
+product rows, like the membership rows below, come from one lazy generator
+(`_product_rows`) and go into `StreamingEchelon.add_rows`, which stops
+drawing them once the rank reaches the dimension; the number of products is
+read off the series prod 1 / (1 - t^deg r) instead (`monomial_counts`).
+Every F_p value comes from `batch.BatchEvaluator`, which evaluates an
+expression at all points of a set at once and memoizes shared subtrees per
+set.  Random
 transvectant trees of the right degree are then adjoined greedily, one rank
 unit at a time, until the combined rank saturates the dimension; the number
 of adjoined generators is d_m.  Monte Carlo ranks certify at sampling level
@@ -26,7 +31,7 @@ from __future__ import annotations
 import random
 from itertools import chain
 from math import ceil, lcm
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +42,8 @@ from .modlinalg import StreamingEchelon, rank as matrix_rank
 from .nullcone import random_nullform
 from .rings import QQ, is_prime
 from .series import (
-    SEED_DEGREES, PoincareRational, invariant_dimension, poincare_series, to_rational,
+    SEED_DEGREES, PoincareRational, _div_one_minus_tk, invariant_dimension,
+    poincare_series, to_rational,
 )
 
 
@@ -144,42 +150,46 @@ class BasisRecord(NamedTuple):
 
 def monomials_of_degree(
     basis: Sequence[BasisRecord], m: int
-) -> List[Tuple[Tuple[int, int], ...]]:
-    """Multisets of basis records with total degree exactly m.
+) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """Multisets of basis records with total degree exactly m, lazily.
 
     Each monomial is a tuple of (basis index, exponent) pairs, enumerated
     deterministically (earlier records first, higher exponents first).
     """
-    out: List[Tuple[Tuple[int, int], ...]] = []
 
-    def rec(i: int, remaining: int, acc: List[Tuple[int, int]]):
+    def rec(i: int, remaining: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
         if remaining == 0:
-            out.append(tuple(acc))
+            yield ()
             return
-        if i == len(basis):
-            return
-        d = basis[i].degree
-        for k in range(remaining // d, -1, -1):
-            if k:
-                acc.append((i, k))
-                rec(i + 1, remaining - k * d, acc)
-                acc.pop()
-            else:
-                rec(i + 1, remaining, acc)
+        for j in range(i, len(basis)):
+            d = basis[j].degree
+            for k in range(remaining // d, 0, -1):
+                for rest in rec(j + 1, remaining - k * d):
+                    yield ((j, k),) + rest
 
-    rec(0, m, [])
-    return out
+    return rec(0, m)
 
 
-def _monomial_vector(
-    pevals: PointEvaluations, basis: Sequence[BasisRecord], mono, prime: int
-) -> np.ndarray:
-    vec = np.ones(pevals.points.count, dtype=np.int64)
-    for idx, k in mono:
-        base = pevals.vector(basis[idx].expr)
-        for _ in range(k):
-            vec = vec * base % prime
-    return vec
+def monomial_counts(basis: Sequence[BasisRecord], top: int) -> List[int]:
+    """The number of basis monomials of each degree 0..top: the coefficients
+    of prod 1 / (1 - t^deg r) over the records r."""
+    counts = [1] + [0] * top
+    for rec in basis:
+        _div_one_minus_tk(counts, rec.degree)
+    return counts
+
+
+def _product_rows(
+    pevals: PointEvaluations, basis: Sequence[BasisRecord], m: int, prime: int
+) -> Iterator[np.ndarray]:
+    """The values of the degree-m basis monomials, in `monomials_of_degree` order."""
+    for mono in monomials_of_degree(basis, m):
+        vec = np.ones(pevals.points.count, dtype=np.int64)
+        for idx, k in mono:
+            base = pevals.vector(basis[idx].expr)
+            for _ in range(k):
+                vec = vec * base % prime
+        yield vec
 
 
 Closing = Tuple[int, int, int]  # (pool index i, pool index j >= i, order)
@@ -344,10 +354,7 @@ class DegreeEvidence(NamedTuple):
 
 
 class DmTable:
-    def __init__(self, n: int, prime: int, seed: int):
-        self.n = n
-        self.prime = prime
-        self.seed = seed
+    def __init__(self):
         self.evidence: Dict[int, DegreeEvidence] = {}
         self.records: List[BasisRecord] = []
 
@@ -379,15 +386,14 @@ def compute_dm(
         raise ValueError(f"basis passed to compute_dm must be settled below degree {m}")
     if gen is None:
         gen = CandidateGenerator(n, cfg.seed)
-    monos = monomials_of_degree(basis, m)
+    n_products = monomial_counts(basis, m)[m]
     margin = cfg.margin(dim)
     for attempt in (1, 2):
         npts = dim + margin
         points = PointSet(n, cfg.prime, cfg.seed, npts, f"dm:{m}:{attempt}")
         pevals = PointEvaluations(points, cache)
         ech = StreamingEchelon(cfg.prime, npts)
-        for mono in monos:
-            ech.add_row(_monomial_vector(pevals, basis, mono, cfg.prime))
+        ech.add_rows(_product_rows(pevals, basis, m, cfg.prime), stop_at=dim)
         product_rank = ech.rank
         new_records: List[BasisRecord] = []
         budget = CANDIDATE_BUDGET + 80 * (dim - product_rank)
@@ -410,7 +416,7 @@ def compute_dm(
                     gen.grow(max_degree=m - 1, steps=30)
         if ech.rank == dim:
             evidence = DegreeEvidence(
-                m, dim, len(monos), product_rank, dim - product_rank, npts,
+                m, dim, n_products, product_rank, dim - product_rank, npts,
                 tuple(r.name for r in new_records),
             )
             return evidence, new_records
@@ -444,7 +450,7 @@ def find_basic_invariants(
     bound = _stop_bound(n)
     top = max_degree if bound is None else min(max_degree, bound)
     cfg.validate(n, top)
-    table = DmTable(n, cfg.prime, cfg.seed)
+    table = DmTable()
     gen = CandidateGenerator(n, cfg.seed)
     for m in range(1, top + 1):
         if invariant_dimension(n, m) == 0:
@@ -521,26 +527,6 @@ def vanish_on_nullcone_sample(
     )
 
 
-def _add_rows_until(ech: StreamingEchelon, rows: Iterable[np.ndarray], dim: int) -> int:
-    """Feed `rows` to `ech` in blocks of 256 until its rank reaches `dim`.
-
-    Rows are drawn lazily, so none past the block that saturates the rank is
-    computed.  Returns the number of rows the echelon consumed.
-    """
-    used = 0
-    block: List[np.ndarray] = []
-    for row in rows:
-        block.append(row)
-        if len(block) == 256:
-            used += ech.add_rows(np.vstack(block), stop_at=dim)
-            block.clear()
-            if ech.rank >= dim:
-                return used
-    if block and ech.rank < dim:
-        used += ech.add_rows(np.vstack(block), stop_at=dim)
-    return used
-
-
 class MembershipResult(NamedTuple):
     degree: int
     dim: int
@@ -579,11 +565,9 @@ def ideal_membership_dim(
     cfg.validate(n, degree)
     dim = invariant_dimension(n, degree)
     needed = degree - min(d for _, _, d in hsop)
-    reach = {0}  # the degrees of monomials in the basis, up to `needed`
+    counts = monomial_counts(basis, needed)
     for j in range(1, needed + 1):
-        if any(j - r.degree in reach for r in basis):
-            reach.add(j)
-        elif invariant_dimension(n, j):
+        if not counts[j] and invariant_dimension(n, j):
             raise ValueError(
                 f"basis cannot reach degree {j} (needed for membership rows at "
                 f"degree {degree}); run the discovery campaign further"
@@ -602,11 +586,11 @@ def ideal_membership_dim(
     def rows() -> Iterator[np.ndarray]:
         for _, expr, hdeg in hsop:
             hvec = pevals.vector(expr)
-            for mono in monomials_of_degree(basis, degree - hdeg):
-                yield hvec * _monomial_vector(pevals, basis, mono, cfg.prime) % cfg.prime
+            for row in _product_rows(pevals, basis, degree - hdeg, cfg.prime):
+                yield hvec * row % cfg.prime
 
     ech = StreamingEchelon(cfg.prime, npts)
-    rows_used = _add_rows_until(ech, rows(), dim)
+    rows_used = ech.add_rows(rows(), stop_at=dim)
     return MembershipResult(degree, dim, ech.rank, expected, a_i, rows_used, npts)
 
 
@@ -617,7 +601,6 @@ class HsopReport(NamedTuple):
     verdict: str  # certified-at-sampling-level | refuted | inconclusive
     reasons: Tuple[str, ...]
     count_ok: bool
-    degree_filter_ok: bool
     jacobian_ranks: Tuple[int, ...]
     jacobian_required: int
     vanish: Optional[VanishReport]
@@ -646,7 +629,7 @@ def certify_hsop(
     if not count_ok:
         reasons.append(f"expected {required} invariants, got {len(candidates)}")
         return HsopReport(
-            n, names, degrees, "refuted", tuple(reasons), False, False, (),
+            n, names, degrees, "refuted", tuple(reasons), False, (),
             required, None, (), cfg.prime, cfg.seed,
         )
     from .series import check_sequence
@@ -709,6 +692,6 @@ def certify_hsop(
     else:
         verdict = "certified-at-sampling-level"
     return HsopReport(
-        n, names, degrees, verdict, tuple(reasons), count_ok, filt.ok, jranks,
+        n, names, degrees, verdict, tuple(reasons), count_ok, jranks,
         required, vanish, tuple(membership), cfg.prime, cfg.seed,
     )

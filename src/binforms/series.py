@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, prod
+from operator import sub
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -387,19 +388,15 @@ def ecriture_minimale_search(
     k = n - 2
     budget = ctx.seed.product
     domain = _candidate_degrees(ctx, budget // ctx.least ** (k - 1))
-    rules = restrictions(n)
+    # hits[i][j]: 1 when domain[i] is divisible by the j-th restriction's divisor.
+    hits = [[int(d % divisor == 0) for _, divisor, _ in restrictions(n)] for d in domain]
     accepted: List[Tuple[Tuple[int, ...], PoincareRational]] = []
 
-    def feasible(prefix: List[int], remaining: int) -> bool:
-        for _, divisor, required in rules:
-            have = sum(1 for d in prefix if d % divisor == 0)
-            if have + remaining < required:
-                return False
-        return True
-
-    def rec(prefix: List[int], start_idx: int, product: int):
+    def rec(prefix: List[int], start_idx: int, product: int, need: List[int]):
+        # need[j]: how many more degrees divisible by the j-th restriction's
+        # divisor the sequence still requires.
         remaining = k - len(prefix)
-        if not feasible(prefix, remaining):
+        if max(need, default=0) > remaining:
             return
         if remaining == 0:
             rat = ctx.accept(prefix)
@@ -410,9 +407,9 @@ def ecriture_minimale_search(
             d = domain[idx]
             if product * d**remaining > budget:
                 break
-            rec(prefix + [d], idx, product * d)
+            rec(prefix + [d], idx, product * d, list(map(sub, need, hits[idx])))
 
-    rec([], 0, 1)
+    rec([], 0, 1, [required for _, _, required in restrictions(n)])
     if not accepted:
         return []
     best = min(prod(degs) for degs, _ in accepted)

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from binforms import pipeline
 from binforms.batch import BatchEvaluator, band, transvect
-from binforms.cache import ENV_VAR, open_cache
+from binforms.cache import open_cache
 from binforms.catalog import catalog_for
 from binforms.cli import main
 from binforms.exprs import Evaluator, F, Pow, Tr, tr
@@ -353,12 +353,6 @@ def test_cache_filled_by_scalar_path_gives_same_stdout(capsys, monkeypatch, tmp_
     assert _run(capsys, argv) == (0, golden)
 
 
-def test_cache_only_with_a_directory(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_cache_only_with_a_directory():
     assert open_cache(None) is None
     assert open_cache("") is None
-    monkeypatch.setenv(ENV_VAR, str(tmp_path))
-    assert open_cache(None).root == tmp_path
-    golden = (DATA / "basis_n9_max12_seed1.json").read_text()
-    assert _run(capsys, BASIS_ARGV) == (0, golden)
-    assert list(tmp_path.iterdir())

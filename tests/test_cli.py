@@ -222,6 +222,15 @@ def test_basis_quick_json(capsys):
     assert payload["total"] == 12
 
 
+def test_septimic_basis_json_is_pinned(capsys):
+    # At degrees 24 and 28 the products outnumber dim (74 > 62, 135 > 97)
+    # and span I_m, so the echelon stops drawing them at rank dim while
+    # `products` still reports every product.
+    code, out, _ = run_cli(capsys, "basis", "--n", "7", "--max-degree", "30", "--json")
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "basis_n7_max30_seed1.json").read_text()
+
+
 def test_basis_csv_row_order(capsys):
     code, out, _ = run_cli(
         capsys, "basis", "--n", "9", "--max-degree", "10", "--format", "csv"

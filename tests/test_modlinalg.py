@@ -75,6 +75,35 @@ def test_streaming_row_length_mismatch():
         ech.add_row(np.arange(4))
 
 
+def test_streaming_draws_no_row_past_the_saturating_chunk():
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, P, (400, 200))
+    drawn = []
+
+    def rows():
+        for i, row in enumerate(X):
+            drawn.append(i)
+            yield row
+
+    ech = StreamingEchelon(P, 200)
+    consumed = ech.add_rows(rows(), stop_at=150)
+    assert (ech.rank, consumed) == (150, 150)
+    # The first chunk fills the fresh tier (128 rows); the second reaches
+    # rank 150 and no row of a third chunk is drawn.
+    assert len(drawn) == 2 * StreamingEchelon._FOLD
+
+
+# 128 good rows fill the first chunk, so the second holds only short rows;
+# after 130 it mixes both lengths.
+@pytest.mark.parametrize("good, bad", [(128, 10), (130, 1)])
+def test_streaming_bad_row_length_in_a_later_chunk(good, bad):
+    rows = iter([np.eye(5, dtype=np.int64)[i % 5] for i in range(good)] + [np.arange(4)] * bad)
+    ech = StreamingEchelon(P, 5)
+    with pytest.raises(ValueError):
+        ech.add_rows(rows)
+    assert ech.rank == 5  # the first chunk went in before the bad one was drawn
+
+
 def test_streaming_blocked_matches_rowwise():
     rng = np.random.default_rng(10)
     X = rng.integers(0, P, (400, 260))

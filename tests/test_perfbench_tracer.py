@@ -29,3 +29,21 @@ def test_tracer_patches_rank_and_echelon(tmp_path):
     assert "binforms.pipeline.matrix_rank" in patched
     assert "binforms.pipeline.random_nullform" in patched
     assert "binforms.modlinalg.StreamingEchelon.add_rows" in patched
+
+
+def test_tracer_runs_membership_through_add_rows(tmp_path):
+    # Membership rows reach the echelon through `add_rows`; the tracer's
+    # after-hook must still accept the call and count the rows.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "S.json", "SP.jsonl",
+         "--", "hsop", "membership", "--n", "9", "--set", "thm", "--degrees", "8"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "S.json").read_text())
+    assert "binforms.modlinalg.StreamingEchelon.add_rows" in summary["patched"]
+    assert summary["modlinalg.echelon.rows"] > 0

@@ -42,7 +42,6 @@ HSOP_CHECK = ("hsop", "check", "--n", "9", "--set", "thm", "--trials", "2", "--j
 
 def run_command(tmp_path, *argv):
     env = dict(os.environ)
-    env.pop("BINFORMS_CACHE_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
