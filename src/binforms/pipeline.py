@@ -128,15 +128,14 @@ class PointEvaluations:
         text = None
         if self.cache is not None:
             text = expr_to_text(expr)
-            hit = self.cache.get(self.points.key, text)
-            if hit is not None and len(hit) == self.points.count:
-                vec = np.array(hit, dtype=np.int64)
+            vec = self.cache.get(self.points, text)
+            if vec is not None:
                 self._vectors[expr] = vec
                 return vec
         (vec,) = self._batch.scalar(expr)
         self._vectors[expr] = vec
         if self.cache is not None:
-            self.cache.put(self.points.key, text, [int(v) for v in vec])
+            self.cache.put(self.points, text, vec)
         return vec
 
 
@@ -148,48 +147,81 @@ class BasisRecord(NamedTuple):
     expr: Expr
 
 
-def monomials_of_degree(
-    basis: Sequence[BasisRecord], m: int
-) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """Multisets of basis records with total degree exactly m, lazily.
-
-    Each monomial is a tuple of (basis index, exponent) pairs, enumerated
-    deterministically (earlier records first, higher exponents first).
-    """
-
-    def rec(i: int, remaining: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for j in range(i, len(basis)):
-            d = basis[j].degree
-            for k in range(remaining // d, 0, -1):
-                for rest in rec(j + 1, remaining - k * d):
-                    yield ((j, k),) + rest
-
-    return rec(0, m)
+def _suffix_counts(basis: Sequence[BasisRecord], top: int) -> List[List[int]]:
+    """`table[j][r]`: the number of monomials of degree r (0..top) in the
+    records `basis[j:]`, the coefficients of prod 1 / (1 - t^deg r) over them."""
+    table = [[1] + [0] * top]
+    for rec in reversed(basis):
+        counts = list(table[-1])
+        _div_one_minus_tk(counts, rec.degree)
+        table.append(counts)
+    return table[::-1]
 
 
 def monomial_counts(basis: Sequence[BasisRecord], top: int) -> List[int]:
-    """The number of basis monomials of each degree 0..top: the coefficients
-    of prod 1 / (1 - t^deg r) over the records r."""
-    counts = [1] + [0] * top
-    for rec in basis:
-        _div_one_minus_tk(counts, rec.degree)
-    return counts
+    """The number of basis monomials of each degree 0..top."""
+    return _suffix_counts(basis, top)[0]
+
+
+def _monomial_products(basis: Sequence[BasisRecord], m: int, unit, times) -> Iterator[tuple]:
+    """Pairs (monomial, product) over the multisets of basis records with
+    total degree exactly m, lazily.
+
+    Each monomial is a tuple of (basis index, exponent) pairs, enumerated
+    deterministically (earlier records first, higher exponents first).  The
+    product is carried down the enumeration: a monomial's is
+    `times(prefix product, j, k)` for its last pair (j, k), starting from
+    `unit`, so monomials sharing leading factors share their products.  A
+    branch whose remaining degree no later record can make up (by the suffix
+    table of `_suffix_counts`) is not entered.
+    """
+    if m < 0:
+        return
+    reach = [[bool(c) for c in counts] for counts in _suffix_counts(basis, m)]
+
+    def rec(i: int, remaining: int, acc) -> Iterator[tuple]:
+        if remaining == 0:
+            yield (), acc
+            return
+        for j in range(i, len(basis)):
+            if not reach[j][remaining]:
+                break
+            d = basis[j].degree
+            for k in range(remaining // d, 0, -1):
+                if reach[j + 1][remaining - k * d]:
+                    for rest, value in rec(j + 1, remaining - k * d, times(acc, j, k)):
+                        yield ((j, k),) + rest, value
+
+    yield from rec(0, m, unit)
+
+
+def monomials_of_degree(
+    basis: Sequence[BasisRecord], m: int
+) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """Multisets of basis records with total degree exactly m, lazily, in
+    `_monomial_products` order."""
+    return (mono for mono, _ in _monomial_products(basis, m, None, lambda acc, j, k: None))
 
 
 def _product_rows(
-    pevals: PointEvaluations, basis: Sequence[BasisRecord], m: int, prime: int
+    pevals: PointEvaluations,
+    basis: Sequence[BasisRecord],
+    m: int,
+    prime: int,
+    unit: Optional[np.ndarray] = None,
 ) -> Iterator[np.ndarray]:
-    """The values of the degree-m basis monomials, in `monomials_of_degree` order."""
-    for mono in monomials_of_degree(basis, m):
-        vec = np.ones(pevals.points.count, dtype=np.int64)
-        for idx, k in mono:
-            base = pevals.vector(basis[idx].expr)
-            for _ in range(k):
-                vec = vec * base % prime
-        yield vec
+    """The values of `unit` (default 1) times the degree-m basis monomials,
+    in `monomials_of_degree` order."""
+
+    def times(acc: np.ndarray, j: int, k: int) -> np.ndarray:
+        base = pevals.vector(basis[j].expr)
+        for _ in range(k):
+            acc = acc * base % prime
+        return acc
+
+    if unit is None:
+        unit = np.ones(pevals.points.count, dtype=np.int64)
+    return (vec for _, vec in _monomial_products(basis, m, unit, times))
 
 
 Closing = Tuple[int, int, int]  # (pool index i, pool index j >= i, order)
@@ -465,18 +497,23 @@ def find_basic_invariants(
 # Certification of candidate parameter systems.
 
 def jacobian_rank(
-    exprs: Sequence[Expr], point: Sequence[int], n: int, prime: int
-) -> int:
-    """Rank of the matrix of partial derivatives at one point over F_p.
+    exprs: Sequence[Expr], points: Sequence[Sequence[int]], n: int, prime: int
+) -> Tuple[int, ...]:
+    """Rank of the matrix of partial derivatives at each point over F_p.
 
-    One batch holds the point n + 1 times, row i with slope direction e_i;
-    the slope of an invariant's value in row i is its exact partial
-    derivative in coordinate i.
+    One batch holds every point n + 1 times, its row i with slope direction
+    e_i; the slope of an invariant's value in that row is its exact partial
+    derivative in coordinate i at that point.
     """
-    forms = np.tile([c % prime for c in point], (n + 1, 1))
-    ev = BatchEvaluator(forms, prime, slopes=np.eye(n + 1, dtype=np.int64))
-    rows = [ev.scalar(e)[1] for e in exprs]
-    return matrix_rank(rows, prime)
+    count = len(points)
+    forms = np.array([[c % prime for c in point] for point in points], dtype=np.int64)
+    ev = BatchEvaluator(
+        np.repeat(forms.reshape(count, n + 1), n + 1, axis=0),
+        prime,
+        slopes=np.tile(np.eye(n + 1, dtype=np.int64), (count, 1)),
+    )
+    grads = np.array([ev.scalar(e)[1] for e in exprs]).reshape(len(exprs), count, n + 1)
+    return tuple(matrix_rank(grads[:, i], prime) for i in range(count))
 
 
 class VanishReport(NamedTuple):
@@ -586,8 +623,7 @@ def ideal_membership_dim(
     def rows() -> Iterator[np.ndarray]:
         for _, expr, hdeg in hsop:
             hvec = pevals.vector(expr)
-            for row in _product_rows(pevals, basis, degree - hdeg, cfg.prime):
-                yield hvec * row % cfg.prime
+            yield from _product_rows(pevals, basis, degree - hdeg, cfg.prime, hvec)
 
     ech = StreamingEchelon(cfg.prime, npts)
     rows_used = ech.add_rows(rows(), stop_at=dim)
@@ -642,11 +678,10 @@ def certify_hsop(
                 f"{divisor}, found {got}"
             )
     rng = random.Random(f"jacobian:{cfg.seed}:{n}:{cfg.prime}")
-    jranks = tuple(
-        jacobian_rank(
-            exprs, [rng.randrange(cfg.prime) for _ in range(n + 1)], n, cfg.prime
-        )
-        for _ in range(JACOBIAN_POINTS)
+    jranks = jacobian_rank(
+        exprs,
+        [[rng.randrange(cfg.prime) for _ in range(n + 1)] for _ in range(JACOBIAN_POINTS)],
+        n, cfg.prime,
     )
     jacobian_ok = max(jranks, default=0) == required
     if not jacobian_ok:

@@ -269,10 +269,9 @@ def test_criterion_10_small_order_parameter_systems(capsys):
             for e, entry in zip(exprs, hsop):
                 assert ev.eval(e).scalar() == 0, (n, seed, entry.name)
         rng = random.Random(f"acc10:{n}")
-        ranks = [
-            jacobian_rank(exprs, [rng.randrange(P) for _ in range(n + 1)], n, P)
-            for _ in range(5)
-        ]
+        ranks = jacobian_rank(
+            exprs, [[rng.randrange(P) for _ in range(n + 1)] for _ in range(5)], n, P
+        )
         assert max(ranks) == len(hsop), (n, ranks)
     with capsys.disabled():
         conclude(10, "small-order systems vanish on nullforms; full Jacobian rank", t0, 300)

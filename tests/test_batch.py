@@ -240,7 +240,7 @@ def test_batched_jacobian_matches_dual_numbers_for_thm_set():
         for e in thm:
             got, want = batch.scalar(e), ref.scalar(e)
             assert all((g == w).all() for g, w in zip(got, want))
-        assert pipeline.jacobian_rank(thm, point, 9, p) == 7
+        assert pipeline.jacobian_rank(thm, [point], 9, p) == (7,)
 
 
 def _scalar_generic_vanish(exprs, n, trials, seed, prime):

@@ -383,6 +383,29 @@ def test_bad_membership_degrees_rejected_by_option_name(capsys, monkeypatch, arg
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("basis", "--max-degree", "4"),
+        ("hsop", "check", "--membership-degrees", "4,8"),
+        ("hsop", "membership", "--degrees", "8"),
+    ],
+)
+def test_cache_dir_that_is_a_file_is_rejected_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --cache-dir was checked")
+
+    for name in ("_named_set", "find_basic_invariants"):
+        monkeypatch.setattr(f"binforms.cli.{name}", no_work)
+    path = tmp_path / "a-file"
+    path.write_text("kept\n")
+    code, out, err = run_cli(capsys, *argv, "--n", "9", "--cache-dir", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --cache-dir {str(path)!r} is not a usable directory")
+    assert err.count("\n") == 1
+    assert path.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
     "case", SCALAR_PATH, ids=[f"{case['argv'][0]}-{i}" for i, case in enumerate(SCALAR_PATH)]
 )
 def test_scalar_path_stdout_is_pinned(capsys, case):

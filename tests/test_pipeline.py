@@ -69,6 +69,49 @@ def test_monomial_enumeration_is_deterministic():
     assert a[0] == ((0, 3),)  # first record, cubed, comes first
 
 
+def _unpruned_monomials(basis, m):
+    """The enumeration before the suffix-table pruning, kept as the order oracle."""
+
+    def rec(i, remaining):
+        if remaining == 0:
+            yield ()
+            return
+        for j in range(i, len(basis)):
+            d = basis[j].degree
+            for k in range(remaining // d, 0, -1):
+                for rest in rec(j + 1, remaining - k * d):
+                    yield ((j, k),) + rest
+
+    return list(rec(0, m))
+
+
+def test_pruned_enumeration_keeps_the_unpruned_order():
+    rng = random.Random(15)
+    for _ in range(40):
+        degrees = sorted(rng.choice((2, 3, 4, 6, 7, 9, 10)) for _ in range(rng.randint(1, 8)))
+        recs = [BasisRecord(f"r{i}", d, F) for i, d in enumerate(degrees)]
+        for m in range(-1, 25):
+            assert list(monomials_of_degree(recs, m)) == _unpruned_monomials(recs, m), (degrees, m)
+
+
+def test_product_rows_carry_the_products_of_each_monomial():
+    cat = catalog_for(9)
+    names = ("j_4", "A_4", "B_8", "j_12")
+    recs = [BasisRecord(name, cat[name].degree, cat.closed(name)) for name in names]
+    pe = PointEvaluations(PointSet(9, P, 1, 12, "products"))
+    unit = pe.vector(cat.closed("D_10"))
+    for m in (0, 4, 8, 12, 16):
+        want = []
+        for mono in _unpruned_monomials(recs, m):
+            vec = unit.copy()
+            for idx, k in mono:
+                for _ in range(k):
+                    vec = vec * pe.vector(recs[idx].expr) % P
+            want.append(vec.tolist())
+        got = [row.tolist() for row in pipeline._product_rows(pe, recs, m, P, unit)]
+        assert got == want, m
+
+
 def test_evaluate_at_points_single_row():
     cat = catalog_for(9)
     pts = PointSet(9, P, 1, 3, "t1")
@@ -215,13 +258,15 @@ def test_prime_guard():
 def test_jacobian_rank_trivials():
     cat = catalog_for(9)
     j4 = cat.closed("j_4")
-    assert jacobian_rank([j4], [0] * 10, 9, P) == 0  # gradient vanishes at 0
+    assert jacobian_rank([j4], [[0] * 10], 9, P) == (0,)  # gradient vanishes at 0
     rng = random.Random(0)
     pt = [rng.randrange(P) for _ in range(10)]
     dep = tr(pw(j4, 2), j4, 0)  # j_4^3: functionally dependent on j_4
-    assert jacobian_rank([j4, dep], pt, 9, P) == 1
+    assert jacobian_rank([j4, dep], [pt], 9, P) == (1,)
     thm = [cat.closed(e.name) for e in cat.hsop()]
-    assert jacobian_rank(thm, pt, 9, P) == 7
+    assert jacobian_rank(thm, [pt], 9, P) == (7,)
+    # One batch of several points gives each point its own rank.
+    assert jacobian_rank([j4, dep], [pt, [0] * 10, pt], 9, P) == (1, 0, 1)
 
 
 def test_jacobian_rank_scaling_invariance():
@@ -230,9 +275,9 @@ def test_jacobian_rank_scaling_invariance():
     pt = [rng.randrange(P) for _ in range(10)]
     exprs = [cat.closed("j_4"), cat.closed("B_8")]
     scaled = [tr(e, e, 0) for e in exprs]  # squares: same vanishing, rank <= base
-    base_rank = jacobian_rank(exprs, pt, 9, P)
+    (base_rank,) = jacobian_rank(exprs, [pt], 9, P)
     assert base_rank == 2
-    assert jacobian_rank(exprs + scaled, pt, 9, P) == 2
+    assert jacobian_rank(exprs + scaled, [pt], 9, P) == (2,)
 
 
 def test_vanish_sample_flagged_set():

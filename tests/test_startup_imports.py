@@ -2,15 +2,14 @@
 
 The commands run in fresh interpreters, so `sys.modules` shows exactly what
 one command line imported.  `hashlib` maps OpenSSL's libcrypto, which costs
-every process a few MB of resident memory; only the cache's file names need
-it.  Records are named tuples, not dataclasses: `dataclasses` generates and
+every process a few MB of resident memory; no command needs it, also not
+with a cache directory, whose files are named by their point-set keys.
+Records are named tuples, not dataclasses: `dataclasses` generates and
 `exec`s source text for every decorated class, at every start-up.
 """
 
-import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,14 +69,10 @@ def test_hsop_check_without_a_cache_loads_no_hashlib(tmp_path):
     assert not modules & {"hashlib", "_hashlib", "dataclasses"}
 
 
-def test_cache_directory_loads_hashlib_and_keeps_file_names(tmp_path):
+def test_cache_directory_loads_no_hashlib_and_names_files_by_key(tmp_path):
     cache = tmp_path / "cache"
     result = run_command(tmp_path, *BASIS, "--cache-dir", str(cache))
-    assert "hashlib" in result["modules"]
-    files = sorted(p.name for p in cache.iterdir())
-    assert files and all(re.fullmatch(r"points-[0-9a-f]{24}\.pkl", f) for f in files)
-    names = {
-        f"points-{hashlib.sha256(key.encode()).hexdigest()[:24]}.pkl"
-        for key in result["keys"]
-    }
-    assert set(files) <= names
+    assert not set(result["modules"]) & {"hashlib", "_hashlib"}
+    files = {p.name for p in cache.iterdir()}
+    names = {f"points-v2-{key.replace(':', '_')}.npy" for key in result["keys"]}
+    assert files and files <= names
