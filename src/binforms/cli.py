@@ -486,8 +486,17 @@ def build_parser() -> argparse.ArgumentParser:
     spc = hsubs.add_parser("check", help="certify a candidate set at sampling level")
     _add_common(spc, compute=True)
     spc.add_argument("--set", default="thm", help="'thm', 'hprime', or comma-separated names")
-    spc.add_argument("--membership-degrees", default=None)
-    spc.add_argument("--trials", type=int, default=100)
+    spc.add_argument(
+        "--membership-degrees", default=None,
+        help="comma-separated degrees at which to compare ideal-membership ranks "
+        "with the Poincare numerator (default: none)",
+    )
+    spc.add_argument(
+        "--trials", type=int, default=100,
+        help="random nullforms, and as many generic forms, to sample for the "
+        "nullcone criterion; 0 skips it, leaving the verdict inconclusive "
+        "(default: 100)",
+    )
     spc.set_defaults(func=_cmd_hsop_check)
     spm = hsubs.add_parser("membership", help="graded ideal-membership ranks")
     _add_common(spm, compute=True)

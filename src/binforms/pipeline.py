@@ -50,6 +50,7 @@ from .series import (
 MARGIN_FRAC = 0.05
 CANDIDATE_BUDGET = 600  # draws per degree, plus 80 per missing rank unit
 JACOBIAN_POINTS = 5  # sampled points at which certify_hsop takes the Jacobian rank
+NULLFORM_CHUNK = 16  # nullform trials per exact integer batch
 
 
 class PipelineConfig(NamedTuple):
@@ -543,12 +544,24 @@ def vanish_on_nullcone_sample(
     L^d * prod(1 / pref) * I(nf), a nonzero rational multiple of I(nf), so
     it is zero exactly when I vanishes on the nullform: the check stays a
     proof.
+
+    The exact batches hold at most `NULLFORM_CHUNK` trials each, so their
+    memory does not grow with `trials`.  Chunking cannot change the report:
+    trial t's nullform is seeded by t alone, an exact value at one row does
+    not depend on the other rows of its batch, and each chunk writes its own
+    slice of the per-trial flags, which are read in trial order.  The generic
+    F_p check is one batch, since its int64 values are small.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    forms = [_integer_row(random_nullform(n, QQ, seed * 100003 + t)) for t in range(trials)]
-    ev = BatchEvaluator(np.array(forms, dtype=object).reshape(trials, n + 1), prime=None)
-    nonzero = [ev.scalar(e)[0] != 0 for e in exprs]
+    nonzero = np.zeros((len(exprs), trials), dtype=bool)
+    for lo in range(0, trials, NULLFORM_CHUNK):
+        hi = min(lo + NULLFORM_CHUNK, trials)
+        forms = [_integer_row(random_nullform(n, QQ, seed * 100003 + t)) for t in range(lo, hi)]
+        ev = BatchEvaluator(np.array(forms, dtype=object), prime=None)
+        for i, e in enumerate(exprs):
+            nonzero[i, lo:hi] = ev.scalar(e)[0] != 0
+        del ev
     failures: List[str] = []
     for t in range(trials):
         bad = [str(i) for i, nz in enumerate(nonzero) if nz[t]]

@@ -28,7 +28,7 @@ from binforms.cli import main
 from binforms.exprs import Evaluator, F, Pow, Tr, tr
 from binforms.forms import BinaryForm, random_form
 from binforms.nullcone import random_nullform
-from binforms.pipeline import PointEvaluations, PointSet, VanishReport
+from binforms.pipeline import NULLFORM_CHUNK, PointEvaluations, PointSet, VanishReport
 from binforms.rings import QQ, PrimeField
 from closed_form import transvectant as oracle_transvectant
 from dual_numbers import DualNumbers
@@ -284,7 +284,12 @@ def _qq_nullform_loop(exprs, n, trials, seed):
     return all_vanish, tuple(failures)
 
 
-@pytest.mark.parametrize("trials", [1, 10, 23, 100])
+@pytest.mark.parametrize(
+    "trials",
+    # Around the chunk edges an off-by-one in the exact batches would drop,
+    # repeat or misnumber a failing trial.
+    [1, 10, 23, 100, NULLFORM_CHUNK - 1, NULLFORM_CHUNK, NULLFORM_CHUNK + 1, 2 * NULLFORM_CHUNK + 1],
+)
 def test_nullform_failures_match_rational_loop(monkeypatch, trials):
     real = pipeline.random_nullform
 
@@ -305,6 +310,22 @@ def test_nullform_failures_match_rational_loop(monkeypatch, trials):
     assert failures and failures[0].endswith("index 0,2")
     if trials > 1:
         assert all_vanish
+
+
+def test_exact_nullform_batches_hold_at_most_one_chunk(monkeypatch):
+    sizes = []
+
+    def spy(forms, prime, slopes=None):
+        if prime is None:
+            sizes.append(len(forms))
+        return BatchEvaluator(forms, prime, slopes)
+
+    monkeypatch.setattr(pipeline, "BatchEvaluator", spy)
+    j4 = catalog_for(9).closed("j_4")
+    trials = 3 * NULLFORM_CHUNK + 1
+    rep = pipeline.vanish_on_nullcone_sample([j4], 9, trials, seed=1, prime=32003)
+    assert sizes == [NULLFORM_CHUNK] * 3 + [1]
+    assert rep.nullform_trials == rep.nullform_all_vanish == trials
 
 
 def test_nullform_check_of_no_trials_and_negative_trials():

@@ -449,11 +449,15 @@ def test_base_expression_is_identity(capsys):
     assert out.strip() == "3: 1,2,3,4"
 
 
-def test_help_round_trips():
+def test_help_round_trips(capsys):
     for argv in (["--help"], ["poincare", "--help"], ["hsop", "check", "--help"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
+    # The last help is `hsop check`'s; argparse wraps it to the terminal width.
+    text = " ".join(capsys.readouterr().out.split())
+    assert "nullcone criterion; 0 skips it" in text
+    assert "membership ranks with the Poincare numerator" in text
 
 
 def test_installed_entry_point_runs():
