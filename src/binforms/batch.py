@@ -28,16 +28,14 @@ coordinate directions yields a whole gradient.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import perm
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .exprs import Base, Expr, Pow, Tr
 from .forms import integer_weights
-from .rings import PrimeField
 
 Jet = Tuple[np.ndarray, ...]
 
@@ -71,9 +69,8 @@ def band(m: int, n: int, k: int, prime: Optional[int]) -> Tuple[np.ndarray, ...]
         w = np.array(weights, dtype=object)
     else:
         check_int64(m, n, prime)
-        pref = PrimeField(prime).from_fraction(
-            Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
-        )
+        # pref = (m-k)! (n-k)! / (m! n!) = 1 / (perm(m, k) perm(n, k)).
+        pref = pow(perm(m, k) * perm(n, k), -1, prime)
         w = np.array([x * pref % prime for x in weights], dtype=np.int64)
     table = (*np.array(pairs).T, w, np.array(starts))
     for a in table:

@@ -40,7 +40,7 @@ from .cache import EvalCache
 from .exprs import Expr, F, expr_to_text, tr
 from .modlinalg import StreamingEchelon, rank as matrix_rank
 from .nullcone import random_nullform
-from .rings import QQ, is_prime
+from .rings import QQ, is_prime, randbelow
 from .series import (
     SEED_DEGREES, PoincareRational, _div_one_minus_tk, invariant_dimension,
     poincare_series, to_rational,
@@ -91,8 +91,9 @@ class PipelineConfig(NamedTuple):
 
 def _random_forms(rng: random.Random, n: int, count: int, prime: int) -> np.ndarray:
     """`count` forms of order n over F_p, shape (count, n + 1), drawn row by row."""
+    gb = rng.getrandbits
     return np.array(
-        [[rng.randrange(prime) for _ in range(n + 1)] for _ in range(count)],
+        [[randbelow(gb, prime) for _ in range(n + 1)] for _ in range(count)],
         dtype=np.int64,
     ).reshape(count, n + 1)
 
@@ -228,8 +229,18 @@ def _product_rows(
 Closing = Tuple[int, int, int]  # (pool index i, pool index j >= i, order)
 
 
+def _shuffle(rng: random.Random, items: list) -> None:
+    """Shuffle `items` in place by Fisher-Yates: for i = L-1 .. 1, swap
+    items[i] with items[randbelow(i + 1)]."""
+    gb = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        j = randbelow(gb, i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def _shuffle_draws(rng: random.Random, count: int) -> None:
-    """Make the draws of `rng.shuffle` on `count` items (its `_randbelow`)."""
+    """Make the draws `_shuffle` makes on `count` items, without the items:
+    `randbelow(n)` for n = count .. 2, its rejection loop written out."""
     getrandbits = rng.getrandbits
     for n in range(count, 1, -1):
         k = n.bit_length()
@@ -280,6 +291,14 @@ class CandidateGenerator:
     every closing already emitted, builds and shuffles no list: it makes
     the draws a shuffle of that many items makes (`_shuffle_draws`), which
     leaves the rng in the same state.
+
+    Every draw goes through `rings.randbelow` on the rng's `getrandbits`:
+    `grow` picks pool entries with `randbelow(len(pool))` and a transvectant
+    index with `lo + randbelow(top + 1 - lo)`, `_shuffle` takes
+    `randbelow(i + 1)`, and `_shuffle_draws` makes the same calls with the
+    loop written out.  The streams equal those of CPython 3.11's
+    `randrange`, `randint` and `shuffle` (tested), but depend only on
+    `getrandbits`.
     """
 
     def __init__(self, n: int, seed: int):
@@ -296,15 +315,18 @@ class CandidateGenerator:
             self._seen_pool.add(e)
 
     def grow(self, max_degree: int, steps: int = 12) -> None:
+        gb = self.rng.getrandbits
+        pool = self._pool
         for _ in range(steps):
-            (ea, oa, da) = self._pool[self.rng.randrange(len(self._pool))]
-            (eb, ob, db) = self._pool[self.rng.randrange(len(self._pool))]
+            (ea, oa, da) = pool[randbelow(gb, len(pool))]
+            (eb, ob, db) = pool[randbelow(gb, len(pool))]
             if da + db > max_degree:
                 continue
             top = min(oa, ob)
             if top == 0:
                 continue
-            idx = self.rng.randint(0 if oa + ob <= self.order_cap else 1, top)
+            lo = 0 if oa + ob <= self.order_cap else 1
+            idx = lo + randbelow(gb, top + 1 - lo)
             if ea == eb and idx % 2 == 1:
                 continue  # (A, A)_odd vanishes identically
             order = oa + ob - 2 * idx
@@ -314,7 +336,7 @@ class CandidateGenerator:
             if e in self._seen_pool:
                 continue
             self._seen_pool.add(e)
-            self._pool.append((e, order, da + db))
+            pool.append((e, order, da + db))
 
     def _indexed(self, m: int) -> _ClosingIndex:
         """The index of the closings of degree m, extended to the whole pool."""
@@ -352,7 +374,7 @@ class CandidateGenerator:
                 _shuffle_draws(self.rng, index.count)
             else:
                 closings = self._closings(m)
-                self.rng.shuffle(closings)
+                _shuffle(self.rng, closings)
                 for closing in closings:
                     if closing in self._seen_out:
                         continue
@@ -466,11 +488,12 @@ def _rational_form(n: int, degrees: Sequence[int]) -> Optional[PoincareRational]
 
 
 def _stop_bound(n: int) -> Optional[int]:
-    """Degree beyond which no basic invariant exists, from the reference
-    rational form (its numerator degree), when a seed sequence is known."""
+    """Degree beyond which no basic invariant exists, when a seed sequence is
+    known: the numerator degree of the reference rational form.  The ring of
+    invariants is Gorenstein with deg H(t) = -(n + 1), so that degree is
+    sum(seed) - (n + 1) (tested against the rational form)."""
     seed = SEED_DEGREES.get(n)
-    rat = None if seed is None else _rational_form(n, seed)
-    return rat.numerator_degree if rat else None
+    return None if seed is None else sum(seed) - (n + 1)
 
 
 def find_basic_invariants(
@@ -692,9 +715,7 @@ def certify_hsop(
             )
     rng = random.Random(f"jacobian:{cfg.seed}:{n}:{cfg.prime}")
     jranks = jacobian_rank(
-        exprs,
-        [[rng.randrange(cfg.prime) for _ in range(n + 1)] for _ in range(JACOBIAN_POINTS)],
-        n, cfg.prime,
+        exprs, _random_forms(rng, n, JACOBIAN_POINTS, cfg.prime), n, cfg.prime
     )
     jacobian_ok = max(jranks, default=0) == required
     if not jacobian_ok:

@@ -44,6 +44,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def randbelow(getrandbits, n: int) -> int:
+    """A uniform draw from range(n), n >= 1, made from `getrandbits` alone.
+
+    It makes the calls CPython's `Random._randbelow_with_getrandbits` makes:
+    `getrandbits(n.bit_length())` until the result is below n.  So with
+    `getrandbits = rng.getrandbits` it gives the value and leaves the rng
+    state that `randrange` with stop n would, without random.py's argument
+    checks (tested).
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class Ring:
     """Protocol base class; operations act on plain element values."""
 
@@ -110,7 +126,8 @@ class RationalField(Ring):
         return a * k
 
     def random(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        # The draws of randint on [-9, 9], then on [1, 9].
+        return Fraction(randbelow(rng.getrandbits, 19) - 9, randbelow(rng.getrandbits, 9) + 1)
 
     def __repr__(self):
         return "QQ"
@@ -161,7 +178,7 @@ class PrimeField(Ring):
         return a * k % self.p
 
     def random(self, rng):
-        return rng.randrange(self.p)
+        return randbelow(rng.getrandbits, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -7,9 +7,8 @@ classical Cayley-Sylvester count
 
 where N(n, d, w) is the number of partitions of w into at most d parts, each
 at most n (a coefficient of the Gaussian binomial [n+d, d]_q), and dim I_d = 0
-when nd is odd.  An independent oracle recomputes the same dimension as the
-nullity of the sl2 lowering operator on weight-space monomials; the two must
-agree and the test suite enforces it.
+when nd is odd.  The test suite checks it against an independent oracle, the
+nullity of the sl2 lowering operator on weight-space monomials.
 
 On top of the dimension table sit rational-form representations
 P(t) = a(t) / prod(1 - t^(d_i)), the divisibility restrictions on parameter
@@ -29,10 +28,6 @@ from functools import lru_cache
 from math import gcd, prod
 from operator import sub
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
-
-from .modlinalg import rank
 
 # Built-in parameter-system degree sequences, used to seed and bound the
 # minimal-ecriture search.  (For n = 9 these are Dixmier's degrees.)
@@ -84,61 +79,6 @@ def invariant_dimension(n: int, d: int) -> int:
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
     return poincare_series(n, d).dims[d]
-
-
-def _weight_monomials(n: int, d: int, w: int) -> List[Tuple[int, ...]]:
-    """Exponent tuples (m_0..m_n) with sum m_i = d and sum i*m_i = w."""
-    out: List[Tuple[int, ...]] = []
-
-    def rec(i: int, left: int, weight: int, acc: list):
-        if i == n:
-            # last variable contributes i = n per unit
-            if weight == left * n:
-                out.append(tuple(acc + [left]))
-            return
-        # bound: remaining weight must be achievable with exponents at i+1..n
-        for k in range(left + 1):
-            rem_w = weight - k * i
-            rem = left - k
-            if rem_w < 0 or rem_w > rem * n:
-                continue
-            rec(i + 1, rem, rem_w, acc + [k])
-
-    rec(0, d, w, [])
-    return out
-
-
-def dimension_by_lowering_operator(n: int, d: int) -> int:
-    """Independent dimension oracle: nullity of the sl2 lowering operator.
-
-    Enumerates the degree-d monomials in a_0..a_n of weight nd/2 and computes
-    the rank of L = sum_i (n - i) a_(i+1) d/d a_i into the weight-(nd/2 + 1)
-    monomials.  The rank is taken modulo two distinct large primes, which must
-    agree; entries are tiny so rank loss at both primes would require two
-    independent miracles.
-    """
-    if (n * d) % 2 == 1:
-        return 0
-    if d == 0:
-        return 1
-    w = n * d // 2
-    sources = _weight_monomials(n, d, w)
-    targets = _weight_monomials(n, d, w + 1)
-    index = {mono: j for j, mono in enumerate(targets)}
-    L = np.zeros((len(sources), len(targets)), dtype=np.int64)
-    for r, mono in enumerate(sources):
-        for i in range(n):
-            if mono[i] == 0:
-                continue
-            img = list(mono)
-            img[i] -= 1
-            img[i + 1] += 1
-            L[r, index[tuple(img)]] += (n - i) * mono[i]
-    r1 = rank(L, 2147483629)
-    r2 = rank(L, 2147483647)
-    if r1 != r2:
-        raise ArithmeticError("modular ranks disagree; escalate to exact arithmetic")
-    return len(sources) - r1
 
 
 class DimTable(NamedTuple):

@@ -28,12 +28,12 @@ from binforms.pipeline import (
 )
 from binforms.rings import QQ, PrimeField
 from binforms.series import (
-    dimension_by_lowering_operator,
     ecriture_minimale_search,
     invariant_dimension,
     poincare_series,
     to_rational,
 )
+from lowering_operator import dimension_by_lowering_operator
 
 EXTENDED = os.environ.get("BINFORMS_EXTENDED") == "1"
 P = 32003

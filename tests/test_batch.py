@@ -355,6 +355,21 @@ def test_stdout_matches_scalar_path_golden_file(capsys, argv, golden):
     assert out == (DATA / golden).read_text()
 
 
+def test_no_library_draw_goes_through_random_py(capsys, monkeypatch):
+    # Every seeded draw is `rings.randbelow` on `getrandbits`, so the golden
+    # streams come out with random.py's Python-level draws disabled.
+    def disabled(*args, **kwargs):
+        raise AssertionError("a draw went through random.py")
+
+    for name in ("randrange", "randint", "shuffle", "_randbelow"):
+        monkeypatch.setattr(random.Random, name, disabled)
+    for argv, golden in (
+        (BASIS_ARGV, "basis_n9_max12_seed1.json"),
+        (HSOP_ARGV, "hsop_check_thm_4_8_12_seed1.json"),
+    ):
+        assert _run(capsys, argv) == (0, (DATA / golden).read_text()), golden
+
+
 def test_degree_16_basis_stdout_is_pinned(capsys):
     # The goldens above stop at degree 12, where every point set is small.
     code, out = _run(capsys, ["basis", "--n", "9", "--max-degree", "16", "--json"])

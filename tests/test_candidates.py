@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from binforms import pipeline
 from binforms.exprs import expr_meta, expr_to_text, tr
-from binforms.pipeline import CandidateGenerator, _shuffle_draws
+from binforms.pipeline import CandidateGenerator, _shuffle, _shuffle_draws
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "candidate_streams.json").read_text())
 DRAWS = GOLDEN["draws"]
@@ -113,14 +113,18 @@ def _lengths_around_powers_of_two(top):
 
 
 def test_shuffle_draws_leave_the_rng_state_a_shuffle_leaves():
-    # `_shuffle_draws` relies on how CPython's `Random.shuffle` draws (one
-    # `_randbelow(i + 1)` for i = L-1 .. 1, by rejection on getrandbits).
+    # `_shuffle` and `_shuffle_draws` rely on how CPython's `Random.shuffle`
+    # draws (one `_randbelow(i + 1)` for i = L-1 .. 1, by rejection on
+    # getrandbits); `_shuffle` must also leave the same list.
     for seed in (0, 1, "candidates:1:9", 2 ** 40 + 3):
-        drawn, shuffled = random.Random(seed), random.Random(seed)
+        drawn, mine, cpython = (random.Random(seed) for _ in range(3))
         for length in _lengths_around_powers_of_two(5000):
             _shuffle_draws(drawn, length)
-            shuffled.shuffle(list(range(length)))
-            assert drawn.getstate() == shuffled.getstate(), (seed, length)
+            ours, theirs = list(range(length)), list(range(length))
+            _shuffle(mine, ours)
+            cpython.shuffle(theirs)
+            assert ours == theirs, (seed, length)
+            assert drawn.getstate() == mine.getstate() == cpython.getstate(), (seed, length)
 
 
 def test_reopened_stream_yields_exactly_the_closings_not_yet_yielded():

@@ -23,7 +23,7 @@ from binforms.pipeline import (
     monomials_of_degree,
     vanish_on_nullcone_sample,
 )
-from binforms.series import invariant_dimension
+from binforms.series import SEED_DEGREES, invariant_dimension, poincare_series, to_rational
 
 CFG = PipelineConfig(seed=1)
 P = CFG.prime
@@ -248,6 +248,14 @@ def test_stop_bound_halts_sextic_campaign():
     table = find_basic_invariants(6, 30, PipelineConfig(seed=6))
     assert max(table.evidence) == 15
     assert table.total() == 5
+
+
+def test_stop_bound_is_the_numerator_degree_of_the_seed_rational_form():
+    for n, seed in SEED_DEGREES.items():
+        rat = to_rational(poincare_series(n, sum(seed) + max(seed)), seed)
+        assert pipeline._stop_bound(n) == rat.numerator_degree, n
+    assert pipeline._stop_bound(5) is None
+    assert pipeline._stop_bound(8) is None
 
 
 def test_prime_guard():

@@ -4,11 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from binforms.rings import QQ, PrimeField, is_prime
+from binforms.rings import QQ, PrimeField, is_prime, randbelow
 from dual_numbers import DualNumbers
 
 P = 32003
 GF = PrimeField(P)
+
+SEEDS = (0, 1, "candidates:1:9", 2 ** 40 + 3)
+# Bounds at and around every bit-length change up to 2^33, and the primes
+# the library draws below.
+BOUNDS = sorted(
+    {1, 2, 3, 32003, 2 ** 31 - 1, 696735691}
+    | {b for k in range(1, 34) for b in (2 ** k - 1, 2 ** k, 2 ** k + 1)}
+)
 
 
 def test_prime_validation():
@@ -18,6 +26,27 @@ def test_prime_validation():
         PrimeField(2)
     assert is_prime(32003)
     assert not is_prime(1)
+
+
+def test_randbelow_makes_the_draws_of_randrange():
+    # `randbelow` relies on how CPython's `randrange(n)` draws (its
+    # `_randbelow`: rejection on getrandbits(n.bit_length())).
+    for seed in SEEDS:
+        drawn, reference = random.Random(seed), random.Random(seed)
+        for n in BOUNDS:
+            for _ in range(3):
+                assert randbelow(drawn.getrandbits, n) == reference.randrange(n), (seed, n)
+                assert drawn.getstate() == reference.getstate(), (seed, n)
+
+
+def test_randbelow_with_an_offset_makes_the_draws_of_randint():
+    for seed in SEEDS:
+        drawn, reference = random.Random(seed), random.Random(seed)
+        for lo in (-9, 0, 1):
+            for top in (lo - 1 + n for n in BOUNDS):
+                got = lo + randbelow(drawn.getrandbits, top + 1 - lo)
+                assert got == reference.randint(lo, top), (seed, lo, top)
+                assert drawn.getstate() == reference.getstate(), (seed, lo, top)
 
 
 @given(st.integers(), st.integers())

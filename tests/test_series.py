@@ -6,7 +6,6 @@ from binforms.series import (
     DegreeSequence,
     EcritureContext,
     check_sequence,
-    dimension_by_lowering_operator,
     ecriture_minimale_search,
     invariant_dimension,
     min_degree_count,
@@ -15,6 +14,7 @@ from binforms.series import (
     series_numerator,
     to_rational,
 )
+from lowering_operator import dimension_by_lowering_operator
 
 # Printed expansion of the nonic series: every nonzero dimension through 66.
 NONIC_DIMS = {
