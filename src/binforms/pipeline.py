@@ -31,12 +31,11 @@ from __future__ import annotations
 import random
 from itertools import chain
 from math import ceil, lcm
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .batch import BatchEvaluator, check_int64
-from .cache import EvalCache
 from .exprs import Expr, F, expr_to_text, tr
 from .modlinalg import StreamingEchelon, rank as matrix_rank
 from .nullcone import random_nullform
@@ -45,6 +44,9 @@ from .series import (
     SEED_DEGREES, PoincareRational, _div_one_minus_tk, invariant_dimension,
     poincare_series, to_rational,
 )
+
+if TYPE_CHECKING:
+    from .cache import EvalCache
 
 
 MARGIN_FRAC = 0.05

@@ -1,12 +1,17 @@
 import argparse
+import gc
 import hashlib
+import importlib
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from binforms import cli
 from binforms.cli import build_parser, main, parse_form_literal
 from binforms.rings import QQ
 
@@ -468,6 +473,117 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dims"]["8"] == 8
+
+
+# The process entry, `cli.run`: `python -m binforms.cli` and the `binforms`
+# console script freeze the heap before exiting; in-process `main` does not.
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).parent / "data"
+
+# A sitecustomize that writes `gc.get_freeze_count()` to ./freeze_count when
+# the interpreter exits; atexit runs it after the entry's `sys.exit`.
+FREEZE_PROBE = """
+import atexit, gc
+
+def _report():
+    with open("freeze_count", "w") as out:
+        out.write(str(gc.get_freeze_count()))
+
+atexit.register(_report)
+"""
+
+
+def run_entry(tmp_path, *argv, python=("-m", "binforms.cli")):
+    """(exit code, stdout, stderr, frozen objects at exit) of one CLI process."""
+    probe = tmp_path / "probe"
+    probe.mkdir(exist_ok=True)
+    (probe / "sitecustomize.py").write_text(FREEZE_PROBE)
+    (tmp_path / "freeze_count").unlink(missing_ok=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(probe), str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, *python, *argv], cwd=tmp_path, env=env, capture_output=True, timeout=300,
+    )
+    frozen = int((tmp_path / "freeze_count").read_text())
+    return proc.returncode, proc.stdout, proc.stderr, frozen
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("basis", "--n", "9", "--max-degree", "12", "--json"), "basis_n9_max12_seed1.json"),
+        (
+            ("hsop", "check", "--n", "9", "--set", "thm", "--membership-degrees", "4,8,12",
+             "--trials", "100", "--json"),
+            "hsop_check_thm_4_8_12_seed1.json",
+        ),
+    ],
+)
+def test_entry_freezes_the_heap_and_prints_the_golden(tmp_path, argv, golden):
+    code, out, err, frozen = run_entry(tmp_path, *argv)
+    assert (code, out, err) == (0, (DATA / golden).read_bytes(), b"")
+    assert frozen > 0
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, stderr",
+    [
+        (("hsop", "membership", "--n", "9", "--set", "hprime", "--degrees", "12"), 1, b""),
+        (
+            ("basis", "--n", "9", "--max-degree", "12", "--prime", "4"),
+            2,
+            b"error: prime 4 is not an odd prime\n",
+        ),
+    ],
+)
+def test_entry_keeps_exit_code_and_stderr(tmp_path, argv, exit_code, stderr):
+    code, _, err, frozen = run_entry(tmp_path, *argv)
+    assert (code, err) == (exit_code, stderr)
+    assert frozen > 0
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "poincare", "--n", "9", "--max-degree", "8")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_cache_written_through_the_entry_equals_in_process_main(capsys, tmp_path):
+    # Frozen cyclic garbage is never finalized, so no cache write may wait
+    # for a finalizer: the buckets must be complete when the process exits.
+    argv = ("basis", "--n", "9", "--max-degree", "10", "--json")
+    entry, direct = tmp_path / "entry", tmp_path / "direct"
+    code, out, err, _ = run_entry(tmp_path, *argv, "--cache-dir", str(entry))
+    assert (code, err) == (0, b"") and out
+    assert run_entry(tmp_path, *argv, "--cache-dir", str(entry))[:3] == (0, out, b"")
+    assert run_cli(capsys, *argv, "--cache-dir", str(direct)) == (0, out.decode(), "")
+    assert _files(entry) and _files(entry) == _files(direct)
+
+
+def _console_script_target():
+    text = (ROOT / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ImportError:  # Python 3.10
+        return re.search(r'^binforms = "(.+)"$', text, re.M).group(1)
+    return tomllib.loads(text)["project"]["scripts"]["binforms"]
+
+
+def test_console_script_runs_the_entry_of_python_dash_m(tmp_path):
+    module, _, name = _console_script_target().partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    argv = ("poincare", "--n", "9", "--max-degree", "8")
+    # What an installed console script runs.
+    script = f"import sys; from {module} import {name}; sys.exit({name}())"
+    code, out, err, frozen = run_entry(tmp_path, *argv, python=("-c", script))
+    assert (code, out, err) == run_entry(tmp_path, *argv)[:3]
+    assert code == 0 and out and frozen > 0
 
 
 def test_hsop_check_rejects_int64_unsafe_prime_before_degree_filter(capsys, monkeypatch):

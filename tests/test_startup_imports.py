@@ -4,6 +4,7 @@ The commands run in fresh interpreters, so `sys.modules` shows exactly what
 one command line imported.  `hashlib` maps OpenSSL's libcrypto, which costs
 every process a few MB of resident memory; no command needs it, also not
 with a cache directory, whose files are named by their point-set keys.
+`binforms.cache` itself loads only when a command is given `--cache-dir`.
 Records are named tuples, not dataclasses: `dataclasses` generates and
 `exec`s source text for every decorated class, at every start-up.
 """
@@ -58,7 +59,8 @@ def test_basis_loads_neither_hashlib_nor_catalog_multipoly_or_csv(tmp_path):
     modules = set(run_command(tmp_path, *BASIS)["modules"])
     assert "binforms.pipeline" in modules
     loaded = modules & {
-        "hashlib", "_hashlib", "binforms.catalog", "binforms.multipoly", "csv", "dataclasses",
+        "hashlib", "_hashlib", "binforms.cache", "binforms.catalog", "binforms.multipoly", "csv",
+        "dataclasses",
     }
     assert not loaded
 
@@ -66,12 +68,13 @@ def test_basis_loads_neither_hashlib_nor_catalog_multipoly_or_csv(tmp_path):
 def test_hsop_check_without_a_cache_loads_no_hashlib(tmp_path):
     modules = set(run_command(tmp_path, *HSOP_CHECK)["modules"])
     assert "binforms.catalog" in modules
-    assert not modules & {"hashlib", "_hashlib", "dataclasses"}
+    assert not modules & {"hashlib", "_hashlib", "binforms.cache", "dataclasses"}
 
 
 def test_cache_directory_loads_no_hashlib_and_names_files_by_key(tmp_path):
     cache = tmp_path / "cache"
     result = run_command(tmp_path, *BASIS, "--cache-dir", str(cache))
+    assert "binforms.cache" in result["modules"]
     assert not set(result["modules"]) & {"hashlib", "_hashlib"}
     files = {p.name for p in cache.iterdir()}
     names = {f"points-v2-{key.replace(':', '_')}.npy" for key in result["keys"]}
