@@ -4,14 +4,17 @@ Every F_p value the pipeline needs comes from here.  A covariant of order m
 evaluated at P base forms is an array of shape (P, m + 1), one row of
 coefficients per form.  A power is a chain of index-0 transvectants.
 
-Both modes, and the single-form `forms.transvectant`, share one weight
+Both modes, and the single-form `forms.transvectant`, apply one weight
 table.  `forms.integer_weights(m, n, k)` holds the integer weight W[u, v]
 that carries g_u * h_v into output coefficient u + v - k; the transvectant
-is pref * W with pref = (m-k)! (n-k)! / (m! n!).  `transvect` is one kernel
-for every mode: it gathers the band of W (`band`), multiplies the gathered
-coefficients of both operands by its weights, and sums each output column
-with one `np.add.reduceat`.  Over F_p the weights are pref * W mod p and the
-sums are reduced mod p, exact in int64 within `check_int64`'s bound.
+is pref * W with pref = (m-k)! (n-k)! / (m! n!), and W factors through the
+derivative factors D = `forms.derivative_weights` of the two operands.
+`transvect` is one kernel for every mode: it gathers the band of W (`band`),
+multiplies the gathered coefficients of both operands by its weights, and
+sums each output column with one `np.add.reduceat`.  Over F_p the weights
+are pref * W mod p, one int64 product of the factors reduced mod p and
+reduced once more (the delayed reduction of FFLAS-FFPACK), and the sums are
+reduced mod p, all exact in int64 within `check_int64`'s bound.
 
 With `prime=None` the batch is exact over the integers instead: values are
 object arrays of Python ints, nothing is reduced, and the weights are W
@@ -29,13 +32,13 @@ coordinate directions yields a whole gradient.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import perm
+from math import comb, perm
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .exprs import Base, Expr, Pow, Tr
-from .forms import integer_weights
+from .forms import derivative_weights, integer_weights
 
 Jet = Tuple[np.ndarray, ...]
 
@@ -51,28 +54,54 @@ def check_int64(m: int, n: int, prime: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def _layout(m: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every coefficient pair (u, v) of orders m and n, ordered by (u + v, u).
+
+    Returns (U, V, offsets): the pairs with u + v = s are entries offsets[s]
+    to offsets[s + 1].  Read-only and shared by every index k.
+    """
+    s = np.add.outer(np.arange(m + 1), np.arange(n + 1)).ravel()
+    # Entry u * (n + 1) + v of the flat grid; a stable sort by u + v keeps
+    # each diagonal in order of u.
+    order = np.argsort(s, kind="stable")
+    table = (*np.divmod(order, n + 1), np.searchsorted(s[order], np.arange(m + n + 2)))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _factors(m: int, k: int, prime: int) -> np.ndarray:
+    """`derivative_weights(m, k)` mod prime as a read-only int64 array."""
+    D = (np.array(derivative_weights(m, k), dtype=object) % prime).astype(np.int64)
+    D.flags.writeable = False
+    return D
+
+
+@lru_cache(maxsize=None)
 def band(m: int, n: int, k: int, prime: Optional[int]) -> Tuple[np.ndarray, ...]:
     """The band of `integer_weights(m, n, k)` by output column: (U, V, w, starts).
 
     Entry i carries g_U[i] * h_V[i] with weight w[i]; output column c sums
-    the entries from starts[c] to starts[c + 1].  Over F_p the weights are
-    pref * W mod p in int64; with `prime=None` they are W as Python ints.
-    The arrays are read-only and shared by every caller.
+    the entries from starts[c] to starts[c + 1], the pairs with u + v = c + k
+    in order of u.  Over F_p the weights are pref * W mod p in int64, from
+    (D_m * s) @ D_n[:, ::-1].T mod p with s_i = pref (-1)^i C(k, i) mod p:
+    each of the product's k + 1 terms is below (p - 1)^2, within
+    `check_int64`'s bound.  With `prime=None` they are W as Python ints.  The
+    arrays are read-only and shared by every caller.
     """
-    W = integer_weights(m, n, k)
-    pairs, starts = [], []
-    for c in range(m + n - 2 * k + 1):
-        starts.append(len(pairs))
-        pairs += [(u, c + k - u) for u in range(max(0, c + k - n), min(m, c + k) + 1)]
-    weights = [W[u][v] for u, v in pairs]
     if prime is None:
-        w = np.array(weights, dtype=object)
+        W = np.array(integer_weights(m, n, k), dtype=object)
     else:
         check_int64(m, n, prime)
         # pref = (m-k)! (n-k)! / (m! n!) = 1 / (perm(m, k) perm(n, k)).
         pref = pow(perm(m, k) * perm(n, k), -1, prime)
-        w = np.array([x * pref % prime for x in weights], dtype=np.int64)
-    table = (*np.array(pairs).T, w, np.array(starts))
+        s = np.array([(-1) ** i * comb(k, i) * pref % prime for i in range(k + 1)])
+        W = (_factors(m, k, prime) * s % prime) @ _factors(n, k, prime)[:, ::-1].T % prime
+    U, V, offsets = _layout(m, n)
+    lo, hi = offsets[k], offsets[m + n - k + 1]
+    U, V = U[lo:hi], V[lo:hi]
+    table = (U, V, W[U, V], offsets[k : m + n - k + 1] - lo)
     for a in table:
         a.flags.writeable = False
     return table

@@ -11,26 +11,40 @@ so golden-file comparisons are byte-stable.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import io
-import json
-import sys
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
 
-from .exprs import Evaluator, expr_from_text, expr_meta, expr_to_text
-from .forms import BinaryForm
-from .nullcone import is_nullform, root_multiplicity_max, verify_lemma_expansions
-from .pipeline import (
-    PipelineConfig,
-    SaturationError,
-    certify_hsop,
-    find_basic_invariants,
-    ideal_membership_dim,
-)
-from .rings import QQ, PrimeField
-from .series import SEED_DEGREES, ecriture_minimale_search, poincare_series
+# Every object the imports below allocate, some 34,000 mostly from numpy,
+# lives as long as the process, yet the allocations would trigger about 35
+# cyclic collections (6-10 ms) that walk them over and over.  So collection
+# pauses for the imports and the heap they built is frozen out of every
+# later collection; collection resumes only if the importer had it on, and
+# the finally ends the pause even when an import fails.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import io
+    import json
+    import sys
+    from fractions import Fraction
+    from typing import List, Optional, Sequence, Tuple
+
+    from .exprs import Evaluator, expr_from_text, expr_meta, expr_to_text
+    from .forms import BinaryForm
+    from .nullcone import is_nullform, root_multiplicity_max, verify_lemma_expansions
+    from .pipeline import (
+        PipelineConfig,
+        SaturationError,
+        certify_hsop,
+        find_basic_invariants,
+        ideal_membership_dim,
+    )
+    from .rings import QQ, PrimeField
+    from .series import SEED_DEGREES, ecriture_minimale_search, poincare_series
+finally:
+    gc.freeze()
+    if _collecting:
+        gc.enable()
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -542,8 +556,11 @@ def run() -> None:
     of `hsop check`, in two sessions).  Output flushing, atexit handlers and module teardown
     still run; only cyclic garbage among frozen objects is never finalized,
     so no file write may wait for a finalizer.  `os._exit` would save about
-    5 ms more but skip the atexit handlers and the stdio flush.  In-process
-    callers use `main()`, which leaves the heap unfrozen.
+    5 ms more but skip the atexit handlers and the stdio flush.  The heap
+    the imports built was already frozen when this module loaded (the block
+    above its imports), so `main()` starts with it frozen in every caller;
+    this second freeze adds what `main()` allocated.  In-process callers use
+    `main()`, which freezes nothing more.
     """
     code = main()
     gc.freeze()

@@ -28,7 +28,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
-from typing import Tuple
+from typing import List, Tuple
 
 from .rings import Ring
 
@@ -135,25 +135,50 @@ class BinaryForm:
         return f"BinaryForm(order={self.order}, coeffs={list(self.coeffs)})"
 
 
+# _FALLING[x][t] = (x)_t = perm(x, t), zero for t > x: one square table,
+# rebuilt larger when an order beyond it is asked for.
+_FALLING: List[List[int]] = []
+
+
+@lru_cache(maxsize=None)
+def derivative_weights(m: int, k: int) -> Tuple[Tuple[int, ...], ...]:
+    """The derivative factor of order m and index k: m+1 rows of k+1.
+
+    D[u][j] = (m-u)_{k-j} (u)_j is the integer that d^k / dx^(k-j) dy^j takes
+    x^(m-u) y^u to, times x^(m-u-k+j) y^(u-j); (x)_t = perm(x, t) is the
+    falling factorial.  The table is a tuple of rows of Python ints, shared
+    by every caller.
+    """
+    if not 0 <= k <= m:
+        raise ValueError(f"transvectant index {k} exceeds order {m}")
+    if len(_FALLING) <= m:
+        _FALLING[:] = [[perm(x, t) for t in range(m + 1)] for x in range(m + 1)]
+    F = _FALLING
+    return tuple(tuple(map(operator.mul, F[m - u][k::-1], F[u][: k + 1])) for u in range(m + 1))
+
+
 @lru_cache(maxsize=None)
 def integer_weights(m: int, n: int, k: int) -> Tuple[Tuple[int, ...], ...]:
     """The integer weights of (g, h)_k on coefficient pairs: m+1 rows of n+1.
 
-    Entry (u, v) carries g_u * h_v into output coefficient u + v - k:
+    Entry (u, v) carries g_u * h_v into output coefficient u + v - k.  With
+    the derivative factors D_m = `derivative_weights(m, k)` and D_n of h,
 
-        W[u, v] = sum_i (-1)^i C(k, i) (m-u)_{k-i} (u)_i (n-v)_i (v)_{k-i}
+        W[u, v] = sum_i (-1)^i C(k, i) D_m[u][i] D_n[v][k-i]
+                = sum_i (-1)^i C(k, i) (m-u)_{k-i} (u)_i (n-v)_i (v)_{k-i}
 
-    where (x)_t = perm(x, t) is the falling factorial; (g, h)_k = pref * W with
-    pref = (m-k)! (n-k)! / (m! n!).  This is the derivative sum of the module
-    docstring with d^a/dx^a d^b/dy^b of x^(m-u) y^u written out.  Every term
-    vanishes off the band 0 <= u + v - k <= m + n - 2k.  The table is a tuple
-    of rows of Python ints, shared by every caller.
+    and (g, h)_k = pref * W with pref = (m-k)! (n-k)! / (m! n!).  This is the
+    derivative sum of the module docstring with d^a/dx^a d^b/dy^b of
+    x^(m-u) y^u written out.  Every term vanishes off the band
+    0 <= u + v - k <= m + n - 2k.  The table is a tuple of rows of Python
+    ints, shared by every caller; `batch` builds its F_p tables from the
+    factors directly, as one product of two matrices.
     """
     if not 0 <= k <= min(m, n):
         raise ValueError(f"transvectant index {k} exceeds min(order) = {min(m, n)}")
     sign = [(-1) ** i * comb(k, i) for i in range(k + 1)]
-    left = [[perm(m - u, k - i) * perm(u, i) for i in range(k + 1)] for u in range(m + 1)]
-    right = [[sign[i] * perm(n - v, i) * perm(v, k - i) for i in range(k + 1)] for v in range(n + 1)]
+    left = [list(map(operator.mul, sign, row)) for row in derivative_weights(m, k)]
+    right = [row[::-1] for row in derivative_weights(n, k)]
     return tuple(tuple(sum(map(operator.mul, lu, rv)) for rv in right) for lu in left)
 
 

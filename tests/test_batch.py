@@ -5,9 +5,11 @@ GF(p) (or over dual numbers for slopes) behind the `BatchEvaluator`
 interface.  Swapping it into the pipeline reproduces the scalar path end to
 end, which the golden-output tests use.  The exact integer mode is checked
 against the scalar `Evaluator` over QQ, and the nullform check against the
-per-trial QQ loop it replaced.  Both kernels apply `forms.integer_weights`,
-so the kernel tests compare them with the derivative-sum oracle of
-`closed_form` instead.
+per-trial QQ loop it replaced.  Both kernels apply the weights of
+`forms.integer_weights`, so the kernel tests compare them with the
+derivative-sum oracle of `closed_form` instead, and the band tables, which
+over F_p come from the derivative factors, with the per-pair loop of
+`loop_weights`.
 """
 
 import hashlib
@@ -30,6 +32,7 @@ from binforms.forms import BinaryForm, random_form
 from binforms.nullcone import random_nullform
 from binforms.pipeline import NULLFORM_CHUNK, PointEvaluations, PointSet, VanishReport
 from binforms.rings import QQ, PrimeField
+import loop_weights
 from closed_form import transvectant as oracle_transvectant
 from dual_numbers import DualNumbers
 
@@ -134,6 +137,25 @@ def test_band_table_is_cached_read_only_and_guarded():
     # The next prime is just outside the bound.
     with pytest.raises(ValueError, match="int64"):
         band(18, 18, 0, 696_735_727)
+
+
+@pytest.mark.parametrize("prime", [None, 32003, 696_735_691, 23])
+def test_band_tables_equal_the_per_pair_loop_through_order_20(prime):
+    # 696735691 passes `check_int64` only up to order 18 (the guard test
+    # above); both builders must reject the same larger orders.
+    for m in range(21):
+        for n in range(21):
+            for k in range(min(m, n) + 1):
+                try:
+                    want = loop_weights.band(m, n, k, prime)
+                except ValueError:
+                    with pytest.raises(ValueError, match="int64"):
+                        band(m, n, k, prime)
+                    continue
+                got = band(m, n, k, prime)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape, (m, n, k)
+                    assert (a == b).all(), (m, n, k)
 
 
 def test_point_set_and_values_are_pinned():

@@ -5,7 +5,16 @@ from math import comb
 import pytest
 
 import closed_form
-from binforms.forms import BinaryForm, random_form, random_sl2, sl2_act, transvectant
+import loop_weights
+from binforms.forms import (
+    BinaryForm,
+    derivative_weights,
+    integer_weights,
+    random_form,
+    random_sl2,
+    sl2_act,
+    transvectant,
+)
 from binforms.multipoly import PolynomialRing
 from binforms.rings import QQ, PrimeField
 
@@ -69,6 +78,17 @@ def test_transvectant_matches_derivative_sum_oracle_through_order_12():
                 for k in range(min(m, n) + 1):
                     want = closed_form.transvectant(g, h, k)
                     assert transvectant(g, h, k) == want, (g.ring, m, n, k)
+
+
+def test_integer_weights_equal_the_per_pair_loop_through_order_22():
+    for m in range(23):
+        for n in range(23):
+            for k in range(min(m, n) + 1):
+                assert integer_weights(m, n, k) == loop_weights.integer_weights(m, n, k), (m, n, k)
+    with pytest.raises(ValueError, match="min\\(order\\) = 2"):
+        integer_weights(2, 3, 3)
+    with pytest.raises(ValueError):
+        derivative_weights(2, 3)
 
 
 def test_odd_self_transvectant_vanishes():
