@@ -5,10 +5,9 @@ evaluated at P base forms is an array of shape (P, m + 1), one row of
 coefficients per form.  A power is a chain of index-0 transvectants.
 
 Both modes, and the single-form `forms.transvectant`, apply one weight
-table.  `forms.integer_weights(m, n, k)` holds the integer weight W[u, v]
-that carries g_u * h_v into output coefficient u + v - k; the transvectant
-is pref * W with pref = (m-k)! (n-k)! / (m! n!), and W factors through the
-derivative factors D = `forms.derivative_weights` of the two operands.
+table: W[u, v] carries g_u * h_v into output coefficient u + v - k, the
+transvectant is pref * W with pref = (m-k)! (n-k)! / (m! n!), and W is one
+product of the derivative factors D = `forms.derivative_weights` (`band`).
 `transvect` is one kernel for every mode: it gathers the band of W (`band`),
 multiplies the gathered coefficients of both operands by its weights, and
 sums each output column with one `np.add.reduceat`.  Over F_p the weights
@@ -38,7 +37,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .exprs import Base, Expr, Pow, Tr
-from .forms import derivative_weights, integer_weights
+from .forms import derivative_weights
 
 Jet = Tuple[np.ndarray, ...]
 
@@ -71,32 +70,33 @@ def _layout(m: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _factors(m: int, k: int, prime: int) -> np.ndarray:
-    """`derivative_weights(m, k)` mod prime as a read-only int64 array."""
-    D = (np.array(derivative_weights(m, k), dtype=object) % prime).astype(np.int64)
+def _factors(m: int, k: int, prime: Optional[int]) -> np.ndarray:
+    """`derivative_weights(m, k)` read-only: mod prime in int64, or Python ints."""
+    D = np.array(derivative_weights(m, k), dtype=object)
+    D = D if prime is None else (D % prime).astype(np.int64)
     D.flags.writeable = False
     return D
 
 
 @lru_cache(maxsize=None)
 def band(m: int, n: int, k: int, prime: Optional[int]) -> Tuple[np.ndarray, ...]:
-    """The band of `integer_weights(m, n, k)` by output column: (U, V, w, starts).
+    """The band of `forms.integer_weights(m, n, k)` by output column: (U, V, w, starts).
 
     Entry i carries g_U[i] * h_V[i] with weight w[i]; output column c sums
     the entries from starts[c] to starts[c + 1], the pairs with u + v = c + k
-    in order of u.  Over F_p the weights are pref * W mod p in int64, from
-    (D_m * s) @ D_n[:, ::-1].T mod p with s_i = pref (-1)^i C(k, i) mod p:
-    each of the product's k + 1 terms is below (p - 1)^2, within
-    `check_int64`'s bound.  With `prime=None` they are W as Python ints.  The
-    arrays are read-only and shared by every caller.
+    in order of u.  W = (D_m * s) @ D_n[:, ::-1].T with s_i = (-1)^i C(k, i),
+    in Python ints with `prime=None`.  Over F_p the weights are pref * W mod
+    p in int64, with pref folded into s mod p: each of the product's k + 1
+    terms is below (p - 1)^2, within `check_int64`'s bound.  The arrays are
+    read-only and shared by every caller.
     """
+    s = np.array([(-1) ** i * comb(k, i) for i in range(k + 1)], dtype=object)
     if prime is None:
-        W = np.array(integer_weights(m, n, k), dtype=object)
+        W = (_factors(m, k, None) * s) @ _factors(n, k, None)[:, ::-1].T
     else:
         check_int64(m, n, prime)
         # pref = (m-k)! (n-k)! / (m! n!) = 1 / (perm(m, k) perm(n, k)).
-        pref = pow(perm(m, k) * perm(n, k), -1, prime)
-        s = np.array([(-1) ** i * comb(k, i) * pref % prime for i in range(k + 1)])
+        s = (s * pow(perm(m, k) * perm(n, k), -1, prime) % prime).astype(np.int64)
         W = (_factors(m, k, prime) * s % prime) @ _factors(n, k, prime)[:, ::-1].T % prime
     U, V, offsets = _layout(m, n)
     lo, hi = offsets[k], offsets[m + n - k + 1]

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import gc
 
-# Every object the imports below allocate, some 34,000 mostly from numpy,
-# lives as long as the process, yet the allocations would trigger about 35
-# cyclic collections (6-10 ms) that walk them over and over.  So collection
-# pauses for the imports and the heap they built is frozen out of every
-# later collection; collection resumes only if the importer had it on, and
-# the finally ends the pause even when an import fails.
+# The objects the imports below allocate live as long as the process, so
+# cyclic collection pauses while they run, and the heap they built is then
+# frozen out of every later collection.  Collection resumes only if the
+# importer had it on; the finally ends the pause even when an import fails.
 _collecting = gc.isenabled()
 gc.disable()
 try:
@@ -547,20 +545,13 @@ def run() -> None:
     """Process entry point: `python -m binforms.cli` and the `binforms` script.
 
     Runs `main()` on `sys.argv`, freezes the heap with `gc.freeze()`, then
-    exits with main's code.  Interpreter shutdown runs full cyclic garbage
-    collections over every gc-tracked object still alive (about 22,000 after
-    `hsop check`, some 9,000 from numpy's import); frozen objects are
-    skipped, and the operating system reclaims their memory.  On a 2-vCPU VM (Python 3.11, numpy 2.4)
-    this took teardown, from the `sys.exit` call to the parent's `wait4`,
-    from 33-44 ms to 7-10 ms a process (medians of 20 runs of `basis` and
-    of `hsop check`, in two sessions).  Output flushing, atexit handlers and module teardown
-    still run; only cyclic garbage among frozen objects is never finalized,
-    so no file write may wait for a finalizer.  `os._exit` would save about
-    5 ms more but skip the atexit handlers and the stdio flush.  The heap
-    the imports built was already frozen when this module loaded (the block
-    above its imports), so `main()` starts with it frozen in every caller;
-    this second freeze adds what `main()` allocated.  In-process callers use
-    `main()`, which freezes nothing more.
+    exits with main's code, so the cyclic collections of interpreter
+    shutdown skip every object still alive.  Output flushing, atexit
+    handlers and module teardown still run; only cyclic garbage among
+    frozen objects is never finalized, so no file write may wait for a
+    finalizer.  The imports' heap is frozen when this module loads (the
+    block above its imports); this second freeze adds what `main()`
+    allocated.  In-process callers use `main()`, which freezes nothing more.
     """
     code = main()
     gc.freeze()

@@ -171,8 +171,8 @@ def integer_weights(m: int, n: int, k: int) -> Tuple[Tuple[int, ...], ...]:
     derivative sum of the module docstring with d^a/dx^a d^b/dy^b of
     x^(m-u) y^u written out.  Every term vanishes off the band
     0 <= u + v - k <= m + n - 2k.  The table is a tuple of rows of Python
-    ints, shared by every caller; `batch` builds its F_p tables from the
-    factors directly, as one product of two matrices.
+    ints, shared by every caller; `batch` builds its tables from the factors
+    directly, as one product of two matrices.
     """
     if not 0 <= k <= min(m, n):
         raise ValueError(f"transvectant index {k} exceeds min(order) = {min(m, n)}")

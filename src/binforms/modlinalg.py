@@ -9,16 +9,18 @@ forms stays below p**2, so it is exact while (p - 1)**2 < 2**63.
 so a rank lower bound can be certified without materializing the full
 matrix.  `add_rows` draws its rows lazily from any iterable, one chunk at a
 time, and stops drawing once the rank reaches its target; `add_row` inserts
-one row and says whether it raised the rank.  The reduction step runs on
+one row and says whether it raised the rank.  Each chunk is eliminated by
+recursive halving into matrix products, the recursive row echelon of
+FFLAS-FFPACK (Dumas, Giorgi & Pernet 2008), which also finds the chunk's
+row rank profile (Dumas, Pernet & Sultan 2015).  The products run on
 float64 matrices whose entries are exact integers (products stay below
-2**53), which turns the inner loop into BLAS calls while keeping the
-arithmetic exact.
+2**53): BLAS calls with exact arithmetic.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -56,115 +58,107 @@ class StreamingEchelon:
     Exactness bound: every inner product has at most rank <= n_cols terms,
     each below p**2, and must stay below 2**53; the constructor enforces it.
 
-    The basis lives in two tiers so the hot path is matrix products rather
-    than per-row updates: a `settled` tier in reduced echelon form, and a
-    small `fresh` tier of recently inserted rows (reduced against settled
-    and among themselves).  When fresh fills up it is folded into settled
-    with a single multiply.  Reducing an incoming row therefore takes two
-    products, and everything stays exact integers in float64.
+    The basis is one tier in reduced echelon form: row i of `_basis` has a 1
+    in column `_piv[i]` and a 0 in every other pivot column.  A block of
+    rows is reduced against the basis with one product, its row rank
+    profile is found by recursive halving (`_profile`), and the new rows are
+    folded in with one more product (`_fold`), so the hot path is a few
+    matrix products per block.
     """
 
-    _FOLD = 128
+    _CHUNK = 512
 
     def __init__(self, p: int, n_cols: int):
         if n_cols * (p - 1) ** 2 >= 2 ** 53:
             raise ValueError("p**2 * n_cols exceeds the exact float64 range")
         self.p = p
         self.n_cols = n_cols
-        self._settled = np.zeros((0, n_cols), dtype=np.float64)
-        self._spiv: List[int] = []
-        self._fresh = np.zeros((self._FOLD, n_cols), dtype=np.float64)
-        self._nfresh = 0
-        self._fpiv: List[int] = []
+        self._basis = np.empty((0, n_cols))
+        self._piv: List[int] = []
 
     @property
     def rank(self) -> int:
-        return len(self._spiv) + self._nfresh
+        return len(self._piv)
 
-    def _fold(self) -> None:
-        """Merge the fresh tier into the settled reduced echelon basis."""
-        if not self._nfresh:
-            return
-        fresh = self._fresh[: self._nfresh]
-        if self._settled.shape[0]:
-            coeff = self._settled[:, self._fpiv]
-            if coeff.any():
-                self._settled = (self._settled - coeff @ fresh) % self.p
-            self._settled = np.concatenate([self._settled, fresh])
-        else:
-            self._settled = fresh.copy()
-        self._spiv.extend(self._fpiv)
-        self._fpiv.clear()
-        self._nfresh = 0
-
-    def _reduce_block(self, B: np.ndarray) -> np.ndarray:
-        if self._spiv:
-            B = (B - B[:, self._spiv] @ self._settled) % self.p
-        if self._nfresh:
-            B = (B - B[:, self._fpiv] @ self._fresh[: self._nfresh]) % self.p
+    def _reduce_block(self, rows) -> np.ndarray:
+        B = np.asarray(rows, dtype=np.float64) % self.p
+        if B.ndim != 2 or B.shape[1] != self.n_cols:
+            raise ValueError(f"rows of shape {B.shape[1:]} != ({self.n_cols},)")
+        if self._piv:
+            B = (B - B[:, self._piv] @ self._basis[: self.rank]) % self.p
         return B
 
     def reduce(self, vec) -> np.ndarray:
         """Residue of `vec` modulo the current row space."""
-        v = np.asarray(vec, dtype=np.float64) % self.p
-        if v.shape != (self.n_cols,):
-            raise ValueError(f"row length {v.shape} != ({self.n_cols},)")
-        return self._reduce_block(v.reshape(1, -1))[0]
+        return self._reduce_block([vec])[0]
 
-    def _insert_reduced(self, v: np.ndarray) -> bool:
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        j = int(nz[0])
-        v = v * pow(int(v[j]), -1, self.p) % self.p
-        # Keep the fresh tier reduced against the new pivot.
-        fresh = self._fresh[: self._nfresh]
-        if self._nfresh:
-            col = fresh[:, j]
-            nzr = np.nonzero(col)[0]
-            if nzr.size:
-                fresh[nzr] = (fresh[nzr] - np.outer(col[nzr], v)) % self.p
-        self._fresh[self._nfresh] = v
-        self._nfresh += 1
-        self._fpiv.append(j)
-        return True
+    def _profile(self, B: np.ndarray) -> Tuple[List[int], np.ndarray, List[int]]:
+        """Row rank profile of `B`, whose rows are reduced against the basis.
+
+        Returns the indices of the rows that raise the rank of the rows
+        before them, the reduced echelon form R of those rows, and R's pivot
+        columns.  The halves are profiled in turn: the top half's R is
+        eliminated from the bottom half, and the bottom half's from the top
+        R, with one product each.
+        """
+        p = self.p
+        if not B.any():
+            return [], B[:0], []
+        if len(B) == 1:
+            j = int(np.flatnonzero(B[0])[0])
+            return [0], B * pow(int(B[0, j]), -1, p) % p, [j]
+        h = len(B) // 2
+        top, R1, p1 = self._profile(B[:h])
+        low = B[h:]
+        if p1:
+            low = (low - low[:, p1] @ R1) % p
+        bottom, R2, p2 = self._profile(low)
+        if p2:
+            R1 = (R1 - R1[:, p2] @ R2) % p
+        return top + [h + i for i in bottom], np.concatenate([R1, R2]), p1 + p2
+
+    def _fold(self, R: np.ndarray, piv: List[int]) -> None:
+        """Clear the pivot columns of R from the basis, then append R."""
+        r, k = self.rank, len(piv)
+        if not k:
+            return
+        if r + k > len(self._basis):
+            grown = np.empty((min(2 * (r + k), self.n_cols), self.n_cols))
+            grown[:r] = self._basis[:r]
+            self._basis = grown
+        for s in range(0, r, self._CHUNK):
+            slab = self._basis[s : min(s + self._CHUNK, r)]
+            slab -= slab[:, piv] @ R
+            slab %= self.p
+        self._basis[r : r + k] = R
+        self._piv += piv
 
     def add_row(self, vec) -> bool:
         """Insert a row; True if it increased the rank."""
-        added = self._insert_reduced(self.reduce(vec))
-        if self._nfresh == self._FOLD:
-            self._fold()
-        return added
+        _, R, piv = self._profile(self._reduce_block([vec]))
+        self._fold(R, piv)
+        return bool(piv)
 
     def add_rows(self, block, stop_at: Optional[int] = None) -> int:
         """Insert rows from `block`, a 2-D array or any iterable of rows,
         until the rank reaches `stop_at`; returns the rows consumed.
 
-        Rows are drawn one chunk at a time, at most as many as the fresh tier
-        has room for, so a fold can only happen between chunks and the new
-        pivots of the current chunk are a suffix of the fresh tier.  No row
-        past the chunk that reaches `stop_at` is drawn.
+        Rows are drawn `_CHUNK` at a time.  When a chunk's profile reaches
+        `stop_at`, the chunk is profiled again up to the row that reaches it
+        (the profile of a prefix is a prefix of the profile), and only rows
+        up to that one count as consumed.  No row past that chunk is drawn.
         """
         rows = iter(block)
         consumed = 0
         while stop_at is None or self.rank < stop_at:
-            chunk = list(islice(rows, self._FOLD - self._nfresh))
+            chunk = list(islice(rows, self._CHUNK))
             if not chunk:
                 break
-            B = np.asarray(chunk, dtype=np.float64) % self.p
-            if B.ndim != 2 or B.shape[1] != self.n_cols:
-                raise ValueError("block shape mismatch")
-            fresh_start = self._nfresh
-            for v in self._reduce_block(B):
-                if stop_at is not None and self.rank >= stop_at:
-                    break
-                new_piv = self._fpiv[fresh_start:]
-                if new_piv:
-                    coeffs = v[new_piv]
-                    if np.any(coeffs):
-                        v = (v - coeffs @ self._fresh[fresh_start : self._nfresh]) % self.p
-                self._insert_reduced(v)
-                consumed += 1
-            if self._nfresh == self._FOLD:
-                self._fold()
+            B = self._reduce_block(chunk)
+            index, R, piv = self._profile(B)
+            if stop_at is not None and self.rank + len(piv) >= stop_at:
+                B = B[: index[stop_at - self.rank - 1] + 1]
+                index, R, piv = self._profile(B)
+            consumed += len(B)
+            self._fold(R, piv)
         return consumed

@@ -201,8 +201,24 @@ def test_criterion_07_membership_extended(capsys):
     assert entry["dim"] == 3811
     assert entry["rank"] == 3811
     assert entry["certifies_containment"]
+    assert (entry["rows_used"], entry["points"]) == (16276, 4002)
     with capsys.disabled():
         conclude(7, "extended: I_36 inside H' at rank 3811", t0, 4 * 3600)
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(not EXTENDED, reason="set BINFORMS_EXTENDED=1 to run")
+def test_criterion_07_membership_below_dim_extended(capsys):
+    # The rank stays below dim, so the echelon takes every row in many
+    # chunks and never stops early.  Neither the exit code nor the verdict
+    # fields are pinned: both say only that no expected value exists.
+    t0 = time.time()
+    main(["hsop", "membership", "--n", "9", "--set", "hprime", "--degrees", "30", "--json"])
+    entry = json.loads(capsys.readouterr().out)["membership"][0]
+    assert (entry["degree"], entry["rank"], entry["dim"]) == (30, 1315, 1367)
+    assert (entry["rows_used"], entry["points"]) == (3059, 1436)
+    with capsys.disabled():
+        conclude(7, "extended: I_30 membership rank 1315 of dim 1367", t0, 4 * 3600)
 
 
 def test_criterion_08_dimension_oracle(capsys):

@@ -8,7 +8,7 @@ against the scalar `Evaluator` over QQ, and the nullform check against the
 per-trial QQ loop it replaced.  Both kernels apply the weights of
 `forms.integer_weights`, so the kernel tests compare them with the
 derivative-sum oracle of `closed_form` instead, and the band tables, which
-over F_p come from the derivative factors, with the per-pair loop of
+come from the derivative factors in both modes, with the per-pair loop of
 `loop_weights`.
 """
 

@@ -76,8 +76,11 @@ def test_streaming_row_length_mismatch():
 
 
 def test_streaming_draws_no_row_past_the_saturating_chunk():
+    chunk = StreamingEchelon._CHUNK
     rng = np.random.default_rng(12)
-    X = rng.integers(0, P, (400, 200))
+    X = rng.integers(0, P, (3 * chunk, 200))
+    # The first chunk spans only 100 dimensions, so it falls short of rank 150.
+    X[:chunk] = rng.integers(0, P, (chunk, 100)) @ X[:100] % P
     drawn = []
 
     def rows():
@@ -87,21 +90,62 @@ def test_streaming_draws_no_row_past_the_saturating_chunk():
 
     ech = StreamingEchelon(P, 200)
     consumed = ech.add_rows(rows(), stop_at=150)
-    assert (ech.rank, consumed) == (150, 150)
-    # The first chunk fills the fresh tier (128 rows); the second reaches
-    # rank 150 and no row of a third chunk is drawn.
-    assert len(drawn) == 2 * StreamingEchelon._FOLD
+    assert (ech.rank, consumed) == (150, chunk + 50)
+    # The second chunk reaches rank 150 and no row of a third chunk is drawn.
+    assert len(drawn) == 2 * chunk
 
 
-# 128 good rows fill the first chunk, so the second holds only short rows;
-# after 130 it mixes both lengths.
-@pytest.mark.parametrize("good, bad", [(128, 10), (130, 1)])
+# A full first chunk of good rows leaves only short rows in the second; with
+# two more good rows the second chunk mixes both lengths.
+@pytest.mark.parametrize(
+    "good, bad", [(StreamingEchelon._CHUNK, 10), (StreamingEchelon._CHUNK + 2, 1)]
+)
 def test_streaming_bad_row_length_in_a_later_chunk(good, bad):
     rows = iter([np.eye(5, dtype=np.int64)[i % 5] for i in range(good)] + [np.arange(4)] * bad)
     ech = StreamingEchelon(P, 5)
     with pytest.raises(ValueError):
         ech.add_rows(rows)
     assert ech.rank == 5  # the first chunk went in before the bad one was drawn
+
+
+def _planted_rows():
+    # Rank 6 in 12 columns; the rows that raise the rank are 0, 2, 5, 6, 9
+    # and 11, between zero, repeated, scaled and combined rows.
+    G = np.random.default_rng(13).integers(0, P, (6, 12))
+    zero = np.zeros(12, dtype=np.int64)
+    return np.array([
+        G[0], zero, G[1], 7 * G[1] % P, G[0], G[2], G[3], (G[2] + 5 * G[3]) % P,
+        zero, G[4], 3 * G[4] % P, G[5], G[5], (G[0] + G[5]) % P,
+    ])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, pytest.param(None, id="default")])
+@pytest.mark.parametrize("rows", ["planted", "random"])
+def test_streaming_stops_at_the_prefix_rank(monkeypatch, chunk, rows):
+    if chunk is not None:
+        monkeypatch.setattr(StreamingEchelon, "_CHUNK", chunk)
+    X = _planted_rows() if rows == "planted" else np.random.default_rng(14).integers(0, P, (17, 12))
+    full = rank(X, P)
+    raises = [i for i in range(len(X)) if rank(X[: i + 1], P) > rank(X[:i], P)]
+    if rows == "planted":
+        assert raises == [0, 2, 5, 6, 9, 11]
+    # stop_at runs from the first row's rank to one past the full rank, which
+    # no prefix reaches, so the stop row is in turn the first row, the last
+    # row of a chunk and the first row of the next.
+    for stop_at in range(1, full + 2):
+        ech = StreamingEchelon(P, 12)
+        consumed = ech.add_rows(iter(X), stop_at=stop_at)
+        want = next((i for i in range(len(X) + 1) if rank(X[:i], P) == stop_at), len(X))
+        assert (ech.rank, consumed) == (min(stop_at, full), want), stop_at
+
+    rowwise = StreamingEchelon(P, 12)
+    assert [i for i, row in enumerate(X) if rowwise.add_row(row)] == raises
+    ech = StreamingEchelon(P, 12)
+    assert ech.add_rows(X) == len(X)
+    assert ech.rank == rowwise.rank == full
+    coeffs = np.random.default_rng(15).integers(0, P, len(X))
+    for row in [*X, coeffs @ X % P]:
+        assert not ech.reduce(row).any() and not rowwise.reduce(row).any()
 
 
 def test_streaming_blocked_matches_rowwise():
