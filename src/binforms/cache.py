@@ -1,33 +1,41 @@
-"""Optional on-disk cache for invariant values at seeded point sets.
+"""Optional on-disk record of discovery campaigns, proved again on every read.
 
-Keys are (point set, expression text); values are the evaluation vectors
-over F_p.  Each point set's bucket is one `.npy` file named by its key and
-the format version (`points-v2-9_32003_1_dm_14_1_37.npy` for the key
-`9:32003:1:dm:14:1:37`), written atomically, so repeated CLI runs (quick
-suite, then the long membership checks) reuse the expensive basis
-evaluations.  The file holds three `.npy` arrays, written with `np.save` and
-read back from one handle by `np.lib.format.read_array`, which refuses
-object arrays by default: the point set's coefficients, the expression
-texts as newline-joined ASCII bytes, and one int64 value row per text.
+A completed discovery campaign writes one JSON file per key (n, prime, seed,
+`--points-margin`), atomically, for example `campaign-9_32003_1_10.json`.
+It holds the campaign's top degree and, for each degree m up to it with
+dim I_m > 0, the point-set attempt the degree settled at and the expression
+texts of the generators adjoined there.  A run with the same key and a top
+degree no higher replays the file through `pipeline.compute_dm`, the cold
+run's own degree routine: products are evaluated and ranked again and each
+stored text is fed to the echelon, so the file only proposes candidates and
+the rank decides.  A file that stops below the run's top degree is not read;
+the cold campaign rewrites it.
 
-A bucket that fails to load, or whose coefficients, shapes or values do not
-fit the run's point set, is discarded with one line on stderr and rewritten
-at flush; nothing of it is used.  Hits are read-only int64 rows.  Without a
-cache directory there is no cache object at all (`open_cache` returns None);
-each point set's vectors then live only in the pipeline's own memo.
+A file that does not parse, has the wrong shape or key fields, or lists a
+text that is not an invariant of its degree is discarded with one line on
+stderr, as is one whose generators do not saturate a degree on replay; the
+campaign then runs cold and rewrites it, and stdout never changes.  Only
+`json` reads the file.  Files of the earlier value caches (`points-v2-*.npy`,
+`points-*.pkl`) are ignored, not deleted.  `EvalCache`, `get` and `flush`
+keep the names of that value cache because perfbench's tracer binds them.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
+from .exprs import Expr, expr_from_text, expr_meta, expr_to_text
+from .series import invariant_dimension
 
-FORMAT = "v2"
+FORMAT = 1
+
+# degree -> (attempt, generators adjoined at that degree)
+Stored = Dict[int, Tuple[int, List[Expr]]]
 
 
 def open_cache(root: Optional[str]) -> Optional[EvalCache]:
@@ -35,95 +43,96 @@ def open_cache(root: Optional[str]) -> Optional[EvalCache]:
     return EvalCache(root) if root else None
 
 
-class _Bucket:
-    """The value rows of one point set, by expression text."""
-
-    def __init__(self, coeffs: np.ndarray):
-        self.coeffs = coeffs
-        self.rows: Dict[str, np.ndarray] = {}
-        self.dirty = False
+def _key_fields(n: int, cfg) -> dict:
+    return {
+        "format": FORMAT, "n": n, "prime": cfg.prime, "seed": cfg.seed,
+        "points_margin": cfg.margin_floor,
+    }
 
 
-def _stale(points, coeffs: np.ndarray, texts: list, values: np.ndarray) -> Optional[str]:
-    """Why a loaded bucket does not fit `points`, or None when it does."""
-    if not np.array_equal(coeffs, points.coeffs):
-        return "coefficients differ from the run's point set"
-    if values.shape != (len(texts), points.count):
-        return f"value rows of shape {values.shape}, expected ({len(texts)}, {points.count})"
-    if values.dtype != np.int64:
-        return f"value rows of dtype {values.dtype}, expected int64"
-    if values.size and (values.min() < 0 or values.max() >= points.prime):
-        return f"values outside [0, {points.prime})"
-    return None
+def _stored(doc, n: int, cfg, top: int) -> Optional[Stored]:
+    """The generators of degrees 1..top in a loaded file, or None when the
+    file stops below `top`; ValueError says why the file is unusable."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("degrees"), dict)
+            and isinstance(doc.get("top"), int)):
+        raise ValueError("not a campaign file")
+    for field, want in _key_fields(n, cfg).items():
+        if doc.get(field) != want:
+            raise ValueError(f"{field} {doc.get(field)!r} differs from the run's {want!r}")
+    if doc["top"] < top:
+        return None
+    stored: Stored = {}
+    for m in range(1, top + 1):
+        dim = invariant_dimension(n, m)
+        if not dim:
+            continue
+        entry = doc["degrees"].get(str(m))
+        if not isinstance(entry, dict) or set(entry) != {"attempt", "generators"}:
+            raise ValueError(f"degree {m} is missing or malformed")
+        attempt, texts = entry["attempt"], entry["generators"]
+        if attempt not in (1, 2):
+            raise ValueError(f"degree {m}: attempt {attempt!r} is not 1 or 2")
+        if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)
+                and len(texts) <= dim):
+            raise ValueError(f"degree {m}: generators are not a list of at most {dim} texts")
+        exprs = []
+        for text in texts:
+            if "@" in text:
+                raise ValueError(f"degree {m}: {text[:60]!r} holds a named reference")
+            exprs.append(expr_from_text(text))
+            if expr_meta(exprs[-1], n) != (0, m):
+                raise ValueError(f"degree {m}: {text[:60]!r} is not an invariant of degree {m}")
+        stored[m] = (attempt, exprs)
+    return stored
 
 
 class EvalCache:
+    """The campaign files of one cache directory."""
+
     def __init__(self, root: str):
         self.root = Path(root)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"--cache-dir {root!r} is not a usable directory: {exc}") from None
-        self._store: Dict[str, _Bucket] = {}
 
-    def _path(self, pointset_key: str) -> Path:
-        return self.root / f"points-{FORMAT}-{pointset_key.replace(':', '_')}.npy"
+    def _path(self, n: int, cfg) -> Path:
+        return self.root / f"campaign-{n}_{cfg.prime}_{cfg.seed}_{cfg.margin_floor}.json"
 
-    def _bucket(self, points) -> _Bucket:
-        """The bucket of `points` (a `pipeline.PointSet`), loaded on first use."""
-        bucket = self._store.get(points.key)
-        if bucket is None:
-            bucket = self._store[points.key] = self._load(points)
-        return bucket
+    def discard(self, n: int, cfg, reason: str) -> None:
+        """Report the campaign file of (n, cfg) as unusable; the cold run rewrites it."""
+        print(f"binforms: discarding cache file {self._path(n, cfg)}: {reason}", file=sys.stderr)
 
-    def _load(self, points) -> _Bucket:
-        bucket = _Bucket(points.coeffs)
-        path = self._path(points.key)
+    def get(self, n: int, cfg, top: int) -> Optional[Stored]:
+        """The stored generators of degrees up to `top`, or None when the file
+        is missing, stops below `top` or is discarded.  Deep nesting that
+        ends json's or the expression parser's recursion is one more unusable
+        file."""
         try:
-            with open(path, "rb") as fh:
-                coeffs, text_bytes, values = (
-                    np.lib.format.read_array(fh) for _ in range(3)
-                )
-            texts = text_bytes.tobytes().decode("ascii").split("\n") if text_bytes.size else []
-            reason = _stale(points, coeffs, texts, values)
+            doc = json.loads(self._path(n, cfg).read_bytes())
         except FileNotFoundError:
-            return bucket
-        except (OSError, ValueError, EOFError, MemoryError) as exc:
-            # A planted header can ask for any array size; numpy's refusal
-            # to allocate it is one more unreadable file.
-            reason = f"unreadable ({exc})"
-        if reason is not None:
-            # Every lookup in a discarded bucket misses, and each computed
-            # row is put back, so flush rewrites the file.
-            print(f"binforms: discarding cache file {path}: {reason}", file=sys.stderr)
-            return bucket
-        values.flags.writeable = False
-        bucket.rows = dict(zip(texts, values))
-        return bucket
+            return None
+        except (OSError, ValueError, RecursionError) as exc:
+            self.discard(n, cfg, f"unreadable ({exc})")
+            return None
+        try:
+            return _stored(doc, n, cfg, top)
+        except (ValueError, RecursionError) as exc:
+            self.discard(n, cfg, str(exc))
+            return None
 
-    def get(self, points, expr_text: str) -> Optional[np.ndarray]:
-        """The read-only value row of `expr_text` at `points`, or None."""
-        return self._bucket(points).rows.get(expr_text)
-
-    def put(self, points, expr_text: str, values: np.ndarray) -> None:
-        bucket = self._bucket(points)
-        bucket.rows[expr_text] = values
-        bucket.dirty = True
-
-    def flush(self) -> None:
-        for key, bucket in self._store.items():
-            if not bucket.dirty:
-                continue
-            texts = "\n".join(bucket.rows).encode("ascii")
-            values = np.array(list(bucket.rows.values()), dtype=np.int64)
-            fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.save(fh, bucket.coeffs)
-                    np.save(fh, np.frombuffer(texts, dtype=np.uint8))
-                    np.save(fh, values.reshape(len(bucket.rows), bucket.coeffs.shape[0]))
-                os.replace(tmp, self._path(key))
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-            bucket.dirty = False
+    def flush(self, n: int, cfg, top: int, table) -> None:
+        """Write the campaign of `table`, a `pipeline.DmTable` up to `top`."""
+        degrees = {str(m): {"attempt": ev.attempt, "generators": []}
+                   for m, ev in table.evidence.items()}
+        for rec in table.records:
+            degrees[str(rec.degree)]["generators"].append(expr_to_text(rec.expr))
+        doc = {**_key_fields(n, cfg), "top": top, "degrees": degrees}
+        fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(doc, fh, indent=1)
+            os.replace(tmp, self._path(n, cfg))
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)

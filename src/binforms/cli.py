@@ -244,12 +244,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_basis(args) -> int:
     cfg = PipelineConfig(args.prime, args.seed, args.margin)
-    cache = open_cache(args.cache_dir)
-    try:
-        table = find_basic_invariants(args.n, args.max_degree, cfg, cache=cache)
-    finally:
-        if cache is not None:
-            cache.flush()
+    table = find_basic_invariants(args.n, args.max_degree, cfg, open_cache(args.cache_dir))
     nonzero = table.nonzero()
     if args.fmt == "json":
         _emit_json(
@@ -295,6 +290,8 @@ def _named_set(n: int, selector: str) -> List[Tuple[str, object, int]]:
         names = ["j_4", "A_4", "B_8", "D_10", "j_12", "B_12", "j_14", "j_16"]
     else:
         names = [s.strip() for s in selector.split(",") if s.strip()]
+        if not names:
+            raise ValueError(f"--set names no invariant, got {selector!r}")
     out = []
     for name in names:
         if name not in cat.entries:
@@ -339,17 +336,13 @@ def _cmd_hsop_check(args) -> int:
     cache = open_cache(args.cache_dir)
     candidates = _named_set(args.n, args.set)
     basis = None
-    try:
-        if degrees:
-            need = _basis_degree(candidates, degrees)
-            basis = find_basic_invariants(args.n, need, cfg, cache=cache).records
-        report = certify_hsop(
-            candidates, args.n, cfg, membership_degrees=degrees, basis=basis,
-            nullcone_trials=args.trials, cache=cache,
-        )
-    finally:
-        if cache is not None:
-            cache.flush()
+    if degrees:
+        need = _basis_degree(candidates, degrees)
+        basis = find_basic_invariants(args.n, need, cfg, cache).records
+    report = certify_hsop(
+        candidates, args.n, cfg, membership_degrees=degrees, basis=basis,
+        nullcone_trials=args.trials,
+    )
     payload = {
         "n": report.n,
         "set": list(report.names),
@@ -394,14 +387,8 @@ def _cmd_hsop_membership(args) -> int:
     cache = open_cache(args.cache_dir)
     candidates = _named_set(args.n, args.set)
     need = _basis_degree(candidates, degrees)
-    results = []
-    try:
-        table = find_basic_invariants(args.n, need, cfg, cache=cache)
-        for i in degrees:
-            results.append(ideal_membership_dim(candidates, table.records, i, args.n, cfg, cache))
-    finally:
-        if cache is not None:
-            cache.flush()
+    table = find_basic_invariants(args.n, need, cfg, cache)
+    results = [ideal_membership_dim(candidates, table.records, i, args.n, cfg) for i in degrees]
     payload = {
         "n": args.n,
         "set": [name for name, _, _ in candidates],

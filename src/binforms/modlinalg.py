@@ -88,10 +88,6 @@ class StreamingEchelon:
             B = (B - B[:, self._piv] @ self._basis[: self.rank]) % self.p
         return B
 
-    def reduce(self, vec) -> np.ndarray:
-        """Residue of `vec` modulo the current row space."""
-        return self._reduce_block([vec])[0]
-
     def _profile(self, B: np.ndarray) -> Tuple[List[int], np.ndarray, List[int]]:
         """Row rank profile of `B`, whose rows are reduced against the basis.
 

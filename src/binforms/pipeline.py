@@ -13,9 +13,10 @@ expression at all points of a set at once and memoizes shared subtrees per
 set.  Random
 transvectant trees of the right degree are then adjoined greedily, one rank
 unit at a time, until the combined rank saturates the dimension; the number
-of adjoined generators is d_m.  Monte Carlo ranks certify at sampling level
-only, so reports carry the prime, the seed and the number of points that
-produced them.
+of adjoined generators is d_m.  A campaign stored by `cache` is replayed
+through the same `compute_dm`, its generators the only candidates.  Monte
+Carlo ranks certify at sampling level only, so reports carry the prime, the
+seed and the number of points that produced them.
 
 Certification of a candidate parameter system combines four kinds of
 evidence: the degree-divisibility filters, a Jacobian rank at sampled points
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Se
 import numpy as np
 
 from .batch import BatchEvaluator, check_int64
-from .exprs import Expr, F, expr_to_text, tr
+from .exprs import Expr, F, tr
 from .modlinalg import StreamingEchelon, rank as matrix_rank
 from .nullcone import random_nullform
 from .rings import QQ, is_prime, randbelow
@@ -46,7 +47,7 @@ from .series import (
 )
 
 if TYPE_CHECKING:
-    from .cache import EvalCache
+    from .cache import EvalCache, Stored
 
 
 MARGIN_FRAC = 0.05
@@ -113,34 +114,18 @@ class PointSet:
 
 
 class PointEvaluations:
-    """Vectors of invariant values over one point set, memoized and cached.
+    """Vectors of invariant values over one point set.
 
-    Expressions are evaluated at every point of the set at once; shared
-    subtrees are computed once per set.
+    Expressions are evaluated at every point of the set at once; the batch
+    memoizes every node, so shared subtrees are computed once per set.
     """
 
-    def __init__(self, points: PointSet, cache: Optional[EvalCache] = None):
+    def __init__(self, points: PointSet):
         self.points = points
-        self.cache = cache
         self._batch = BatchEvaluator(points.coeffs, points.prime)
-        self._vectors: Dict[Expr, np.ndarray] = {}
 
     def vector(self, expr: Expr) -> np.ndarray:
-        got = self._vectors.get(expr)
-        if got is not None:
-            return got
-        text = None
-        if self.cache is not None:
-            text = expr_to_text(expr)
-            vec = self.cache.get(self.points, text)
-            if vec is not None:
-                self._vectors[expr] = vec
-                return vec
-        (vec,) = self._batch.scalar(expr)
-        self._vectors[expr] = vec
-        if self.cache is not None:
-            self.cache.put(self.points, text, vec)
-        return vec
+        return self._batch.scalar(expr)[0]
 
 
 class BasisRecord(NamedTuple):
@@ -199,14 +184,6 @@ def _monomial_products(basis: Sequence[BasisRecord], m: int, unit, times) -> Ite
     yield from rec(0, m, unit)
 
 
-def monomials_of_degree(
-    basis: Sequence[BasisRecord], m: int
-) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """Multisets of basis records with total degree exactly m, lazily, in
-    `_monomial_products` order."""
-    return (mono for mono, _ in _monomial_products(basis, m, None, lambda acc, j, k: None))
-
-
 def _product_rows(
     pevals: PointEvaluations,
     basis: Sequence[BasisRecord],
@@ -215,7 +192,7 @@ def _product_rows(
     unit: Optional[np.ndarray] = None,
 ) -> Iterator[np.ndarray]:
     """The values of `unit` (default 1) times the degree-m basis monomials,
-    in `monomials_of_degree` order."""
+    in `_monomial_products` order."""
 
     def times(acc: np.ndarray, j: int, k: int) -> np.ndarray:
         base = pevals.vector(basis[j].expr)
@@ -408,6 +385,7 @@ class DegreeEvidence(NamedTuple):
     d: int
     points: int
     new_names: Tuple[str, ...]
+    attempt: int  # the point set `dm:{degree}:{attempt}`; 0 when dim is 0
 
 
 class DmTable:
@@ -432,33 +410,41 @@ def compute_dm(
     basis: Sequence[BasisRecord],
     cfg: PipelineConfig,
     gen: Optional[CandidateGenerator] = None,
-    cache: Optional[EvalCache] = None,
+    stored: Optional[Tuple[int, Sequence[Expr]]] = None,
 ) -> Tuple[DegreeEvidence, List[BasisRecord]]:
-    """Evidence for d_m plus the newly adjoined basic invariants."""
+    """Evidence for d_m plus the newly adjoined basic invariants.
+
+    Candidates come from `gen`'s seeded stream at the points of attempt 1,
+    then of attempt 2 with twice the margin.  `stored`, an (attempt,
+    generators) pair from a campaign file, replaces both: its generators at
+    its attempt's points are the only candidates tried.
+    """
     cfg.validate(n, m)
     dim = invariant_dimension(n, m)
     if dim == 0:
-        return DegreeEvidence(m, 0, 0, 0, 0, 0, ()), []
+        return DegreeEvidence(m, 0, 0, 0, 0, 0, (), 0), []
     if any(rec.degree >= m for rec in basis):
         raise ValueError(f"basis passed to compute_dm must be settled below degree {m}")
-    if gen is None:
+    if stored is None and gen is None:
         gen = CandidateGenerator(n, cfg.seed)
     n_products = monomial_counts(basis, m)[m]
-    margin = cfg.margin(dim)
-    for attempt in (1, 2):
+    attempts = (1, 2) if stored is None else (stored[0],)
+    margin = cfg.margin(dim) << (attempts[0] - 1)
+    for attempt in attempts:
         npts = dim + margin
         points = PointSet(n, cfg.prime, cfg.seed, npts, f"dm:{m}:{attempt}")
-        pevals = PointEvaluations(points, cache)
+        pevals = PointEvaluations(points)
         ech = StreamingEchelon(cfg.prime, npts)
         ech.add_rows(_product_rows(pevals, basis, m, cfg.prime), stop_at=dim)
         product_rank = ech.rank
         new_records: List[BasisRecord] = []
         budget = CANDIDATE_BUDGET + 80 * (dim - product_rank)
-        draws = 0
-        stall = 0
-        stream = gen.candidates(m)
+        draws = stall = 0
+        stream = gen.candidates(m) if stored is None else iter(stored[1])
         while ech.rank < dim and draws < budget:
-            cand = next(stream)
+            cand = next(stream, None)
+            if cand is None:
+                break
             draws += 1
             vec = pevals.vector(cand)
             if not vec.any():
@@ -469,12 +455,12 @@ def compute_dm(
                 new_records.append(BasisRecord(name, m, cand))
             else:
                 stall += 1
-                if stall % 60 == 0:
+                if stall % 60 == 0 and stored is None:
                     gen.grow(max_degree=m - 1, steps=30)
         if ech.rank == dim:
             evidence = DegreeEvidence(
                 m, dim, n_products, product_rank, dim - product_rank, npts,
-                tuple(r.name for r in new_records),
+                tuple(r.name for r in new_records), attempt,
             )
             return evidence, new_records
         margin *= 2
@@ -498,24 +484,44 @@ def _stop_bound(n: int) -> Optional[int]:
     return None if seed is None else sum(seed) - (n + 1)
 
 
+def _campaign(n: int, top: int, cfg: PipelineConfig, stored: Optional[Stored] = None) -> DmTable:
+    """Degrees 1..top through `compute_dm`, from one seeded candidate stream
+    or from the stored generators of each degree."""
+    table = DmTable()
+    gen = CandidateGenerator(n, cfg.seed) if stored is None else None
+    for m in range(1, top + 1):
+        if invariant_dimension(n, m):
+            evidence, new = compute_dm(n, m, table.records, cfg, gen, stored and stored[m])
+            table.evidence[m] = evidence
+            table.records.extend(new)
+    return table
+
+
 def find_basic_invariants(
     n: int,
     max_degree: int,
     cfg: PipelineConfig,
     cache: Optional[EvalCache] = None,
 ) -> DmTable:
-    """Run the discovery campaign for every degree up to max_degree."""
+    """Run the discovery campaign for every degree up to max_degree.
+
+    With a cache, a stored campaign that reaches the run's top degree is
+    replayed; if a degree fails to saturate or to evaluate, the file is
+    discarded and the campaign runs cold.  Only a completed cold campaign
+    is written.
+    """
     bound = _stop_bound(n)
     top = max_degree if bound is None else min(max_degree, bound)
     cfg.validate(n, top)
-    table = DmTable()
-    gen = CandidateGenerator(n, cfg.seed)
-    for m in range(1, top + 1):
-        if invariant_dimension(n, m) == 0:
-            continue
-        evidence, new_records = compute_dm(n, m, table.records, cfg, gen, cache)
-        table.evidence[m] = evidence
-        table.records.extend(new_records)
+    stored = None if cache is None else cache.get(n, cfg, top)
+    if stored is not None:
+        try:
+            return _campaign(n, top, cfg, stored)
+        except (SaturationError, ValueError, RecursionError) as exc:
+            cache.discard(n, cfg, f"replay failed: {exc}")
+    table = _campaign(n, top, cfg)
+    if cache is not None:
+        cache.flush(n, cfg, top, table)
     return table
 
 
@@ -628,7 +634,6 @@ def ideal_membership_dim(
     degree: int,
     n: int,
     cfg: PipelineConfig,
-    cache: Optional[EvalCache] = None,
 ) -> MembershipResult:
     """Rank of the degree-`degree` slice of the ideal generated by the hsop.
 
@@ -656,7 +661,7 @@ def ideal_membership_dim(
             expected = dim - a_i
     npts = dim + cfg.margin(dim)
     points = PointSet(n, cfg.prime, cfg.seed, npts, f"membership:{degree}")
-    pevals = PointEvaluations(points, cache)
+    pevals = PointEvaluations(points)
 
     def rows() -> Iterator[np.ndarray]:
         for _, expr, hdeg in hsop:
@@ -690,7 +695,6 @@ def certify_hsop(
     membership_degrees: Sequence[int] = (),
     basis: Optional[Sequence[BasisRecord]] = None,
     nullcone_trials: int = 100,
-    cache: Optional[EvalCache] = None,
 ) -> HsopReport:
     """Aggregate sampling-level evidence that a candidate set is an hsop."""
     cfg.validate(n, max(membership_degrees, default=0))
@@ -741,7 +745,7 @@ def certify_hsop(
     for i in sorted(membership_degrees):
         if basis is None:
             raise ValueError("membership degrees need a basis")
-        res = ideal_membership_dim(candidates, basis, i, n, cfg, cache)
+        res = ideal_membership_dim(candidates, basis, i, n, cfg)
         membership.append(res)
         if not res.consistent:
             if res.expected_ideal_dim is not None and res.achieved_rank < res.expected_ideal_dim:

@@ -159,9 +159,10 @@ def test_band_tables_equal_the_per_pair_loop_through_order_20(prime):
 
 
 def test_point_set_and_values_are_pinned():
-    # Cache entries are keyed by the point-set key, so the points drawn for a
-    # key and the values at them must never change.  These numbers come from
-    # the per-point scalar evaluator on the discovery fingerprint set.
+    # The goldens, and every campaign file a cache replays, rest on the
+    # points drawn for a key and the values at them, so these must never
+    # change.  The numbers come from the per-point scalar evaluator on the
+    # discovery fingerprint set.
     pts = PointSet(9, 32003, 1, 32, "fingerprint")
     assert list(pts.coeffs[1]) == [12854, 19335, 26421, 24247, 21437, 2137, 9845, 22566, 13786, 3593]
     pe = PointEvaluations(pts)

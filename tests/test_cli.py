@@ -387,6 +387,27 @@ def test_bad_membership_degrees_rejected_by_option_name(capsys, monkeypatch, arg
     assert err == f"error: {option} takes degrees >= 0, got {bad}\n"
 
 
+@pytest.mark.parametrize("selector", [",", " ", ""])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hsop", "check"),
+        ("hsop", "check", "--membership-degrees", "8"),
+        ("hsop", "membership", "--degrees", "8"),
+    ],
+)
+def test_empty_set_is_a_usage_error_before_any_work(capsys, monkeypatch, argv, selector):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --set was checked")
+
+    # Work started first would surface as an unexpected crash (exit 3).
+    for name in ("find_basic_invariants", "certify_hsop", "ideal_membership_dim"):
+        monkeypatch.setattr(f"binforms.cli.{name}", no_work)
+    code, out, err = run_cli(capsys, *argv, "--n", "9", "--set", selector)
+    assert (code, out) == (2, "")
+    assert err == f"error: --set names no invariant, got {selector!r}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -556,7 +577,8 @@ def _files(directory):
 
 def test_cache_written_through_the_entry_equals_in_process_main(capsys, tmp_path):
     # Frozen cyclic garbage is never finalized, so no cache write may wait
-    # for a finalizer: the buckets must be complete when the process exits.
+    # for a finalizer: the campaign file must be complete when the process
+    # exits.
     argv = ("basis", "--n", "9", "--max-degree", "10", "--json")
     entry, direct = tmp_path / "entry", tmp_path / "direct"
     code, out, err, _ = run_entry(tmp_path, *argv, "--cache-dir", str(entry))

@@ -47,3 +47,28 @@ def test_tracer_runs_membership_through_add_rows(tmp_path):
     summary = json.loads((tmp_path / "S.json").read_text())
     assert "binforms.modlinalg.StreamingEchelon.add_rows" in summary["patched"]
     assert summary["modlinalg.echelon.rows"] > 0
+
+
+def test_tracer_times_the_cache_under_its_names(tmp_path):
+    # The tracer binds `EvalCache.get` and `EvalCache.flush`; a warm run
+    # reads the campaign file once and draws no candidate.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    argv = ["basis", "--n", "9", "--max-degree", "8", "--json", "--cache-dir", str(tmp_path / "D")]
+    summaries = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "S.json", "SP.jsonl",
+             "--", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summaries.append(json.loads((tmp_path / "S.json").read_text()))
+    cold, warm = summaries
+    assert "binforms.cache.EvalCache.get" in cold["patched"]
+    assert (cold["cache.hits"], cold["cache.misses"]) == (0, 1)
+    assert cold["pipeline.candidates.draws"] > 0
+    assert (warm["cache.hits"], warm["cache.misses"]) == (1, 0)
+    assert warm["pipeline.candidates.draws"] == 0

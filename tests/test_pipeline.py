@@ -20,13 +20,18 @@ from binforms.pipeline import (
     ideal_membership_dim,
     jacobian_rank,
     monomial_counts,
-    monomials_of_degree,
     vanish_on_nullcone_sample,
 )
 from binforms.series import SEED_DEGREES, invariant_dimension, poincare_series, to_rational
 
 CFG = PipelineConfig(seed=1)
 P = CFG.prime
+
+
+def _monomials_of_degree(basis, m):
+    """Multisets of basis records with total degree exactly m, lazily: the
+    monomials of `_monomial_products` with a no-op product."""
+    return (mono for mono, _ in pipeline._monomial_products(basis, m, None, lambda acc, j, k: None))
 
 
 def _dummy_records(degree_counts):
@@ -44,27 +49,27 @@ def test_degree20_monomial_counts_match_published_construction():
     # octics, and the last two decics) leaves the published 219.
     counts = {4: 2, 8: 5, 10: 5, 12: 14, 14: 17, 16: 21, 18: 25}
     recs = _dummy_records(counts)
-    all_monos = list(monomials_of_degree(recs, 20))
+    all_monos = list(_monomials_of_degree(recs, 20))
     assert len(all_monos) == 225
     required = set(range(7)) | {10, 11}
     restricted = [m for m in all_monos if any(idx in required for idx, _ in m)]
     assert len(restricted) == 219
     quartics = _dummy_records({4: 2})
-    assert len(list(monomials_of_degree(quartics, 8))) == 3  # P^2, PQ, Q^2
-    assert list(monomials_of_degree(quartics, 6)) == []
+    assert len(list(_monomials_of_degree(quartics, 8))) == 3  # P^2, PQ, Q^2
+    assert list(_monomials_of_degree(quartics, 6)) == []
     # The same two numbers from the series prod 1/(1 - t^deg r): a monomial
     # avoids the nine listed invariants exactly when it is one in the others.
     series = monomial_counts(recs, 20)
     assert series[20] == 225
     others = [r for i, r in enumerate(recs) if i not in required]
     assert 225 - monomial_counts(others, 20)[20] == 219
-    assert series == [len(list(monomials_of_degree(recs, m))) for m in range(21)]
+    assert series == [len(list(_monomials_of_degree(recs, m))) for m in range(21)]
 
 
 def test_monomial_enumeration_is_deterministic():
     recs = _dummy_records({4: 2, 8: 1})
-    a = list(monomials_of_degree(recs, 12))
-    b = list(monomials_of_degree(recs, 12))
+    a = list(_monomials_of_degree(recs, 12))
+    b = list(_monomials_of_degree(recs, 12))
     assert a == b
     assert a[0] == ((0, 3),)  # first record, cubed, comes first
 
@@ -91,7 +96,7 @@ def test_pruned_enumeration_keeps_the_unpruned_order():
         degrees = sorted(rng.choice((2, 3, 4, 6, 7, 9, 10)) for _ in range(rng.randint(1, 8)))
         recs = [BasisRecord(f"r{i}", d, F) for i, d in enumerate(degrees)]
         for m in range(-1, 25):
-            assert list(monomials_of_degree(recs, m)) == _unpruned_monomials(recs, m), (degrees, m)
+            assert list(_monomials_of_degree(recs, m)) == _unpruned_monomials(recs, m), (degrees, m)
 
 
 def test_product_rows_carry_the_products_of_each_monomial():

@@ -3,7 +3,7 @@
 The commands run in fresh interpreters, so `sys.modules` shows exactly what
 one command line imported.  `hashlib` maps OpenSSL's libcrypto, which costs
 every process a few MB of resident memory; no command needs it, also not
-with a cache directory, whose files are named by their point-set keys.
+with a cache directory, whose files are named by their campaign keys.
 `binforms.cache` itself loads only when a command is given `--cache-dir`.
 Records are named tuples, not dataclasses: `dataclasses` generates and
 `exec`s source text for every decorated class, at every start-up.  The
@@ -20,23 +20,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs `binforms.cli.main(argv)` and prints the exit code, the point-set keys
-# the run built and the sorted names in `sys.modules`.
+# Runs `binforms.cli.main(argv)` and prints the exit code and the sorted
+# names in `sys.modules`.
 SCRIPT = """
 import contextlib, io, json, sys
-import binforms.cli, binforms.pipeline
+import binforms.cli
 
-keys = []
-init = binforms.pipeline.PointSet.__init__
-
-def record(self, *args, **kwargs):
-    init(self, *args, **kwargs)
-    keys.append(self.key)
-
-binforms.pipeline.PointSet.__init__ = record
 with contextlib.redirect_stdout(io.StringIO()):
     code = binforms.cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "keys": keys, "modules": sorted(sys.modules)}))
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 BASIS = ("basis", "--n", "9", "--max-degree", "8", "--json")
@@ -84,9 +76,8 @@ def test_cache_directory_loads_no_hashlib_and_names_files_by_key(tmp_path):
     result = run_command(tmp_path, *BASIS, "--cache-dir", str(cache))
     assert "binforms.cache" in result["modules"]
     assert not set(result["modules"]) & {"hashlib", "_hashlib"}
-    files = {p.name for p in cache.iterdir()}
-    names = {f"points-v2-{key.replace(':', '_')}.npy" for key in result["keys"]}
-    assert files and files <= names
+    # The key is (n, prime, seed, --points-margin).
+    assert {p.name for p in cache.iterdir()} == {"campaign-9_32003_1_10.json"}
 
 
 # Counts the cyclic collections `import binforms.cli` runs, in all and while
