@@ -80,14 +80,21 @@ def _factors(m: int, k: int, prime: Optional[int]) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def band(m: int, n: int, k: int, prime: Optional[int]) -> Tuple[np.ndarray, ...]:
-    """The band of `forms.integer_weights(m, n, k)` by output column: (U, V, w, starts).
+    """The band of the weight table W of (g, h)_k by output column: (U, V, w, starts).
 
     Entry i carries g_U[i] * h_V[i] with weight w[i]; output column c sums
     the entries from starts[c] to starts[c + 1], the pairs with u + v = c + k
-    in order of u.  W = (D_m * s) @ D_n[:, ::-1].T with s_i = (-1)^i C(k, i),
-    in Python ints with `prime=None`.  Over F_p the weights are pref * W mod
-    p in int64, with pref folded into s mod p: each of the product's k + 1
-    terms is below (p - 1)^2, within `check_int64`'s bound.  The arrays are
+    in order of u.  With the derivative factors D = `derivative_weights`,
+
+        W[u, v] = sum_i (-1)^i C(k, i) D_m[u][i] D_n[v][k-i]
+                = sum_i (-1)^i C(k, i) (m-u)_{k-i} (u)_i (n-v)_i (v)_{k-i},
+
+    that is W = (D_m * s) @ D_n[:, ::-1].T with s_i = (-1)^i C(k, i), and
+    every term vanishes off the band 0 <= u + v - k <= m + n - 2k.  With
+    `prime=None` the weights are W in Python ints, the table that
+    `forms.transvectant` applies.  Over F_p the weights are pref * W mod p in
+    int64, with pref folded into s mod p: each of the product's k + 1 terms
+    is below (p - 1)^2, within `check_int64`'s bound.  The arrays are
     read-only and shared by every caller.
     """
     s = np.array([(-1) ** i * comb(k, i) for i in range(k + 1)], dtype=object)

@@ -14,8 +14,8 @@ invariants mention them.  It serves any scalar ring (exact rationals,
 polynomial rings, single forms for `binforms eval`); values at many forms,
 over F_p or exactly over the integers, come from `batch.BatchEvaluator`,
 which evaluates a whole batch at once.  Both apply the one transvectant
-weight table, `forms.integer_weights`: a power is a chain of 0-th
-transvectants, that is, of form products.
+weight table, `batch.band`: a power is a chain of 0-th transvectants, that
+is, of form products.
 """
 
 from __future__ import annotations

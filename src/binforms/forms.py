@@ -1,4 +1,4 @@
-"""Binary forms, transvectants, and the SL2 change-of-variables action.
+"""Binary forms, transvectants, and random SL2 matrices.
 
 A form of order n is stored as the raw coefficient vector c with
 f = sum_i c[i] * x^(n-i) * y^i.  The classical literature often writes
@@ -12,13 +12,15 @@ The p-th transvectant of g (order m) and h (order n) is
                    d^p g / dx^(p-i) dy^i  *  d^p h / dx^i dy^(p-i)
 
 a form of order m + n - 2p.  Expanded on coefficients, the sum is one integer
-weight per coefficient pair, `integer_weights(m, n, p)`; that table is the
-only transvectant formula in the package.  `transvectant` applies it with
-the scalar ring's own operations, so it serves rationals, prime fields and
-polynomial rings alike, and `batch` applies it to whole arrays of forms.  The
-product of forms is the 0-th transvectant.  The prefactor is computed exactly
-over the rationals and mapped into the scalar ring, so a prime dividing one
-of the factorials is rejected rather than silently wrapped.
+weight per coefficient pair, a signed sum over the derivative factors
+`derivative_weights` of both operands.  `batch.band` builds that table, the
+only transvectant formula in the package, as one product of the factors.
+`transvectant` applies its exact table with the scalar ring's own
+operations, so it serves rationals, prime fields and polynomial rings alike,
+and `batch` applies it to whole arrays of forms.  The product of forms is
+the 0-th transvectant.  The prefactor is computed exactly over the rationals
+and mapped into the scalar ring, so a prime dividing one of the factorials
+is rejected rather than silently wrapped.
 """
 
 from __future__ import annotations
@@ -157,86 +159,29 @@ def derivative_weights(m: int, k: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(map(operator.mul, F[m - u][k::-1], F[u][: k + 1])) for u in range(m + 1))
 
 
-@lru_cache(maxsize=None)
-def integer_weights(m: int, n: int, k: int) -> Tuple[Tuple[int, ...], ...]:
-    """The integer weights of (g, h)_k on coefficient pairs: m+1 rows of n+1.
-
-    Entry (u, v) carries g_u * h_v into output coefficient u + v - k.  With
-    the derivative factors D_m = `derivative_weights(m, k)` and D_n of h,
-
-        W[u, v] = sum_i (-1)^i C(k, i) D_m[u][i] D_n[v][k-i]
-                = sum_i (-1)^i C(k, i) (m-u)_{k-i} (u)_i (n-v)_i (v)_{k-i}
-
-    and (g, h)_k = pref * W with pref = (m-k)! (n-k)! / (m! n!).  This is the
-    derivative sum of the module docstring with d^a/dx^a d^b/dy^b of
-    x^(m-u) y^u written out.  Every term vanishes off the band
-    0 <= u + v - k <= m + n - 2k.  The table is a tuple of rows of Python
-    ints, shared by every caller; `batch` builds its tables from the factors
-    directly, as one product of two matrices.
-    """
-    if not 0 <= k <= min(m, n):
-        raise ValueError(f"transvectant index {k} exceeds min(order) = {min(m, n)}")
-    sign = [(-1) ** i * comb(k, i) for i in range(k + 1)]
-    left = [list(map(operator.mul, sign, row)) for row in derivative_weights(m, k)]
-    right = [row[::-1] for row in derivative_weights(n, k)]
-    return tuple(tuple(sum(map(operator.mul, lu, rv)) for rv in right) for lu in left)
-
-
 def transvectant(g: BinaryForm, h: BinaryForm, p: int) -> BinaryForm:
     """The p-th transvectant (g, h)_p, a form of order m + n - 2p."""
+    # `batch` imports `exprs`, which imports this module.
+    from .batch import band
+
     if g.ring != h.ring:
         raise ValueError("scalar ring mismatch")
     m, n = g.order, h.order
-    W = integer_weights(m, n, p)
+    U, V, W, _ = band(m, n, p, None)
     ring = g.ring
     add, mul, mul_int, is_zero = ring.add, ring.mul, ring.mul_int, ring.is_zero
-    nonzero_h = [(v, c) for v, c in enumerate(h.coeffs) if not is_zero(c)]
+    gs, hs = g.coeffs, h.coeffs
+    nonzero_g = [not is_zero(c) for c in gs]
+    nonzero_h = [not is_zero(c) for c in hs]
     out = [ring.zero] * (m + n - 2 * p + 1)
-    for u, gu in enumerate(g.coeffs):
-        if is_zero(gu):
-            continue
-        row = W[u]
-        # W is zero off the band, so the weight test also keeps u + v - p in range.
-        for v, hv in nonzero_h:
-            w = row[v]
-            if w:
-                out[u + v - p] = add(out[u + v - p], mul_int(mul(gu, hv), w))
+    for u, v, w in zip(U.tolist(), V.tolist(), W.tolist()):
+        if w and nonzero_g[u] and nonzero_h[v]:
+            out[u + v - p] = add(out[u + v - p], mul_int(mul(gs[u], hs[v]), w))
     pref = Fraction(factorial(m - p) * factorial(n - p), factorial(m) * factorial(n))
     if pref != 1:
         c = ring.from_fraction(pref)
         out = [mul(c, x) for x in out]
     return BinaryForm(ring, m + n - 2 * p, out)
-
-
-def sl2_act(mat, f: BinaryForm) -> BinaryForm:
-    """Apply g in SL2 to f via (g . f)(v) = f(g^-1 v); order is preserved.
-
-    `mat` is ((a, b), (c, d)) with entries in f's ring and determinant 1.
-    """
-    ring = f.ring
-    (a, b), (c, d) = mat
-    det = ring.sub(ring.mul(a, d), ring.mul(b, c))
-    if not ring.eq(det, ring.one):
-        raise ValueError("matrix determinant is not 1")
-    # g^-1 = ((d, -b), (-c, a)); substitute x -> d x - b y, y -> -c x + a y.
-    lx = BinaryForm(ring, 1, (d, ring.neg(b)))
-    ly = BinaryForm(ring, 1, (ring.neg(c), a))
-    n = f.order
-    powx = [BinaryForm(ring, 0, (ring.one,))]
-    powy = [BinaryForm(ring, 0, (ring.one,))]
-    for _ in range(n):
-        powx.append(powx[-1] * lx)
-        powy.append(powy[-1] * ly)
-    out = BinaryForm.zero(ring, n)
-    for i, ci in enumerate(f.coeffs):
-        if ring.is_zero(ci):
-            continue
-        out = out + (powx[n - i] * powy[i]).scale(ci)
-    return out
-
-
-def random_form(ring: Ring, order: int, rng: random.Random) -> BinaryForm:
-    return BinaryForm(ring, order, [ring.random(rng) for _ in range(order + 1)])
 
 
 def random_sl2(ring: Ring, rng: random.Random):

@@ -1,20 +1,18 @@
 """Linear algebra over a prime field.
 
 Ranks here certify dimension counts, so everything is exact and
-deterministic.  `rank` is a dense forward elimination in int64 whose pivot
-is always the first nonzero entry in the current column; every product it
-forms stays below p**2, so it is exact while (p - 1)**2 < 2**63.
-
-`StreamingEchelon` consumes rows while maintaining a reduced echelon basis,
-so a rank lower bound can be certified without materializing the full
-matrix.  `add_rows` draws its rows lazily from any iterable, one chunk at a
-time, and stops drawing once the rank reaches its target; `add_row` inserts
-one row and says whether it raised the rank.  Each chunk is eliminated by
-recursive halving into matrix products, the recursive row echelon of
-FFLAS-FFPACK (Dumas, Giorgi & Pernet 2008), which also finds the chunk's
-row rank profile (Dumas, Pernet & Sultan 2015).  The products run on
-float64 matrices whose entries are exact integers (products stay below
-2**53): BLAS calls with exact arithmetic.
+deterministic.  `StreamingEchelon` is the one elimination routine: it
+consumes rows while maintaining a reduced echelon basis, so a rank lower
+bound can be certified without materializing the full matrix.  `add_rows`
+draws its rows lazily from any iterable, one chunk at a time, and stops
+drawing once the rank reaches its target; `add_row` inserts one row and says
+whether it raised the rank.  Each chunk is eliminated by recursive halving
+into matrix products, the recursive row echelon of FFLAS-FFPACK (Dumas,
+Giorgi & Pernet 2008), which also finds the chunk's row rank profile (Dumas,
+Pernet & Sultan 2015).  The products run on float64 matrices whose entries
+are exact integers (products stay below 2**53), BLAS calls with exact
+arithmetic, and on int64 matrices for primes too large for that.  `rank` of
+a whole matrix is one echelon of its width.
 """
 
 from __future__ import annotations
@@ -26,37 +24,27 @@ import numpy as np
 
 
 def rank(rows, p: int) -> int:
-    """Exact rank over F_p of a two-dimensional array-like of integers."""
-    if (p - 1) ** 2 >= 2 ** 63:
-        raise ValueError("(p - 1)**2 exceeds the exact int64 range")
+    """Exact rank over F_p of a two-dimensional array-like of integers.
+
+    The rows are reduced mod p in int64 and go through one `StreamingEchelon`
+    of their width, so its exactness bounds apply.  The function keeps its
+    own name because perfbench's tracer binds it.
+    """
     M = np.asarray(rows, dtype=np.int64) % p
     if M.ndim != 2:
         raise ValueError("matrix data must be two-dimensional")
-    n_rows, n_cols = M.shape
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
-        below = M[r + 1 :]
-        nzr = np.nonzero(below[:, c])[0]
-        if nzr.size:
-            below[nzr] = (below[nzr] - np.outer(below[nzr, c], M[r])) % p
-        r += 1
-    return r
+    ech = StreamingEchelon(p, M.shape[1])
+    ech.add_rows(M)
+    return ech.rank
 
 
 class StreamingEchelon:
-    """Incrementally reduced echelon basis over F_p with float64 kernels.
+    """Incrementally reduced echelon basis over F_p.
 
     Exactness bound: every inner product has at most rank <= n_cols terms,
-    each below p**2, and must stay below 2**53; the constructor enforces it.
+    each below p**2.  The constructor picks float64 matrices, on BLAS, while
+    n_cols * (p - 1)**2 < 2**53, int64 matrices while it is below 2**63, and
+    rejects a larger prime or width.
 
     The basis is one tier in reduced echelon form: row i of `_basis` has a 1
     in column `_piv[i]` and a 0 in every other pivot column.  A block of
@@ -69,11 +57,13 @@ class StreamingEchelon:
     _CHUNK = 512
 
     def __init__(self, p: int, n_cols: int):
-        if n_cols * (p - 1) ** 2 >= 2 ** 53:
-            raise ValueError("p**2 * n_cols exceeds the exact float64 range")
+        bound = n_cols * (p - 1) ** 2
+        if bound >= 2 ** 63:
+            raise ValueError("p**2 * n_cols exceeds the exact int64 range")
         self.p = p
         self.n_cols = n_cols
-        self._basis = np.empty((0, n_cols))
+        self._dtype = np.float64 if bound < 2 ** 53 else np.int64
+        self._basis = np.empty((0, n_cols), self._dtype)
         self._piv: List[int] = []
 
     @property
@@ -81,7 +71,7 @@ class StreamingEchelon:
         return len(self._piv)
 
     def _reduce_block(self, rows) -> np.ndarray:
-        B = np.asarray(rows, dtype=np.float64) % self.p
+        B = np.asarray(rows, dtype=self._dtype) % self.p
         if B.ndim != 2 or B.shape[1] != self.n_cols:
             raise ValueError(f"rows of shape {B.shape[1:]} != ({self.n_cols},)")
         if self._piv:
@@ -119,7 +109,7 @@ class StreamingEchelon:
         if not k:
             return
         if r + k > len(self._basis):
-            grown = np.empty((min(2 * (r + k), self.n_cols), self.n_cols))
+            grown = np.empty((min(2 * (r + k), self.n_cols), self.n_cols), self._dtype)
             grown[:r] = self._basis[:r]
             self._basis = grown
         for s in range(0, r, self._CHUNK):

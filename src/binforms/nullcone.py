@@ -105,12 +105,13 @@ def _times_linear(cs: List[int], lin: Tuple[int, int]) -> List[int]:
 def random_nullform(n: int, ring: Ring, seed: int) -> BinaryForm:
     """A seeded random nullform: an SL2 image of x^(floor(n/2)+1) * r(x, y).
 
-    The value is exactly sl2_act(random_sl2(ring, rng), x^k * r) with
-    k = floor(n/2) + 1, from the same draws, but it is built in integer
-    arithmetic.  Write the base coefficients as C_i = N_i / q over their
-    common denominator q, and the matrix entries as b = bn/bd, c = cn/cd.
-    The substitution of sl2_act, x -> (cb + 1) x - b y and y -> -c x + y,
-    times bd*cd and cd gives the integer linear forms
+    The value is exactly the image g . (x^k * r) with k = floor(n/2) + 1
+    under g = random_sl2(ring, rng), from the same draws, acting by
+    (g . f)(v) = f(g^-1 v), but it is built in integer arithmetic.  Write the
+    base coefficients as C_i = N_i / q over their common denominator q, and
+    the matrix entries as b = bn/bd, c = cn/cd.  The substitution of that
+    action, x -> (cb + 1) x - b y and y -> -c x + y, times bd*cd and cd
+    gives the integer linear forms
     LX = (cn bn + cd bd, -bn cd) and LY = (-cn, cd), so the image is
     sum_i N_i bd^i LX^(n-i) LY^i / (q (bd cd)^n).  The sum is built by Horner
     steps in Python ints and each coefficient is mapped into the ring once.

@@ -67,11 +67,13 @@ class PipelineConfig(NamedTuple):
     def validate(self, n: int, max_degree: int = 0) -> None:
         """Reject a prime or a margin the run cannot use, before any work starts.
 
-        `max_degree` is the largest degree whose points the run will rank;
-        the streaming echelon is exact only while points * (p - 1)^2 < 2^53,
-        and a retried degree doubles its margin.  The batched transvectant
-        kernel is exact in int64 only within `batch.check_int64`'s bound for
-        its operand orders, which the candidate pool keeps at most 2n.
+        `max_degree` is the largest degree whose points the run will rank,
+        and a retried degree doubles its margin.  Requiring points *
+        (p - 1)^2 < 2^53 keeps the discovery and membership echelons on the
+        float64 BLAS path; the streaming echelon would take int64 matrices
+        beyond it.  The batched transvectant kernel is exact in int64 only
+        within `batch.check_int64`'s bound for its operand orders, which the
+        candidate pool keeps at most 2n.
         """
         if self.margin_floor < 0:
             raise ValueError(f"--points-margin must be >= 0, got {self.margin_floor}")
@@ -576,33 +578,33 @@ def vanish_on_nullcone_sample(
     it is zero exactly when I vanishes on the nullform: the check stays a
     proof.
 
-    The exact batches hold at most `NULLFORM_CHUNK` trials each, so their
-    memory does not grow with `trials`.  Chunking cannot change the report:
-    trial t's nullform is seeded by t alone, an exact value at one row does
+    Both checks evaluate at most `NULLFORM_CHUNK` trials per batch, so their
+    memory does not grow with `trials`.  The generic forms are drawn at once,
+    in trial order, from their own seeded stream.  Chunking cannot change the
+    report: trial t's nullform is seeded by t alone, a value at one row does
     not depend on the other rows of its batch, and each chunk writes its own
-    slice of the per-trial flags, which are read in trial order.  The generic
-    F_p check is one batch, since its int64 values are small.
+    slice of the per-trial flags, which are read in trial order.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    rng = random.Random(f"generic:{seed}:{n}:{prime}")
+    generic_forms = _random_forms(rng, n, trials, prime)
     nonzero = np.zeros((len(exprs), trials), dtype=bool)
+    vanish = np.ones(trials, dtype=bool)
     for lo in range(0, trials, NULLFORM_CHUNK):
         hi = min(lo + NULLFORM_CHUNK, trials)
         forms = [_integer_row(random_nullform(n, QQ, seed * 100003 + t)) for t in range(lo, hi)]
-        ev = BatchEvaluator(np.array(forms, dtype=object), prime=None)
+        exact = BatchEvaluator(np.array(forms, dtype=object), prime=None)
+        generic = BatchEvaluator(generic_forms[lo:hi], prime)
         for i, e in enumerate(exprs):
-            nonzero[i, lo:hi] = ev.scalar(e)[0] != 0
-        del ev
+            nonzero[i, lo:hi] = exact.scalar(e)[0] != 0
+            vanish[lo:hi] &= generic.scalar(e)[0] == 0
+        del exact, generic
     failures: List[str] = []
     for t in range(trials):
         bad = [str(i) for i, nz in enumerate(nonzero) if nz[t]]
         if bad:
             failures.append(f"trial {t}: nonzero at candidate index {','.join(bad)}")
-    rng = random.Random(f"generic:{seed}:{n}:{prime}")
-    generic = BatchEvaluator(_random_forms(rng, n, trials, prime), prime)
-    vanish = np.ones(trials, dtype=bool)
-    for e in exprs:
-        vanish &= generic.scalar(e)[0] == 0
     return VanishReport(
         trials, trials - len(failures), tuple(failures), trials, int(vanish.sum())
     )

@@ -1,7 +1,7 @@
 """The derivative-sum transvectant: the independent oracle of the tests.
 
 The library evaluates every transvectant through one integer weight table,
-`forms.integer_weights`.  This module computes the same forms from the
+`batch.band`.  This module computes the same forms from the
 definition instead, by differentiating each form coefficient by coefficient
 (`mixed_partial`) and multiplying the derivatives with a schoolbook
 convolution, so a wrong weight table cannot agree with it.

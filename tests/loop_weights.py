@@ -1,10 +1,9 @@
 """The per-pair weight tables: the reference for `forms` and `batch`.
 
-These are the loop bodies `forms.integer_weights` and `batch.band` had before
-both were built from the derivative factors (`forms.derivative_weights`): one
-Python sum of k + 1 products per coefficient pair, and over F_p one
-reduction per weight.  The library's tables must equal them in value and in
-dtype.
+These are the loop bodies the weight tables had before `batch.band` built
+them from the derivative factors (`forms.derivative_weights`): one Python
+sum of k + 1 products per coefficient pair, and over F_p one reduction per
+weight.  The library's tables must equal them in value and in dtype.
 """
 
 import operator

@@ -3,15 +3,15 @@
 
 The library counts dim I_d by the Cayley-Sylvester formula.  This module
 recomputes it as the nullity of the sl2 lowering operator on weight-space
-monomials, with the dense F_p rank of `binforms.modlinalg`, so a wrong
-partition count cannot agree with it.
+monomials, with the dense F_p rank of `dense_rank`, so a wrong partition
+count cannot agree with it.
 """
 
 from typing import List, Tuple
 
 import numpy as np
 
-from binforms.modlinalg import rank
+from dense_rank import rank
 
 
 def _weight_monomials(n: int, d: int, w: int) -> List[Tuple[int, ...]]:

@@ -18,7 +18,7 @@ import pytest
 from binforms.catalog import catalog_for
 from binforms.cli import main
 from binforms.exprs import Evaluator, pw, tr
-from binforms.forms import random_form, random_sl2, sl2_act, transvectant
+from binforms.forms import random_sl2, transvectant
 from binforms.modlinalg import rank
 from binforms.nullcone import is_nullform, random_nullform
 from binforms.pipeline import (
@@ -34,6 +34,7 @@ from binforms.series import (
     to_rational,
 )
 from lowering_operator import dimension_by_lowering_operator
+from sl2_action import random_form, sl2_act
 
 EXTENDED = os.environ.get("BINFORMS_EXTENDED") == "1"
 P = 32003

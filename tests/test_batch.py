@@ -5,11 +5,10 @@ GF(p) (or over dual numbers for slopes) behind the `BatchEvaluator`
 interface.  Swapping it into the pipeline reproduces the scalar path end to
 end, which the golden-output tests use.  The exact integer mode is checked
 against the scalar `Evaluator` over QQ, and the nullform check against the
-per-trial QQ loop it replaced.  Both kernels apply the weights of
-`forms.integer_weights`, so the kernel tests compare them with the
-derivative-sum oracle of `closed_form` instead, and the band tables, which
-come from the derivative factors in both modes, with the per-pair loop of
-`loop_weights`.
+per-trial QQ loop it replaced.  Both kernels apply the weights of `band`,
+so the kernel tests compare them with the derivative-sum oracle of
+`closed_form` instead, and the band tables, which come from the derivative
+factors in both modes, with the per-pair loop of `loop_weights`.
 """
 
 import hashlib
@@ -28,13 +27,14 @@ from binforms.cache import open_cache
 from binforms.catalog import catalog_for
 from binforms.cli import main
 from binforms.exprs import Evaluator, F, Pow, Tr, tr
-from binforms.forms import BinaryForm, random_form
+from binforms.forms import BinaryForm
 from binforms.nullcone import random_nullform
 from binforms.pipeline import NULLFORM_CHUNK, PointEvaluations, PointSet, VanishReport
 from binforms.rings import QQ, PrimeField
 import loop_weights
 from closed_form import transvectant as oracle_transvectant
 from dual_numbers import DualNumbers
+from sl2_action import random_form
 
 DATA = Path(__file__).parent / "data"
 BASIS_ARGV = ["basis", "--n", "9", "--max-degree", "12", "--json"]
@@ -307,10 +307,20 @@ def _qq_nullform_loop(exprs, n, trials, seed):
     return all_vanish, tuple(failures)
 
 
+def _one_batch_generic_vanish(exprs, n, trials, seed, prime):
+    """Generic forms all of whose candidates vanish, from one F_p batch."""
+    rng = random.Random(f"generic:{seed}:{n}:{prime}")
+    ev = BatchEvaluator(pipeline._random_forms(rng, n, trials, prime), prime)
+    vanish = np.ones(trials, dtype=bool)
+    for e in exprs:
+        vanish &= ev.scalar(e)[0] == 0
+    return int(vanish.sum())
+
+
 @pytest.mark.parametrize(
     "trials",
-    # Around the chunk edges an off-by-one in the exact batches would drop,
-    # repeat or misnumber a failing trial.
+    # Around the chunk edges an off-by-one in the batches would drop, repeat
+    # or misnumber a failing trial.
     [1, 10, 23, 100, NULLFORM_CHUNK - 1, NULLFORM_CHUNK, NULLFORM_CHUNK + 1, 2 * NULLFORM_CHUNK + 1],
 )
 def test_nullform_failures_match_rational_loop(monkeypatch, trials):
@@ -321,7 +331,15 @@ def test_nullform_failures_match_rational_loop(monkeypatch, trials):
             return random_form(ring, n, random.Random(seed))
         return real(n, ring, seed)
 
+    real_forms = pipeline._random_forms
+
+    def some_zero_forms(rng, n, count, prime):
+        forms = real_forms(rng, n, count, prime)
+        forms[1::3] = 0  # every candidate vanishes at the zero form
+        return forms
+
     monkeypatch.setattr(pipeline, "random_nullform", sometimes_generic)
+    monkeypatch.setattr(pipeline, "_random_forms", some_zero_forms)
     cat = catalog_for(9)
     # (f, f)_9 is an odd self-transvectant, identically zero, so a failing
     # trial names only some candidates.
@@ -333,21 +351,25 @@ def test_nullform_failures_match_rational_loop(monkeypatch, trials):
     assert failures and failures[0].endswith("index 0,2")
     if trials > 1:
         assert all_vanish
+    # The generic check runs in the same chunks.  Every third generic form is
+    # zero, so a dropped, repeated or shifted trial changes the count.
+    want = _one_batch_generic_vanish(exprs, 9, trials, 2, 32003)
+    assert rep.generic_all_vanish == want >= len(range(1, trials, 3))
 
 
 def test_exact_nullform_batches_hold_at_most_one_chunk(monkeypatch):
-    sizes = []
+    sizes = {None: [], 32003: []}
 
     def spy(forms, prime, slopes=None):
-        if prime is None:
-            sizes.append(len(forms))
+        sizes[prime].append(len(forms))
         return BatchEvaluator(forms, prime, slopes)
 
     monkeypatch.setattr(pipeline, "BatchEvaluator", spy)
     j4 = catalog_for(9).closed("j_4")
     trials = 3 * NULLFORM_CHUNK + 1
     rep = pipeline.vanish_on_nullcone_sample([j4], 9, trials, seed=1, prime=32003)
-    assert sizes == [NULLFORM_CHUNK] * 3 + [1]
+    # The exact nullform batches and the generic F_p batches alike.
+    assert sizes == {None: [NULLFORM_CHUNK] * 3 + [1], 32003: [NULLFORM_CHUNK] * 3 + [1]}
     assert rep.nullform_trials == rep.nullform_all_vanish == trials
 
 

@@ -624,6 +624,22 @@ def test_hsop_check_rejects_int64_unsafe_prime_before_degree_filter(capsys, monk
     assert "int64" in err
 
 
+# Both primes are above the float64 bound of a 10-column echelon, about
+# 3.0e7, so the Jacobian ranks run on its int64 path; 696735691 is the largest
+# prime the transvectant kernel admits at n = 9.
+@pytest.mark.parametrize("prime", [500000003, 696735691])
+def test_hsop_check_at_a_prime_beyond_the_float64_echelon(capsys, prime):
+    code, out, _ = run_cli(
+        capsys, "hsop", "check", "--n", "9", "--set", "thm", "--trials", "5",
+        "--prime", str(prime), "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["jacobian_ranks"] == [7, 7, 7, 7, 7]
+    assert payload["verdict"] == "certified-at-sampling-level"
+    assert payload["prime"] == prime
+
+
 @pytest.mark.parametrize("extra", [(), ("--membership-degrees", "4,8,12")])
 def test_hsop_check_rejects_negative_trials_before_any_work(capsys, monkeypatch, extra):
     def no_work(*args, **kwargs):

@@ -5,18 +5,10 @@ from math import comb
 import pytest
 
 import closed_form
-import loop_weights
-from binforms.forms import (
-    BinaryForm,
-    derivative_weights,
-    integer_weights,
-    random_form,
-    random_sl2,
-    sl2_act,
-    transvectant,
-)
+from binforms.forms import BinaryForm, derivative_weights, random_sl2, transvectant
 from binforms.multipoly import PolynomialRing
 from binforms.rings import QQ, PrimeField
+from sl2_action import random_form, sl2_act
 
 P = 32003
 GF = PrimeField(P)
@@ -80,17 +72,6 @@ def test_transvectant_matches_derivative_sum_oracle_through_order_12():
                     assert transvectant(g, h, k) == want, (g.ring, m, n, k)
 
 
-def test_integer_weights_equal_the_per_pair_loop_through_order_22():
-    for m in range(23):
-        for n in range(23):
-            for k in range(min(m, n) + 1):
-                assert integer_weights(m, n, k) == loop_weights.integer_weights(m, n, k), (m, n, k)
-    with pytest.raises(ValueError, match="min\\(order\\) = 2"):
-        integer_weights(2, 3, 3)
-    with pytest.raises(ValueError):
-        derivative_weights(2, 3)
-
-
 def test_odd_self_transvectant_vanishes():
     rng = random.Random(2)
     for order in (4, 7, 9):
@@ -107,6 +88,8 @@ def test_transvectant_index_and_ring_errors():
     hp = random_form(GF, 2, random.Random(1))
     with pytest.raises(ValueError):
         transvectant(g, hp, 1)
+    with pytest.raises(ValueError):
+        derivative_weights(2, 3)
 
 
 def test_antisymmetry():

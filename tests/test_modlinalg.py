@@ -1,9 +1,15 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 
 from binforms.modlinalg import StreamingEchelon, rank
+from dense_rank import rank as dense_rank
 
 P = 32003
+# Above 2**53 at any width, so every echelon at this prime runs on int64; the
+# int64 bound admits up to 36 columns.  `hsop check` accepts it.
+BIG = 500000003
 
 
 def _reduce_block(ech, vec):
@@ -20,16 +26,17 @@ def test_zero_rank():
 
 
 def test_product_rank_is_inner_dimension():
-    # 2147483647 is the larger prime of the series dimension oracle.
-    for p in (P, 2147483647):
+    # 2147483647 is the larger prime of the series dimension oracle, which
+    # ranks with the dense oracle: no echelon of 7 columns is exact there.
+    for rank_of, p in ((rank, P), (rank, BIG), (dense_rank, 2147483647)):
         rng = np.random.default_rng(0)
         for _ in range(5):
             A = rng.integers(0, p, (5, 3))
             B = rng.integers(0, p, (3, 7))
             M = A.astype(object) @ B % p  # exact: int64 would overflow at p ~ 2**31
-            if rank(A, p) < 3 or rank(B, p) < 3:
+            if rank_of(A, p) < 3 or rank_of(B, p) < 3:
                 continue  # re-draw on degenerate factors
-            assert rank(M, p) == 3
+            assert rank_of(M, p) == 3, (rank_of, p)
 
 
 def test_rank_of_transpose():
@@ -71,7 +78,7 @@ def test_streaming_equals_materialized_rank():
         ech = StreamingEchelon(P, 50)
         for row in X:
             ech.add_row(row)
-        assert ech.rank == rank(X, P)
+        assert ech.rank == dense_rank(X, P)
 
 
 def test_streaming_row_length_mismatch():
@@ -113,14 +120,14 @@ def test_streaming_bad_row_length_in_a_later_chunk(good, bad):
     assert ech.rank == 5  # the first chunk went in before the bad one was drawn
 
 
-def _planted_rows():
+def _planted_rows(p=P):
     # Rank 6 in 12 columns; the rows that raise the rank are 0, 2, 5, 6, 9
     # and 11, between zero, repeated, scaled and combined rows.
-    G = np.random.default_rng(13).integers(0, P, (6, 12))
+    G = np.random.default_rng(13).integers(0, p, (6, 12))
     zero = np.zeros(12, dtype=np.int64)
     return np.array([
-        G[0], zero, G[1], 7 * G[1] % P, G[0], G[2], G[3], (G[2] + 5 * G[3]) % P,
-        zero, G[4], 3 * G[4] % P, G[5], G[5], (G[0] + G[5]) % P,
+        G[0], zero, G[1], 7 * G[1] % p, G[0], G[2], G[3], (G[2] + 5 * G[3]) % p,
+        zero, G[4], 3 * G[4] % p, G[5], G[5], (G[0] + G[5]) % p,
     ])
 
 
@@ -129,27 +136,33 @@ def _planted_rows():
 def test_streaming_stops_at_the_prefix_rank(monkeypatch, chunk, rows):
     if chunk is not None:
         monkeypatch.setattr(StreamingEchelon, "_CHUNK", chunk)
-    X = _planted_rows() if rows == "planted" else np.random.default_rng(14).integers(0, P, (17, 12))
-    full = rank(X, P)
-    raises = [i for i in range(len(X)) if rank(X[: i + 1], P) > rank(X[:i], P)]
-    if rows == "planted":
+    # At BIG every product runs on the int64 path.
+    for p in (P, BIG):
+        X = _planted_rows(p) if rows == "planted" else np.random.default_rng(14).integers(0, p, (17, 12))
+        _check_prefix_rank(X, p, rows == "planted")
+
+
+def _check_prefix_rank(X, p, planted):
+    full = dense_rank(X, p)
+    raises = [i for i in range(len(X)) if dense_rank(X[: i + 1], p) > dense_rank(X[:i], p)]
+    if planted:
         assert raises == [0, 2, 5, 6, 9, 11]
     # stop_at runs from the first row's rank to one past the full rank, which
     # no prefix reaches, so the stop row is in turn the first row, the last
     # row of a chunk and the first row of the next.
     for stop_at in range(1, full + 2):
-        ech = StreamingEchelon(P, 12)
+        ech = StreamingEchelon(p, 12)
         consumed = ech.add_rows(iter(X), stop_at=stop_at)
-        want = next((i for i in range(len(X) + 1) if rank(X[:i], P) == stop_at), len(X))
-        assert (ech.rank, consumed) == (min(stop_at, full), want), stop_at
+        want = next((i for i in range(len(X) + 1) if dense_rank(X[:i], p) == stop_at), len(X))
+        assert (ech.rank, consumed) == (min(stop_at, full), want), (p, stop_at)
 
-    rowwise = StreamingEchelon(P, 12)
+    rowwise = StreamingEchelon(p, 12)
     assert [i for i, row in enumerate(X) if rowwise.add_row(row)] == raises
-    ech = StreamingEchelon(P, 12)
+    ech = StreamingEchelon(p, 12)
     assert ech.add_rows(X) == len(X)
-    assert ech.rank == rowwise.rank == full
-    coeffs = np.random.default_rng(15).integers(0, P, len(X))
-    for row in [*X, coeffs @ X % P]:
+    assert ech.rank == rowwise.rank == full == rank(X, p)
+    coeffs = np.random.default_rng(15).integers(0, p, len(X))
+    for row in [*X, coeffs.astype(object) @ X % p]:
         assert not _reduce_block(ech, row).any() and not _reduce_block(rowwise, row).any()
 
 
@@ -163,7 +176,7 @@ def test_streaming_blocked_matches_rowwise():
     e2 = StreamingEchelon(P, 260)
     for i in range(0, X.shape[0], 97):
         e2.add_rows(X[i : i + 97])
-    assert e1.rank == e2.rank == rank(X, P)
+    assert e1.rank == e2.rank == dense_rank(X, P)
 
 
 def test_streaming_members_reduce_to_zero():
@@ -182,3 +195,48 @@ def test_streaming_members_reduce_to_zero():
 def test_streaming_float_exactness_guard():
     with pytest.raises(ValueError):
         StreamingEchelon(2_147_483_647, 10**6)
+
+
+def test_streaming_takes_int64_where_float64_is_not_exact():
+    assert StreamingEchelon(P, 10)._basis.dtype == np.float64
+    # At 10 columns, the Jacobian's width at n = 9, float64 is exact while
+    # p - 1 <= isqrt(2**53 // 10) = 30012755.
+    top = isqrt(2 ** 53 // 10)
+    assert StreamingEchelon(top + 1, 10)._basis.dtype == np.float64
+    assert StreamingEchelon(top + 2, 10)._basis.dtype == np.int64
+    assert StreamingEchelon(BIG, 36)._basis.dtype == np.int64
+
+
+def test_streaming_int64_exactness_guard():
+    # 696735691 is the largest prime `hsop check` accepts at n = 9, where the
+    # transvectant kernel's bound is 19 * (p - 1)**2 < 2**63.
+    for p, widest in ((BIG, 36), (696_735_691, 19)):
+        assert widest * (p - 1) ** 2 < 2 ** 63 <= (widest + 1) * (p - 1) ** 2
+        StreamingEchelon(p, widest)
+        with pytest.raises(ValueError, match="int64"):
+            StreamingEchelon(p, widest + 1)
+        with pytest.raises(ValueError, match="int64"):
+            rank(np.eye(widest + 1, dtype=np.int64), p)
+
+
+def test_int64_rank_equals_dense_oracle_on_planted_rows():
+    # Entries near p - 1 drive every product towards 36 * (p - 1)**2, the
+    # edge of the int64 bound at 36 columns.
+    rng = np.random.default_rng(16)
+    for width, r in ((36, 20), (36, 36), (10, 7), (10, 3)):
+        G = BIG - 1 - rng.integers(0, 1000, (r, width))
+        C = rng.integers(0, BIG, (3 * r, r)).astype(object)
+        C[::4] = 0  # zero rows and exact repeats of earlier combinations
+        C[1::5] = C[0::5][: len(C[1::5])]
+        X = np.vstack([G, C @ G % BIG])[rng.permutation(4 * r)]
+        want = dense_rank(X, BIG)
+        assert want == r
+        assert rank(X, BIG) == want
+        ech = StreamingEchelon(BIG, width)
+        for i, row in enumerate(X):
+            assert ech.add_row(row) == (dense_rank(X[: i + 1], BIG) > dense_rank(X[:i], BIG))
+        assert ech.rank == want
+        for stop_at in (1, r // 2, r):
+            ech = StreamingEchelon(BIG, width)
+            consumed = ech.add_rows(iter(X), stop_at=stop_at)
+            assert ech.rank == stop_at == dense_rank(X[:consumed], BIG) > dense_rank(X[: consumed - 1], BIG)

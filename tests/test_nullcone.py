@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from binforms.catalog import catalog_for
 from binforms.exprs import Evaluator
-from binforms.forms import BinaryForm, random_form, random_sl2, sl2_act
+from binforms.forms import BinaryForm, random_sl2
 from binforms.nullcone import (
     is_nullform,
     random_nullform,
@@ -11,6 +11,7 @@ from binforms.nullcone import (
     verify_lemma_expansions,
 )
 from binforms.rings import QQ, PrimeField
+from sl2_action import random_form, sl2_act
 
 
 def lin(a, b):

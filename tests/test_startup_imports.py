@@ -7,9 +7,9 @@ with a cache directory, whose files are named by their campaign keys.
 `binforms.cache` itself loads only when a command is given `--cache-dir`.
 Records are named tuples, not dataclasses: `dataclasses` generates and
 `exec`s source text for every decorated class, at every start-up.  The
-imports of `binforms.cli` run no cyclic garbage collection, and a command's
-weight tables never go through the per-pair Python table, also not the
-exact ones of `hsop check`'s nullform check.
+imports of `binforms.cli` run no cyclic garbage collection, and the only
+exact (`prime=None`) weight tables a command asks for are those of `hsop
+check`'s nullform check.
 """
 
 import json
@@ -126,33 +126,44 @@ def test_cli_import_leaves_a_disabled_collector_disabled(tmp_path):
     assert not got["enabled"] and got["frozen"] > 0
 
 
-# Runs `binforms.cli.main(argv)` with `forms.integer_weights` wrapped, and
-# prints, for each call, the caller's name and whether it passed a prime.
-# `batch` must not bind the table at all, so the wrap sees every caller.
-WEIGHTS_SCRIPT = """
+# Runs `binforms.cli.main(argv)` with `batch.band` wrapped, and prints the
+# number of calls and, for each call that asks for the exact table
+# (`prime=None`), whether `vanish_on_nullcone_sample` is on the stack.  No
+# other module binds `band`, so the wrap sees every caller.
+BAND_SCRIPT = """
 import contextlib, io, json, sys
 import binforms.cli
-from binforms import batch, forms
+from binforms import batch
 
-calls = []
-original = forms.integer_weights
+calls, exact = [], []
+original = batch.band
 
 def spy(*args):
-    caller = sys._getframe(1)
-    calls.append([caller.f_code.co_name, caller.f_locals.get("prime", "none given")])
+    calls.append(1)
+    if args[3] is None:
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        exact.append("vanish_on_nullcone_sample" in names)
     return original(*args)
 
-assert not hasattr(batch, "integer_weights")
-forms.integer_weights = spy
+binders = [
+    name for name, module in sys.modules.items()
+    if name.startswith("binforms.") and vars(module).get("band") is original
+]
+assert binders == ["binforms.batch"], binders
+batch.band = spy
 with contextlib.redirect_stdout(io.StringIO()):
     code = binforms.cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "calls": calls}))
+print(json.dumps({"code": code, "calls": len(calls), "exact": exact}))
 """
 
 
 def test_prime_field_tables_never_build_the_integer_table(tmp_path):
-    # Every band table, F_p or exact (`prime=None`), comes from the
-    # derivative factors; the per-pair Python table is only for
-    # `forms.transvectant`, which neither command reaches.
-    for argv in (BASIS, HSOP_CHECK):
-        assert run_script(tmp_path, WEIGHTS_SCRIPT, *argv) == {"code": 0, "calls": []}
+    # `basis` ranks only F_p values, so it never asks `band` for the exact
+    # table; `hsop check` asks for it only in its exact nullform check.
+    basis = run_script(tmp_path, BAND_SCRIPT, *BASIS)
+    assert basis["code"] == 0 and basis["calls"] > 0 and basis["exact"] == []
+    check = run_script(tmp_path, BAND_SCRIPT, *HSOP_CHECK)
+    assert check["code"] == 0 and check["exact"] and all(check["exact"])
