@@ -12,6 +12,10 @@ so golden-file comparisons are byte-stable.
 from __future__ import annotations
 
 import gc
+import os
+
+# Before numpy loads: an idle OpenBLAS worker then sleeps at once instead of spinning.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 # The objects the imports below allocate live as long as the process, so
 # cyclic collection pauses while they run, and the heap they built is then
@@ -33,6 +37,7 @@ try:
     from .pipeline import (
         PipelineConfig,
         SaturationError,
+        campaign_top,
         certify_hsop,
         find_basic_invariants,
         ideal_membership_dim,
@@ -244,6 +249,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_basis(args) -> int:
     cfg = PipelineConfig(args.prime, args.seed, args.margin)
+    cfg.validate(args.n, campaign_top(args.n, args.max_degree))
     table = find_basic_invariants(args.n, args.max_degree, cfg, open_cache(args.cache_dir))
     nonzero = table.nonzero()
     if args.fmt == "json":
@@ -333,8 +339,8 @@ def _cmd_hsop_check(args) -> int:
     cfg.validate(args.n, max(degrees, default=0))
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
-    cache = open_cache(args.cache_dir)
     candidates = _named_set(args.n, args.set)
+    cache = open_cache(args.cache_dir)
     basis = None
     if degrees:
         need = _basis_degree(candidates, degrees)
@@ -384,8 +390,8 @@ def _cmd_hsop_membership(args) -> int:
         raise ValueError("--degrees is required")
     cfg = PipelineConfig(args.prime, args.seed, args.margin)
     cfg.validate(args.n, max(degrees))
-    cache = open_cache(args.cache_dir)
     candidates = _named_set(args.n, args.set)
+    cache = open_cache(args.cache_dir)
     need = _basis_degree(candidates, degrees)
     table = find_basic_invariants(args.n, need, cfg, cache)
     results = [ideal_membership_dim(candidates, table.records, i, args.n, cfg) for i in degrees]

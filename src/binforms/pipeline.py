@@ -486,6 +486,13 @@ def _stop_bound(n: int) -> Optional[int]:
     return None if seed is None else sum(seed) - (n + 1)
 
 
+def campaign_top(n: int, max_degree: int) -> int:
+    """The last degree a campaign to `max_degree` runs: `max_degree`, or the
+    stop bound when that is lower."""
+    bound = _stop_bound(n)
+    return max_degree if bound is None else min(max_degree, bound)
+
+
 def _campaign(n: int, top: int, cfg: PipelineConfig, stored: Optional[Stored] = None) -> DmTable:
     """Degrees 1..top through `compute_dm`, from one seeded candidate stream
     or from the stored generators of each degree."""
@@ -512,8 +519,7 @@ def find_basic_invariants(
     discarded and the campaign runs cold.  Only a completed cold campaign
     is written.
     """
-    bound = _stop_bound(n)
-    top = max_degree if bound is None else min(max_degree, bound)
+    top = campaign_top(n, max_degree)
     cfg.validate(n, top)
     stored = None if cache is None else cache.get(n, cfg, top)
     if stored is not None:

@@ -420,7 +420,9 @@ def test_cache_dir_that_is_a_file_is_rejected_before_any_work(capsys, monkeypatc
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --cache-dir was checked")
 
-    for name in ("_named_set", "find_basic_invariants"):
+    # `--set` is resolved before the cache opens (see the next test); only
+    # the computations count as work here.
+    for name in ("find_basic_invariants", "certify_hsop", "ideal_membership_dim"):
         monkeypatch.setattr(f"binforms.cli.{name}", no_work)
     path = tmp_path / "a-file"
     path.write_text("kept\n")
@@ -429,6 +431,25 @@ def test_cache_dir_that_is_a_file_is_rejected_before_any_work(capsys, monkeypatc
     assert err.startswith(f"error: --cache-dir {str(path)!r} is not a usable directory")
     assert err.count("\n") == 1
     assert path.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("basis", "--max-degree", "-3"), "max_degree must be >= 0"),
+        (("hsop", "check", "--set", "bogus"), "unknown catalog name 'bogus' for n = 9"),
+        (
+            ("hsop", "membership", "--set", "bogus", "--degrees", "8"),
+            "unknown catalog name 'bogus' for n = 9",
+        ),
+    ],
+    ids=["basis", "hsop-check", "hsop-membership"],
+)
+def test_bad_input_is_rejected_before_the_cache_directory_exists(capsys, tmp_path, argv, message):
+    cache = tmp_path / "cache"
+    code, out, err = run_cli(capsys, *argv, "--n", "9", "--cache-dir", str(cache))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not cache.exists()
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ one command line imported.  `hashlib` maps OpenSSL's libcrypto, which costs
 every process a few MB of resident memory; no command needs it, also not
 with a cache directory, whose files are named by their campaign keys.
 `binforms.cache` itself loads only when a command is given `--cache-dir`.
+`binforms.cli` sets `OPENBLAS_THREAD_TIMEOUT` before numpy loads, unless the
+caller has set it, so that OpenBLAS's idle worker thread sleeps at once.
 Records are named tuples, not dataclasses: `dataclasses` generates and
 `exec`s source text for every decorated class, at every start-up.  The
 imports of `binforms.cli` run no cyclic garbage collection, and the only
@@ -17,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -167,3 +171,43 @@ def test_prime_field_tables_never_build_the_integer_table(tmp_path):
     assert basis["code"] == 0 and basis["calls"] > 0 and basis["exact"] == []
     check = run_script(tmp_path, BAND_SCRIPT, *HSOP_CHECK)
     assert check["code"] == 0 and check["exact"] and all(check["exact"])
+
+
+# Imports the module named by the first argument and prints the value of
+# `OPENBLAS_THREAD_TIMEOUT` at numpy's first import event (numpy loads
+# OpenBLAS, which reads the variable once) and afterwards.
+BLAS_SCRIPT = """
+import importlib, json, os, sys
+
+seen = []
+
+def hook(event, args):
+    if event == "import" and args[0] == "numpy" and not seen:
+        seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+sys.addaudithook(hook)
+importlib.import_module(sys.argv[1])
+print(json.dumps({
+    "imported_numpy": bool(seen),
+    "at_numpy": seen[0] if seen else None,
+    "after": os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
+}))
+"""
+
+
+@pytest.mark.parametrize(
+    "module, caller, want",
+    [
+        ("binforms.cli", None, "4"),
+        ("binforms.cli", "30", "30"),
+        ("binforms.pipeline", None, None),
+    ],
+    ids=["cli-sets-it", "cli-keeps-the-callers", "pipeline-leaves-it-unset"],
+)
+def test_blas_thread_timeout_before_numpy_loads(tmp_path, monkeypatch, module, caller, want):
+    if caller is None:
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", caller)
+    got = run_script(tmp_path, BLAS_SCRIPT, module)
+    assert got == {"imported_numpy": True, "at_numpy": want, "after": want}
