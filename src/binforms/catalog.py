@@ -185,10 +185,13 @@ def _small(n: int) -> Catalog:
 
 _CACHE: Dict[int, Catalog] = {}
 
+# The orders that have a catalog.
+ORDERS = (2, 3, 6, 7, 9)
+
 
 def catalog_for(n: int) -> Catalog:
-    """The named catalog for n in {2, 3, 6, 7, 9}."""
-    if n not in (2, 3, 6, 7, 9):
+    """The named catalog for n in `ORDERS`."""
+    if n not in ORDERS:
         raise ValueError(f"no catalog for order {n}")
     got = _CACHE.get(n)
     if got is None:

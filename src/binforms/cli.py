@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: poincare, ecriture, nullcone test, verify-lemmas, catalog,
-eval, basis, hsop (check, membership).
+eval, basis, hsop (check, membership).  Each command computes one `Result`:
+its JSON payload, its text lines, its csv rows where it offers csv, and its
+exit code.  `main` prints that result through one writer, in the format that
+`--format` (or `--json`) chose, so text and csv render what the JSON holds.
 
 Exit codes: 0 success; 1 mathematically meaningful mismatch (a refuted
 candidate, an inconclusive campaign, a failed lemma transcription); 2 usage
@@ -25,11 +28,10 @@ _collecting = gc.isenabled()
 gc.disable()
 try:
     import argparse
-    import io
     import json
     import sys
     from fractions import Fraction
-    from typing import List, Optional, Sequence, Tuple
+    from typing import List, NamedTuple, Optional, Sequence, Tuple
 
     from .exprs import Evaluator, expr_from_text, expr_meta, expr_to_text
     from .forms import BinaryForm
@@ -55,6 +57,30 @@ EXIT_USAGE = 2
 EXIT_CRASH = 3
 
 
+class Result(NamedTuple):
+    """What one command prints: a JSON payload, text lines, and csv rows for
+    the commands that offer csv.  `code` is the process exit code."""
+
+    payload: dict
+    text: List[str]
+    csv: Optional[List[Sequence]] = None
+    code: int = EXIT_OK
+
+
+def _write(result: Result, fmt: str) -> int:
+    """Print `result` on stdout in `fmt`; returns its exit code."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(result.payload, indent=2) + "\n")
+    elif fmt == "csv":
+        # csv: only the four commands that offer --format csv write it.
+        import csv
+
+        csv.writer(sys.stdout, lineterminator="\n").writerows(result.csv)
+    else:
+        sys.stdout.write("".join(line + "\n" for line in result.text))
+    return result.code
+
+
 def open_cache(root: Optional[str]):
     """`cache.open_cache(root)`; the `cache` module loads only when a directory is given."""
     if not root:
@@ -62,21 +88,6 @@ def open_cache(root: Optional[str]):
     from . import cache
 
     return cache.open_cache(root)
-
-
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _emit_csv(rows: Sequence[Sequence]) -> None:
-    # csv: only the four commands that offer --format csv write it.
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
 
 
 def parse_form_literal(text: str, ring, a_convention: bool = False) -> BinaryForm:
@@ -98,27 +109,17 @@ def print_form_literal(f: BinaryForm) -> str:
     return f"{f.order}: " + ",".join(str(c) for c in f.coeffs)
 
 
-def _cmd_poincare(args) -> int:
-    table = poincare_series(args.n, args.max_degree)
-    if args.fmt == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "max_degree": args.max_degree,
-                "dims": {str(d): table.dims[d] for d in range(args.max_degree + 1)},
-            }
-        )
-    elif args.fmt == "csv":
-        _emit_csv([["degree", "dim"]] + [[d, table.dims[d]] for d in range(args.max_degree + 1)])
-    else:
-        print(f"invariant dimensions for order {args.n}, degrees 0..{args.max_degree}:")
-        for d in range(args.max_degree + 1):
-            if table.dims[d]:
-                print(f"  {d}: {table.dims[d]}")
-    return EXIT_OK
+def _cmd_poincare(args) -> Result:
+    dims = dict(enumerate(poincare_series(args.n, args.max_degree).dims))
+    text = [f"invariant dimensions for order {args.n}, degrees 0..{args.max_degree}:"]
+    return Result(
+        {"n": args.n, "max_degree": args.max_degree, "dims": dims},
+        text + [f"  {d}: {dim}" for d, dim in dims.items() if dim],
+        [("degree", "dim"), *dims.items()],
+    )
 
 
-def _cmd_ecriture(args) -> int:
+def _cmd_ecriture(args) -> Result:
     if args.n not in SEED_DEGREES:
         known = ", ".join(str(n) for n in sorted(SEED_DEGREES))
         raise ValueError(
@@ -126,32 +127,23 @@ def _cmd_ecriture(args) -> int:
             f"got n = {args.n}"
         )
     rows = ecriture_minimale_search(args.n)
-    payload = {
-        "n": args.n,
-        "rows": [
-            {
-                "degrees": list(r.degrees),
-                "numerator_degree": r.numerator_degree,
-                "numerator": list(r.numerator),
-            }
-            for r in rows
-        ],
-    }
-    if args.fmt == "json":
-        _emit_json(payload)
-    elif args.fmt == "csv":
-        table = [["numerator_degree", "degrees"]]
-        for r in sorted(rows, key=lambda r: r.numerator_degree):
-            table.append([r.numerator_degree, " ".join(str(d) for d in r.degrees)])
-        _emit_csv(table)
-    else:
-        print(f"minimal ecritures for order {args.n} (product {rows[0].product if rows else '-'}):")
-        for r in sorted(rows, key=lambda r: r.numerator_degree):
-            print(f"  numerator degree {r.numerator_degree}: denominator degrees {r.degrees}")
-    return EXIT_OK
+    by_numerator = sorted(rows, key=lambda r: r.numerator_degree)
+    product = rows[0].product if rows else "-"
+    entries = [
+        {"degrees": r.degrees, "numerator_degree": r.numerator_degree, "numerator": r.numerator}
+        for r in rows
+    ]
+    return Result(
+        {"n": args.n, "rows": entries},
+        [f"minimal ecritures for order {args.n} (product {product}):"]
+        + [f"  numerator degree {r.numerator_degree}: denominator degrees {r.degrees}"
+           for r in by_numerator],
+        [("numerator_degree", "degrees")]
+        + [(r.numerator_degree, " ".join(map(str, r.degrees))) for r in by_numerator],
+    )
 
 
-def _cmd_nullcone_test(args) -> int:
+def _cmd_nullcone_test(args) -> Result:
     form = parse_form_literal(args.form, QQ, args.a_convention)
     if form.order != args.n:
         raise ValueError(f"form literal has order {form.order}, --n says {args.n}")
@@ -164,125 +156,84 @@ def _cmd_nullcone_test(args) -> int:
             "is_nullform": is_nullform(form),
             "witness": report.witness,
         }
-    if args.fmt == "json":
-        _emit_json(payload)
-    else:
-        print(payload)
-    return EXIT_OK
+    return Result(payload, [str(payload)])
 
 
-def _cmd_verify_lemmas(args) -> int:
+def _cmd_verify_lemmas(args) -> Result:
     report = verify_lemma_expansions()
-    if args.fmt == "json":
-        _emit_json(
-            {
-                "ok": report.ok,
-                "checks": [
-                    {"lemma": c.lemma, "label": c.label, "ok": c.ok, "detail": c.detail}
-                    for c in report.checks
-                ],
-            }
-        )
-    else:
-        for c in report.checks:
-            mark = "ok  " if c.ok else "FAIL"
-            print(f"[{mark}] {c.lemma}: {c.label}" + (f"  ({c.detail})" if c.detail else ""))
-        print(f"{sum(c.ok for c in report.checks)}/{len(report.checks)} checks passed")
-    return EXIT_OK if report.ok else EXIT_MISMATCH
+    checks = report.checks
+    text = [
+        f"[{'ok  ' if c.ok else 'FAIL'}] {c.lemma}: {c.label}"
+        + (f"  ({c.detail})" if c.detail else "")
+        for c in checks
+    ]
+    text.append(f"{sum(c.ok for c in checks)}/{len(checks)} checks passed")
+    code = EXIT_OK if report.ok else EXIT_MISMATCH
+    return Result({"ok": report.ok, "checks": [c._asdict() for c in checks]}, text, code=code)
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> Result:
     # The covariant catalog: only catalog, eval and hsop resolve names; basis never does.
     from .catalog import catalog_for
 
-    cat = catalog_for(args.n)
+    header = ("name", "order", "degree", "hsop", "expr")
     rows = [
-        {
-            "name": e.name,
-            "order": e.order,
-            "degree": e.degree,
-            "hsop": e.hsop,
-            "expr": expr_to_text(e.expr),
-        }
-        for e in cat.entries.values()
+        (e.name, e.order, e.degree, e.hsop, expr_to_text(e.expr))
+        for e in catalog_for(args.n).entries.values()
     ]
-    if args.fmt == "json":
-        _emit_json({"n": args.n, "entries": rows})
-    elif args.fmt == "csv":
-        _emit_csv(
-            [["name", "order", "degree", "hsop", "expr"]]
-            + [[r["name"], r["order"], r["degree"], int(r["hsop"]), r["expr"]] for r in rows]
-        )
-    else:
-        for r in rows:
-            star = " *" if r["hsop"] else ""
-            print(f"{r['name']:7s} order {r['order']:2d} degree {r['degree']:2d}{star}  {r['expr']}")
-        print("(* = member of the flagged parameter system)")
-    return EXIT_OK
+    text = [
+        f"{name:7s} order {order:2d} degree {degree:2d}{' *' if hsop else ''}  {expr}"
+        for name, order, degree, hsop, expr in rows
+    ]
+    return Result(
+        {"n": args.n, "entries": [dict(zip(header, row)) for row in rows]},
+        text + ["(* = member of the flagged parameter system)"],
+        [header] + [(name, order, degree, int(hsop), expr)
+                    for name, order, degree, hsop, expr in rows],
+    )
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> Result:
     ring = QQ if args.prime is None else PrimeField(args.prime)
     form = parse_form_literal(args.form, ring, args.a_convention)
     expr = expr_from_text(args.expr)
     # The covariant catalog: only catalog, eval and hsop resolve names; basis never does.
-    from .catalog import catalog_for
+    from .catalog import ORDERS, catalog_for
 
-    cat = catalog_for(args.n) if args.n in (2, 3, 6, 7, 9) else None
-    defs = cat.defs if cat else {}
+    defs = catalog_for(args.n).defs if args.n in ORDERS else {}
     order, degree = expr_meta(expr, args.n, defs)
     if form.order != args.n:
         raise ValueError(f"form has order {form.order}, expected {args.n}")
     value = Evaluator(form, defs).eval(expr)
-    if order == 0:
-        out = str(value.scalar())
-    else:
-        out = print_form_literal(value)
-    if args.fmt == "json":
-        _emit_json(
-            {"n": args.n, "expr": args.expr, "order": order, "degree": degree, "value": out}
-        )
-    else:
-        print(out)
-    return EXIT_OK
+    out = str(value.scalar()) if order == 0 else print_form_literal(value)
+    return Result(
+        {"n": args.n, "expr": args.expr, "order": order, "degree": degree, "value": out},
+        [out],
+    )
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args) -> Result:
     cfg = PipelineConfig(args.prime, args.seed, args.margin)
     cfg.validate(args.n, campaign_top(args.n, args.max_degree))
     table = find_basic_invariants(args.n, args.max_degree, cfg, open_cache(args.cache_dir))
     nonzero = table.nonzero()
-    if args.fmt == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "prime": cfg.prime,
-                "seed": cfg.seed,
-                "max_degree": args.max_degree,
-                "d": {str(m): d for m, d in nonzero.items()},
-                "total": table.total(),
-                "evidence": [
-                    {
-                        "degree": ev.degree,
-                        "dim": ev.dim,
-                        "products": ev.n_products,
-                        "product_rank": ev.product_rank,
-                        "d": ev.d,
-                        "points": ev.points,
-                    }
-                    for _, ev in sorted(table.evidence.items())
-                ],
-            }
-        )
-    elif args.fmt == "csv":
-        _emit_csv([["m", "d_m"]] + [[m, d] for m, d in nonzero.items()])
-    else:
-        print(f"basic invariants for order {args.n} through degree {args.max_degree} "
-              f"(prime {cfg.prime}, seed {cfg.seed}):")
-        print("  m  : " + "  ".join(f"{m:4d}" for m in nonzero))
-        print("  d_m: " + "  ".join(f"{d:4d}" for d in nonzero.values()))
-        print(f"  total {table.total()}")
-    return EXIT_OK
+    payload = {
+        "n": args.n, "prime": cfg.prime, "seed": cfg.seed, "max_degree": args.max_degree,
+        "d": nonzero, "total": table.total(),
+        # `attempt` names the point set for the cache; the JSON leaves it out.
+        "evidence": [
+            {key: value for key, value in ev._asdict().items() if key != "attempt"}
+            for _, ev in sorted(table.evidence.items())
+        ],
+    }
+    text = [
+        f"basic invariants for order {args.n} through degree {args.max_degree} "
+        f"(prime {cfg.prime}, seed {cfg.seed}):",
+        "  m  : " + "  ".join(f"{m:4d}" for m in nonzero),
+        "  d_m: " + "  ".join(f"{d:4d}" for d in nonzero.values()),
+        f"  total {table.total()}",
+    ]
+    return Result(payload, text, [("m", "d_m"), *nonzero.items()])
 
 
 def _named_set(n: int, selector: str) -> List[Tuple[str, object, int]]:
@@ -321,19 +272,13 @@ def _basis_degree(candidates, degrees: Sequence[int]) -> int:
 
 def _membership_payload(res) -> dict:
     return {
-        "degree": res.degree,
-        "dim": res.dim,
-        "rank": res.achieved_rank,
-        "a_coefficient": res.a_coefficient,
-        "expected_ideal_dim": res.expected_ideal_dim,
-        "rows_used": res.rows_used,
-        "points": res.points,
+        **res._asdict(),
         "certifies_containment": res.certifies_containment,
         "consistent": res.consistent,
     }
 
 
-def _cmd_hsop_check(args) -> int:
+def _cmd_hsop_check(args) -> Result:
     degrees = _parse_degree_list(args.membership_degrees, "--membership-degrees")
     cfg = PipelineConfig(args.prime, args.seed, args.margin)
     cfg.validate(args.n, max(degrees, default=0))
@@ -349,42 +294,39 @@ def _cmd_hsop_check(args) -> int:
         candidates, args.n, cfg, membership_degrees=degrees, basis=basis,
         nullcone_trials=args.trials,
     )
+    vanish = report.vanish
+    # Lists, not tuples, where the text shows a value's repr.
     payload = {
-        "n": report.n,
-        "set": list(report.names),
-        "degrees": list(report.degrees),
-        "verdict": report.verdict,
-        "reasons": list(report.reasons),
+        "n": report.n, "set": list(report.names), "degrees": list(report.degrees),
+        "verdict": report.verdict, "reasons": report.reasons,
         "jacobian_ranks": list(report.jacobian_ranks),
         "jacobian_required": report.jacobian_required,
         "nullform_vanishing": (
-            f"{report.vanish.nullform_all_vanish}/{report.vanish.nullform_trials}"
-            if report.vanish
-            else None
+            f"{vanish.nullform_all_vanish}/{vanish.nullform_trials}" if vanish else None
         ),
-        "generic_all_vanish": report.vanish.generic_all_vanish if report.vanish else None,
+        "generic_all_vanish": vanish.generic_all_vanish if vanish else None,
         "membership": [_membership_payload(r) for r in report.membership],
-        "prime": report.prime,
-        "seed": report.seed,
+        "prime": report.prime, "seed": report.seed,
     }
-    if args.fmt == "json":
-        _emit_json(payload)
-    else:
-        print(f"candidate set {payload['set']} (degrees {payload['degrees']})")
-        print(f"verdict: {report.verdict}")
-        for key in ("jacobian_ranks", "nullform_vanishing", "generic_all_vanish"):
-            print(f"  {key}: {payload[key]}")
-        for m in payload["membership"]:
-            print(
-                f"  membership degree {m['degree']}: rank {m['rank']} of dim {m['dim']}"
-                f" (a_i = {m['a_coefficient']}, consistent = {m['consistent']})"
-            )
-        for reason in report.reasons:
-            print(f"  ! {reason}")
-    return EXIT_OK if report.verdict == "certified-at-sampling-level" else EXIT_MISMATCH
+    text = [
+        f"candidate set {payload['set']} (degrees {payload['degrees']})",
+        f"verdict: {report.verdict}",
+    ]
+    text += [
+        f"  {key}: {payload[key]}"
+        for key in ("jacobian_ranks", "nullform_vanishing", "generic_all_vanish")
+    ]
+    text += [
+        f"  membership degree {r.degree}: rank {r.rank} of dim {r.dim}"
+        f" (a_i = {r.a_coefficient}, consistent = {r.consistent})"
+        for r in report.membership
+    ]
+    text += [f"  ! {reason}" for reason in report.reasons]
+    certified = report.verdict == "certified-at-sampling-level"
+    return Result(payload, text, code=EXIT_OK if certified else EXIT_MISMATCH)
 
 
-def _cmd_hsop_membership(args) -> int:
+def _cmd_hsop_membership(args) -> Result:
     degrees = _parse_degree_list(args.degrees, "--degrees")
     if not degrees:
         raise ValueError("--degrees is required")
@@ -396,24 +338,18 @@ def _cmd_hsop_membership(args) -> int:
     table = find_basic_invariants(args.n, need, cfg, cache)
     results = [ideal_membership_dim(candidates, table.records, i, args.n, cfg) for i in degrees]
     payload = {
-        "n": args.n,
-        "set": [name for name, _, _ in candidates],
-        "prime": cfg.prime,
-        "seed": cfg.seed,
-        "basis_max_degree": need,
+        "n": args.n, "set": [name for name, _, _ in candidates], "prime": cfg.prime,
+        "seed": cfg.seed, "basis_max_degree": need,
         "membership": [_membership_payload(r) for r in results],
     }
+    text = [
+        f"degree {r.degree}: dim {r.dim}, rank {r.rank} -> "
+        + ("contained" if r.certifies_containment else f"rank {r.rank}")
+        + f" (rows {r.rows_used}, points {r.points})"
+        for r in results
+    ]
     ok = all(r.consistent for r in results)
-    if args.fmt == "json":
-        _emit_json(payload)
-    else:
-        for m in payload["membership"]:
-            verdict = "contained" if m["certifies_containment"] else f"rank {m['rank']}"
-            print(
-                f"degree {m['degree']}: dim {m['dim']}, rank {m['rank']} -> {verdict}"
-                f" (rows {m['rows_used']}, points {m['points']})"
-            )
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return Result(payload, text, code=EXIT_OK if ok else EXIT_MISMATCH)
 
 
 def _parse_degree_list(text: Optional[str], option: str) -> List[int]:
@@ -483,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--expr", required=True)
     sp.add_argument("--form", required=True)
     sp.add_argument("--a-convention", action="store_true")
-    sp.add_argument("--prime", type=int, default=None, help="evaluate over F_p (default: rationals)")
+    sp.add_argument(
+        "--prime", type=int, default=None, help="evaluate over F_p (default: rationals)"
+    )
     sp.set_defaults(func=_cmd_eval)
 
     sp = subs.add_parser("basis", help="discover basic invariants degree by degree")
@@ -521,7 +459,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _write(args.func(args), args.fmt)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all.
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)

@@ -382,11 +382,10 @@ class CandidateGenerator:
 class DegreeEvidence(NamedTuple):
     degree: int
     dim: int
-    n_products: int
+    products: int
     product_rank: int
     d: int
     points: int
-    new_names: Tuple[str, ...]
     attempt: int  # the point set `dm:{degree}:{attempt}`; 0 when dim is 0
 
 
@@ -424,12 +423,12 @@ def compute_dm(
     cfg.validate(n, m)
     dim = invariant_dimension(n, m)
     if dim == 0:
-        return DegreeEvidence(m, 0, 0, 0, 0, 0, (), 0), []
+        return DegreeEvidence(m, 0, 0, 0, 0, 0, 0), []
     if any(rec.degree >= m for rec in basis):
         raise ValueError(f"basis passed to compute_dm must be settled below degree {m}")
     if stored is None and gen is None:
         gen = CandidateGenerator(n, cfg.seed)
-    n_products = monomial_counts(basis, m)[m]
+    products = monomial_counts(basis, m)[m]
     attempts = (1, 2) if stored is None else (stored[0],)
     margin = cfg.margin(dim) << (attempts[0] - 1)
     for attempt in attempts:
@@ -461,8 +460,7 @@ def compute_dm(
                     gen.grow(max_degree=m - 1, steps=30)
         if ech.rank == dim:
             evidence = DegreeEvidence(
-                m, dim, n_products, product_rank, dim - product_rank, npts,
-                tuple(r.name for r in new_records), attempt,
+                m, dim, products, product_rank, dim - product_rank, npts, attempt
             )
             return evidence, new_records
         margin *= 2
@@ -479,11 +477,14 @@ def _rational_form(n: int, degrees: Sequence[int]) -> Optional[PoincareRational]
 
 def _stop_bound(n: int) -> Optional[int]:
     """Degree beyond which no basic invariant exists, when a seed sequence is
-    known: the numerator degree of the reference rational form.  The ring of
-    invariants is Gorenstein with deg H(t) = -(n + 1), so that degree is
+    known.  The ring is free over the seed hsop, with secondaries up to the
+    numerator degree of the reference rational form; primaries and
+    secondaries generate it, so no basic invariant has degree above both
+    that numerator degree and the largest seed degree.  The ring is
+    Gorenstein with deg H(t) = -(n + 1), so the numerator degree is
     sum(seed) - (n + 1) (tested against the rational form)."""
     seed = SEED_DEGREES.get(n)
-    return None if seed is None else sum(seed) - (n + 1)
+    return None if seed is None else max(sum(seed) - (n + 1), max(seed))
 
 
 def campaign_top(n: int, max_degree: int) -> int:
@@ -619,21 +620,21 @@ def vanish_on_nullcone_sample(
 class MembershipResult(NamedTuple):
     degree: int
     dim: int
-    achieved_rank: int
-    expected_ideal_dim: Optional[int]
+    rank: int
     a_coefficient: Optional[int]
+    expected_ideal_dim: Optional[int]
     rows_used: int
     points: int
 
     @property
     def certifies_containment(self) -> bool:
-        return self.achieved_rank == self.dim
+        return self.rank == self.dim
 
     @property
     def consistent(self) -> bool:
         if self.expected_ideal_dim is None:
             return self.certifies_containment
-        return self.achieved_rank == self.expected_ideal_dim
+        return self.rank == self.expected_ideal_dim
 
 
 def ideal_membership_dim(
@@ -678,7 +679,7 @@ def ideal_membership_dim(
 
     ech = StreamingEchelon(cfg.prime, npts)
     rows_used = ech.add_rows(rows(), stop_at=dim)
-    return MembershipResult(degree, dim, ech.rank, expected, a_i, rows_used, npts)
+    return MembershipResult(degree, dim, ech.rank, a_i, expected, rows_used, npts)
 
 
 class HsopReport(NamedTuple):
@@ -687,7 +688,6 @@ class HsopReport(NamedTuple):
     degrees: Tuple[int, ...]
     verdict: str  # certified-at-sampling-level | refuted | inconclusive
     reasons: Tuple[str, ...]
-    count_ok: bool
     jacobian_ranks: Tuple[int, ...]
     jacobian_required: int
     vanish: Optional[VanishReport]
@@ -711,12 +711,11 @@ def certify_hsop(
     exprs = [e for _, e, _ in candidates]
     reasons: List[str] = []
     required = n - 2 if n >= 3 else 1
-    count_ok = len(candidates) == required
-    if not count_ok:
+    if len(candidates) != required:
         reasons.append(f"expected {required} invariants, got {len(candidates)}")
         return HsopReport(
-            n, names, degrees, "refuted", tuple(reasons), False, (),
-            required, None, (), cfg.prime, cfg.seed,
+            n, names, degrees, "refuted", tuple(reasons), (), required, None, (),
+            cfg.prime, cfg.seed,
         )
     from .series import check_sequence
 
@@ -756,15 +755,15 @@ def certify_hsop(
         res = ideal_membership_dim(candidates, basis, i, n, cfg)
         membership.append(res)
         if not res.consistent:
-            if res.expected_ideal_dim is not None and res.achieved_rank < res.expected_ideal_dim:
+            if res.expected_ideal_dim is not None and res.rank < res.expected_ideal_dim:
                 inconclusive = True
                 reasons.append(
-                    f"membership at degree {i}: rank {res.achieved_rank} below "
+                    f"membership at degree {i}: rank {res.rank} below "
                     f"expected {res.expected_ideal_dim} (spanning shortfall?)"
                 )
             else:
                 reasons.append(
-                    f"membership at degree {i}: rank {res.achieved_rank} "
+                    f"membership at degree {i}: rank {res.rank} "
                     f"inconsistent with expected {res.expected_ideal_dim}"
                 )
     refuted = (not filt.ok) or (not jacobian_ok) or vanish.generic_all_vanish > 0
@@ -775,6 +774,6 @@ def certify_hsop(
     else:
         verdict = "certified-at-sampling-level"
     return HsopReport(
-        n, names, degrees, verdict, tuple(reasons), count_ok, jranks,
-        required, vanish, tuple(membership), cfg.prime, cfg.seed,
+        n, names, degrees, verdict, tuple(reasons), jranks, required, vanish,
+        tuple(membership), cfg.prime, cfg.seed,
     )

@@ -15,9 +15,11 @@ from binforms import cli
 from binforms.cli import build_parser, main, parse_form_literal
 from binforms.rings import QQ
 
-# Stdout and exit code of the commands that evaluate one form at a time,
-# recorded from the derivative-sum transvectant that the weight table
-# replaced.  The file is never re-pinned: a change here is a change of values.
+# Stdout and exit code of command lines in every format they offer.  The
+# first six, the commands that evaluate one form at a time, were recorded
+# from the derivative-sum transvectant that the weight table replaced; the
+# rest from the per-command renderers that the one output writer replaced.
+# The file is never re-pinned: a change here is a change of output.
 SCALAR_PATH = json.loads((Path(__file__).parent / "data" / "scalar_path.json").read_text())
 
 
@@ -242,6 +244,15 @@ def test_basis_csv_row_order(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["m,d_m", "4,2", "8,5", "10,5"]
+
+
+def test_cubic_basis_finds_the_discriminant(capsys):
+    # The cubic's numerator degree is 0; its one generator is the degree-4
+    # primary, so the campaign must run past the numerator degree.
+    code, out, _ = run_cli(capsys, "basis", "--n", "3", "--max-degree", "8", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["d"], payload["total"]) == ({"4": 1}, 1)
 
 
 def test_hsop_check_quick(capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_compute_dm_first_degrees():
     ev6, recs6 = compute_dm(9, 6, recs4, CFG)
     assert ev6.d == 0 and recs6 == []
     ev8, recs8 = compute_dm(9, 8, recs4, CFG)
-    assert (ev8.dim, ev8.n_products, ev8.product_rank, ev8.d) == (8, 3, 3, 5)
+    assert (ev8.dim, ev8.products, ev8.product_rank, ev8.d) == (8, 3, 3, 5)
 
 
 def test_fingerprints_nonzero_and_independent():
@@ -223,11 +224,15 @@ def test_fingerprints_nonzero_and_independent():
 def test_find_basic_invariants_nonic_quick():
     table = find_basic_invariants(9, 12, CFG)
     assert table.nonzero() == {4: 2, 8: 5, 10: 5, 12: 14}
-    # evidence invariants
+    # evidence invariants: each degree adjoins d generators, named in order
+    adjoined = Counter(rec.degree for rec in table.records)
+    assert sum(adjoined.values()) == table.total()
     for m, ev in table.evidence.items():
         assert ev.product_rank <= ev.dim
         assert ev.d == ev.dim - ev.product_rank
-        assert len(ev.new_names) == ev.d
+        assert adjoined[m] == ev.d
+        names = [rec.name for rec in table.records if rec.degree == m]
+        assert names == [f"i{m}_{k}" for k in range(1, ev.d + 1)]
 
 
 def test_find_basic_invariants_dm_stable_across_seeds_and_primes():
@@ -255,10 +260,15 @@ def test_stop_bound_halts_sextic_campaign():
     assert table.total() == 5
 
 
-def test_stop_bound_is_the_numerator_degree_of_the_seed_rational_form():
+def test_stop_bound_is_the_numerator_degree_or_the_largest_seed_degree():
+    # Secondaries reach the numerator degree, primaries their own degrees.
     for n, seed in SEED_DEGREES.items():
         rat = to_rational(poincare_series(n, sum(seed) + max(seed)), seed)
-        assert pipeline._stop_bound(n) == rat.numerator_degree, n
+        assert pipeline._stop_bound(n) == max(rat.numerator_degree, max(seed)), n
+    # Only the cubic's discriminant lies above its numerator degree, 0.
+    assert {n: pipeline._stop_bound(n) for n in SEED_DEGREES} == {
+        3: 4, 6: 15, 7: 48, 9: 66, 10: 48
+    }
     assert pipeline._stop_bound(5) is None
     assert pipeline._stop_bound(8) is None
 
@@ -316,7 +326,7 @@ def test_ideal_membership_quick_degrees():
     for i, (dim, ideal_dim) in expected.items():
         res = ideal_membership_dim(thm, basis, i, 9, CFG)
         assert res.dim == dim
-        assert res.achieved_rank == ideal_dim
+        assert res.rank == ideal_dim
         assert res.expected_ideal_dim == ideal_dim
         assert res.consistent
         assert res.a_coefficient == dim - ideal_dim
@@ -347,7 +357,7 @@ def test_certify_refutes_wrong_count():
     thm = [(e.name, cat.closed(e.name), e.degree) for e in cat.hsop()]
     report = certify_hsop(thm[:-1], 9, CFG)
     assert report.verdict == "refuted"
-    assert not report.count_ok
+    assert report.reasons == ("expected 7 invariants, got 6",)
 
 
 def test_certify_refutes_dependent_replacement():
