@@ -35,7 +35,7 @@ try:
 
     from .exprs import Evaluator, expr_from_text, expr_meta, expr_to_text
     from .forms import BinaryForm
-    from .nullcone import is_nullform, root_multiplicity_max, verify_lemma_expansions
+    from .nullcone import nullform_report, verify_lemma_expansions
     from .pipeline import (
         PipelineConfig,
         SaturationError,
@@ -147,16 +147,11 @@ def _cmd_nullcone_test(args) -> Result:
     form = parse_form_literal(args.form, QQ, args.a_convention)
     if form.order != args.n:
         raise ValueError(f"form literal has order {form.order}, --n says {args.n}")
-    if form.is_zero():
-        payload = {"multiplicity": None, "is_nullform": True, "witness": "zero form"}
-    else:
-        report = root_multiplicity_max(form)
-        payload = {
-            "multiplicity": report.max_multiplicity,
-            "is_nullform": is_nullform(form),
-            "witness": report.witness,
-        }
-    return Result(payload, [str(payload)])
+    payload = nullform_report(form)._asdict()
+    return Result(
+        payload,
+        [f"{key}: {v if isinstance(v, str) else json.dumps(v)}" for key, v in payload.items()],
+    )
 
 
 def _cmd_verify_lemmas(args) -> Result:

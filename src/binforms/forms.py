@@ -1,4 +1,4 @@
-"""Binary forms, transvectants, and random SL2 matrices.
+"""Binary forms and transvectants.
 
 A form of order n is stored as the raw coefficient vector c with
 f = sum_i c[i] * x^(n-i) * y^i.  The classical literature often writes
@@ -26,7 +26,6 @@ is rejected rather than silently wrapped.
 from __future__ import annotations
 
 import operator
-import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
@@ -183,13 +182,3 @@ def transvectant(g: BinaryForm, h: BinaryForm, p: int) -> BinaryForm:
         out = [mul(c, x) for x in out]
     return BinaryForm(ring, m + n - 2 * p, out)
 
-
-def random_sl2(ring: Ring, rng: random.Random):
-    """A random determinant-1 matrix (product of unit triangulars)."""
-    b = ring.random(rng)
-    c = ring.random(rng)
-    # ((1, 0), (c, 1)) * ((1, b), (0, 1)) = ((1, b), (c, c*b + 1))
-    return (
-        (ring.one, b),
-        (c, ring.add(ring.mul(c, b), ring.one)),
-    )

@@ -1,11 +1,15 @@
 """Root multiplicities, nullform tests, and symbolic lemma verification.
 
 A form of order n lies in the nullcone exactly when it has a projective root
-of multiplicity greater than n/2.  Multiplicities are computed over the
-rationals with gcd chains (g, g'), (gcd, gcd'), ...; the chain length at which
-the gcd becomes constant is the maximal multiplicity among finite roots, and
-the point at infinity is handled by splitting off the power of y first.
-Nothing here is numeric: the verdicts feed certification logic.
+of multiplicity greater than n/2.  `nullform_report` computes the largest
+multiplicity over the rationals with gcd chains (g, g'), (gcd, gcd'), ...;
+the chain length at which the gcd becomes constant is the maximal
+multiplicity among finite roots, and the point at infinity is handled by
+splitting off the power of y first.  Nothing here is numeric: the verdicts
+feed certification logic.
+
+`random_nullform` draws a seeded nullform as primitive integer coefficients,
+the one shape in which the exact nullform check evaluates it.
 
 `verify_lemma_expansions` recomputes, over symbolic coefficients, every
 displayed covariant expansion and scalar identity used in the three nullcone
@@ -22,17 +26,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
-from typing import List, NamedTuple, Tuple
+from math import gcd, lcm
+from typing import List, NamedTuple, Optional, Tuple
 
-from .forms import BinaryForm, random_sl2, transvectant
-from .rings import QQ, Ring
+from .forms import BinaryForm, transvectant
+from .rings import QQ
 
 
-class MultiplicityReport(NamedTuple):
-    max_multiplicity: int
+class NullformReport(NamedTuple):
+    multiplicity: Optional[int]  # None for the zero form, which has no roots
+    is_nullform: bool
     witness: str
-    is_zero_form: bool = False
 
 
 def _root_chain(f: BinaryForm) -> Tuple[int, List[List[Fraction]]]:
@@ -61,20 +65,25 @@ def _root_chain(f: BinaryForm) -> Tuple[int, List[List[Fraction]]]:
     return b, chain
 
 
-def root_multiplicity_max(f: BinaryForm) -> MultiplicityReport:
-    """Largest multiplicity among the projective roots of a rational form."""
+def nullform_report(f: BinaryForm) -> NullformReport:
+    """The largest multiplicity among the projective roots of a rational form,
+    whether it exceeds order/2, and the roots that attain it.
+
+    The zero form is a nullform with no multiplicity.
+    """
     if f.ring != QQ:
         raise ValueError("multiplicity is computed over the rationals")
     if f.is_zero():
-        return MultiplicityReport(f.order + 1, "zero form", is_zero_form=True)
+        return NullformReport(None, True, "zero form")
     y_mult, chain = _root_chain(f)
-    if len(chain) == 1:
-        # f = c * y^order (up to the split); only the point at infinity.
-        return MultiplicityReport(y_mult, "point at infinity")
     finite_mult = len(chain) - 1
-    if y_mult >= finite_mult:
-        return MultiplicityReport(max(y_mult, finite_mult), "point at infinity" if y_mult > finite_mult else _witness(chain, finite_mult))
-    return MultiplicityReport(finite_mult, _witness(chain, finite_mult))
+    multiplicity = max(y_mult, finite_mult)
+    if finite_mult == 0 or y_mult > finite_mult:
+        # f = c * y^order (up to the split), or infinity has the larger multiplicity.
+        witness = "point at infinity"
+    else:
+        witness = _witness(chain, finite_mult)
+    return NullformReport(multiplicity, 2 * multiplicity > f.order, witness)
 
 
 def _witness(chain: List[List[Fraction]], mult: int) -> str:
@@ -88,45 +97,37 @@ def _witness(chain: List[List[Fraction]], mult: int) -> str:
     return "roots of " + " + ".join(terms)
 
 
-def is_nullform(f: BinaryForm) -> bool:
-    """True iff some root has multiplicity > order/2 (zero form included)."""
-    report = root_multiplicity_max(f)
-    if report.is_zero_form:
-        return True
-    return 2 * report.max_multiplicity > f.order
-
-
 def _times_linear(cs: List[int], lin: Tuple[int, int]) -> List[int]:
     """Integer coefficients of (form cs) * (lin[0] x + lin[1] y)."""
     a, b = lin
     return [a * u + b * v for u, v in zip(cs + [0], [0] + cs)]
 
 
-def random_nullform(n: int, ring: Ring, seed: int) -> BinaryForm:
-    """A seeded random nullform: an SL2 image of x^(floor(n/2)+1) * r(x, y).
+def random_nullform(n: int, seed: int) -> List[int]:
+    """A seeded random nullform of order n: the primitive integer coefficients
+    of an SL2 image of x^(floor(n/2)+1) * r(x, y).
 
-    The value is exactly the image g . (x^k * r) with k = floor(n/2) + 1
-    under g = random_sl2(ring, rng), from the same draws, acting by
-    (g . f)(v) = f(g^-1 v), but it is built in integer arithmetic.  Write the
-    base coefficients as C_i = N_i / q over their common denominator q, and
-    the matrix entries as b = bn/bd, c = cn/cd.  The substitution of that
-    action, x -> (cb + 1) x - b y and y -> -c x + y, times bd*cd and cd
-    gives the integer linear forms
-    LX = (cn bn + cd bd, -bn cd) and LY = (-cn, cd), so the image is
-    sum_i N_i bd^i LX^(n-i) LY^i / (q (bd cd)^n).  The sum is built by Horner
-    steps in Python ints and each coefficient is mapped into the ring once.
-    The draws must be rationals: prime-field draws are ints with denominator
-    1, and the same sum gives their values mod p.
+    The draws are rationals from `QQ.random`: the coefficients of r, then b
+    and c of g = ((1, b), (c, cb + 1)), which acts by (g . f)(v) = f(g^-1 v).
+    Write r's coefficients as N_i / q over their common denominator q, and
+    b = bn/bd, c = cn/cd.  The substitution of that action,
+    x -> (cb + 1) x - b y and y -> -c x + y, times bd*cd and cd gives the
+    integer linear forms LX = (cn bn + cd bd, -bn cd) and LY = (-cn, cd), so
+    the image is sum_i N_i bd^i LX^(n-i) LY^i / (q (bd cd)^n).  The sum is
+    built by Horner steps in Python ints and divided by the gcd of its
+    coefficients: the row is the image times a positive rational, so every
+    invariant's value changes by a nonzero factor and vanishes where the
+    image's does.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     rng = random.Random(f"nullform:{seed}:{n}")
     k = n // 2 + 1
     while True:
-        rest = [ring.random(rng) for _ in range(n - k + 1)]
-        if not all(ring.is_zero(c) for c in rest):
+        rest = [QQ.random(rng) for _ in range(n - k + 1)]
+        if any(rest):
             break
-    (_, b), (c, _) = random_sl2(ring, rng)
+    b, c = QQ.random(rng), QQ.random(rng)
     bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
     q = lcm(*(r.denominator for r in rest))
     nums = [r.numerator * (q // r.denominator) for r in rest]
@@ -139,8 +140,8 @@ def random_nullform(n: int, ring: Ring, seed: int) -> BinaryForm:
         if i < len(nums):
             w = nums[i] * bd**i
             out = [u + w * v for u, v in zip(out, ypow)]
-    den = q * (bd * cd) ** n
-    return BinaryForm(ring, n, [ring.from_fraction(Fraction(v, den)) for v in out])
+    g = gcd(*out)
+    return [v // g for v in out]
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +162,14 @@ class LemmaReport(NamedTuple):
         return all(c.ok for c in self.checks)
 
 
-def _check_form(checks: list, lemma: str, label: str, got: BinaryForm, expected) -> None:
-    want = list(expected)
-    ok = list(got.coeffs) == want
-    detail = "" if ok else f"got {[str(c) for c in got.coeffs]}"
-    checks.append(LemmaCheck(lemma, label, ok, detail))
+def _check(checks: list, lemma: str, label: str, got, want) -> None:
+    """Record whether `got` equals the transcription `want`; a failure shows `got`.
 
-
-def _check_scalar(checks: list, lemma: str, label: str, got: BinaryForm, expected) -> None:
-    value = got.scalar()
-    ok = value == expected
-    detail = "" if ok else f"got {value}"
-    checks.append(LemmaCheck(lemma, label, ok, detail))
+    A form is checked by its list of coefficients, each shown by `str`.
+    """
+    ok = got == want
+    shown = [str(c) for c in got] if isinstance(got, list) else got
+    checks.append(LemmaCheck(lemma, label, ok, "" if ok else f"got {shown}"))
 
 
 def verify_lemma_expansions() -> LemmaReport:
@@ -202,25 +199,23 @@ def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
     expected_p = [
         ring.const(Fraction(comb(9, i) * i * (i - 1), 72)) * a[i] for i in range(2, 10)
     ]
-    _check_form(checks, lemma, "case1: p = (f, x^2)_2", p, expected_p)
+    _check(checks, lemma, "case1: p = (f, x^2)_2", list(p.coeffs), expected_p)
 
     # Case l = x^2: with a_6 = ... = a_9 = 0,
     # l = 70 a5^2 y^2 + 28 a4 a5 x y + (70 a4^2 - 112 a3 a5) x^2.
     f1 = BinaryForm.from_a_convention(ring, 9, a[:6] + [zero] * 4)
     l1 = transvectant(f1, f1, 8)
-    _check_form(
-        checks,
-        lemma,
-        "case1: l with a6..a9 = 0",
-        l1,
+    _check(
+        checks, lemma, "case1: l with a6..a9 = 0", list(l1.coeffs),
         [70 * a[4] ** 2 - 112 * a[3] * a[5], 28 * a[4] * a[5], 70 * a[5] ** 2],
     )
 
     # Case l = 0, q = x^6: r = (f, x^6)_6 = a9 y^3 + 3 a8 x y^2 + 3 a7 x^2 y + a6 x^3.
     x6 = BinaryForm.monomial(ring, 6, 0)
     r1 = transvectant(f, x6, 6)
-    _check_form(
-        checks, lemma, "case q=x^6: r = (f, x^6)_6", r1, [a[6], 3 * a[7], 3 * a[8], a[9]]
+    _check(
+        checks, lemma, "case q=x^6: r = (f, x^6)_6", list(r1.coeffs),
+        [a[6], 3 * a[7], 3 * a[8], a[9]],
     )
 
     # ... then a_8 = a_9 = 0 and the full expansions of q and l.
@@ -235,23 +230,20 @@ def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
         -30 * a[5] * a[6] + 54 * a[4] * a[7],
         -20 * a[6] ** 2 + 30 * a[5] * a[7],
     ]
-    _check_form(checks, lemma, "case q=x^6: q with a8 = a9 = 0", q2, expected_q2)
+    _check(checks, lemma, "case q=x^6: q with a8 = a9 = 0", list(q2.coeffs), expected_q2)
     l2 = transvectant(f2, f2, 8)
     expected_l2 = [
         70 * a[4] ** 2 - 112 * a[3] * a[5] + 56 * a[2] * a[6] - 16 * a[1] * a[7],
         28 * a[4] * a[5] - 56 * a[3] * a[6] + 40 * a[2] * a[7],
         70 * a[5] ** 2 - 112 * a[4] * a[6] + 56 * a[3] * a[7],
     ]
-    _check_form(checks, lemma, "case q=x^6: l with a8 = a9 = 0", l2, expected_l2)
+    _check(checks, lemma, "case q=x^6: l with a8 = a9 = 0", list(l2.coeffs), expected_l2)
 
     # Case q = x^5 y: r = (f, x^5 y)_6 = -a8 y^3 - 3 a7 x y^2 - 3 a6 x^2 y - a5 x^3.
     x5y = BinaryForm.monomial(ring, 5, 1)
     r2 = transvectant(f, x5y, 6)
-    _check_form(
-        checks,
-        lemma,
-        "case q=x^5y: r = (f, x^5y)_6",
-        r2,
+    _check(
+        checks, lemma, "case q=x^5y: r = (f, x^5y)_6", list(r2.coeffs),
         [-a[5], -3 * a[6], -3 * a[7], -a[8]],
     )
 
@@ -269,48 +261,24 @@ def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
         1: -30 * a[3] * a[4] + 54 * a[2] * a[5] - 30 * a[1] * a[6],
     }
     for yexp, want in sorted(displayed.items()):
-        got = q3.coeffs[yexp]  # coeff of x^(6-yexp) y^yexp
-        checks.append(
-            LemmaCheck(
-                lemma,
-                f"case q=x^5y: q coefficient of x^{6-yexp}y^{yexp}",
-                got == want,
-                "" if got == want else f"got {got}",
-            )
-        )
+        # coeffs[yexp] is the coefficient of x^(6-yexp) y^yexp
+        label = f"case q=x^5y: q coefficient of x^{6-yexp}y^{yexp}"
+        _check(checks, lemma, label, q3.coeffs[yexp], want)
     want_c = 70 * a[5] ** 2 - 112 * a[4] * a[6] + 2 * a[1] * a[9]
-    got_c = l3.coeffs[2]
-    checks.append(
-        LemmaCheck(
-            lemma,
-            "case q=x^5y: l coefficient of y^2",
-            got_c == want_c,
-            "" if got_c == want_c else f"got {got_c}",
-        )
-    )
+    _check(checks, lemma, "case q=x^5y: l coefficient of y^2", l3.coeffs[2], want_c)
     # Displayed elimination identity: 5 d5 a9 = -75 a4 d0 + 45 a5 d1 - a6 (9c + 22 d2)
     # with c the y^2 coefficient of l and d_i the x^i y^(6-i) coefficients of q.
     c = l3.coeffs[2]
     d = {i: q3.coeffs[6 - i] for i in range(7)}
     lhs = 5 * d[5] * a[9]
     rhs = -75 * a[4] * d[0] + 45 * a[5] * d[1] - a[6] * (9 * c + 22 * d[2])
-    checks.append(
-        LemmaCheck(
-            lemma,
-            "case q=x^5y: elimination identity for a9",
-            lhs == rhs,
-            "" if lhs == rhs else f"lhs - rhs = {lhs - rhs}",
-        )
-    )
+    _check(checks, lemma, "case q=x^5y: elimination identity for a9", lhs, rhs)
 
     # Case q = x^4 y (x + y): r = (a7-a8) y^3 + 3(a6-a7) x y^2 + 3(a5-a6) x^2 y + (a4-a5) x^3.
     q_fix = BinaryForm(ring, 6, [zero, ring.one, ring.one, zero, zero, zero, zero])
     r3 = transvectant(f, q_fix, 6)
-    _check_form(
-        checks,
-        lemma,
-        "case q=x^4y(x+y): r",
-        r3,
+    _check(
+        checks, lemma, "case q=x^4y(x+y): r", list(r3.coeffs),
         [a[4] - a[5], 3 * (a[5] - a[6]), 3 * (a[6] - a[7]), a[7] - a[8]],
     )
 
@@ -329,14 +297,14 @@ def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
         -6 * (5 * a3 * a6 - 9 * a4 * a6 + 5 * a5 * a6 - a2 * a9),
         -2 * (6 * a4 * a6 - 15 * a5 * a6 + 10 * a6 ** 2 - a3 * a9),
     ]
-    _check_form(checks, lemma, "case q=x^4y(x+y): q with a8 = a7 = a6", q4, expected_q4)
+    _check(checks, lemma, "case q=x^4y(x+y): q with a8 = a7 = a6", list(q4.coeffs), expected_q4)
     l4 = transvectant(f4, f4, 8)
     expected_l4 = [
         2 * (35 * a4 ** 2 - 56 * a3 * a5 + a0 * a6 - 8 * a1 * a6 + 28 * a2 * a6),
         2 * (14 * a4 * a5 - 7 * a1 * a6 + 20 * a2 * a6 - 28 * a3 * a6 + a0 * a9),
         2 * (35 * a5 ** 2 - 8 * a2 * a6 + 28 * a3 * a6 - 56 * a4 * a6 + a1 * a9),
     ]
-    _check_form(checks, lemma, "case q=x^4y(x+y): l with a8 = a7 = a6", l4, expected_l4)
+    _check(checks, lemma, "case q=x^4y(x+y): l with a8 = a7 = a6", list(l4.coeffs), expected_l4)
 
 
 def _pair_v2_v7_checks(checks: List[LemmaCheck], ring) -> None:
@@ -347,32 +315,22 @@ def _pair_v2_v7_checks(checks: List[LemmaCheck], ring) -> None:
     g = BinaryForm.monomial(ring, 2, 0)
     h = BinaryForm(ring, 7, [zero, zero, zero, zero, b1, b2, b3, b4])
     hh6 = transvectant(h, h, 6)
-    _check_scalar(
-        checks,
-        lemma,
-        "((h,h)_6, g)_2 = -4/245 b1^2",
-        transvectant(hh6, g, 2),
+    _check(
+        checks, lemma, "((h,h)_6, g)_2 = -4/245 b1^2", transvectant(hh6, g, 2).scalar(),
         ring.const(Fraction(-4, 245)) * b1 ** 2,
     )
-    _check_scalar(
-        checks,
-        lemma,
-        "((h,h)_4, g^3)_6 = 2/735 (5 b2^2 - 12 b1 b3)",
-        transvectant(transvectant(h, h, 4), g.power(3), 6),
+    _check(
+        checks, lemma, "((h,h)_4, g^3)_6 = 2/735 (5 b2^2 - 12 b1 b3)",
+        transvectant(transvectant(h, h, 4), g.power(3), 6).scalar(),
         ring.const(Fraction(2, 735)) * (5 * b2 ** 2 - 12 * b1 * b3),
     )
-    _check_scalar(
-        checks,
-        lemma,
-        "((h,h)_2, g^5)_10 = -2/147 (3 b3^2 - 7 b2 b4)",
-        transvectant(transvectant(h, h, 2), g.power(5), 10),
+    _check(
+        checks, lemma, "((h,h)_2, g^5)_10 = -2/147 (3 b3^2 - 7 b2 b4)",
+        transvectant(transvectant(h, h, 2), g.power(5), 10).scalar(),
         ring.const(Fraction(-2, 147)) * (3 * b3 ** 2 - 7 * b2 * b4),
     )
-    _check_scalar(
-        checks,
-        lemma,
-        "(h^2, g^7)_14 = b4^2",
-        transvectant(h * h, g.power(7), 14),
+    _check(
+        checks, lemma, "(h^2, g^7)_14 = b4^2", transvectant(h * h, g.power(7), 14).scalar(),
         b4 ** 2,
     )
 
@@ -386,50 +344,31 @@ def _pair_v6_v3_checks(checks: List[LemmaCheck], ring) -> None:
 
     # Case h = y^3.
     h = BinaryForm.monomial(ring, 0, 3)
-    _check_scalar(
-        checks,
-        lemma,
-        "case h=y^3: ((g^2, g)_6, h^2)_6 = 1/495 b3^3",
-        transvectant(transvectant(g * g, g, 6), h * h, 6),
+    _check(
+        checks, lemma, "case h=y^3: ((g^2, g)_6, h^2)_6 = 1/495 b3^3",
+        transvectant(transvectant(g * g, g, 6), h * h, 6).scalar(),
         ring.const(Fraction(1, 495)) * b3 ** 3,
     )
-    _check_scalar(
-        checks,
-        lemma,
-        "case h=y^3: (((g,g)_2, g)_1, h^4)_12 = -1/540 b2 (5 b2^2 - 18 b1 b3)",
-        transvectant(
-            transvectant(transvectant(g, g, 2), g, 1), h.power(4), 12
-        ),
+    _check(
+        checks, lemma, "case h=y^3: (((g,g)_2, g)_1, h^4)_12 = -1/540 b2 (5 b2^2 - 18 b1 b3)",
+        transvectant(transvectant(transvectant(g, g, 2), g, 1), h.power(4), 12).scalar(),
         ring.const(Fraction(-1, 540)) * b2 * (5 * b2 ** 2 - 18 * b1 * b3),
     )
-    _check_scalar(
-        checks,
-        lemma,
-        "case h=y^3: (g, h^2)_6 = b1",
-        transvectant(g, h * h, 6),
-        b1,
-    )
+    _check(checks, lemma, "case h=y^3: (g, h^2)_6 = b1", transvectant(g, h * h, 6).scalar(), b1)
 
     # Case h = x y^2.
     h = BinaryForm.monomial(ring, 1, 2)
-    _check_scalar(
-        checks,
-        lemma,
-        "case h=xy^2: (g, h^2)_6 = 1/15 b3",
-        transvectant(g, h * h, 6),
+    _check(
+        checks, lemma, "case h=xy^2: (g, h^2)_6 = 1/15 b3", transvectant(g, h * h, 6).scalar(),
         ring.const(Fraction(1, 15)) * b3,
     )
-    _check_scalar(
-        checks,
-        lemma,
-        "case h=xy^2: (g, (h,h)_2^3)_6 = -8/729 b1",
-        transvectant(g, transvectant(h, h, 2).power(3), 6),
+    _check(
+        checks, lemma, "case h=xy^2: (g, (h,h)_2^3)_6 = -8/729 b1",
+        transvectant(g, transvectant(h, h, 2).power(3), 6).scalar(),
         ring.const(Fraction(-8, 729)) * b1,
     )
-    _check_scalar(
-        checks,
-        lemma,
-        "case h=xy^2: (g, (h^3, h)_3)_6 = 1/84 b2",
-        transvectant(g, transvectant(h.power(3), h, 3), 6),
+    _check(
+        checks, lemma, "case h=xy^2: (g, (h^3, h)_3)_6 = 1/84 b2",
+        transvectant(g, transvectant(h.power(3), h, 3), 6).scalar(),
         ring.const(Fraction(1, 84)) * b2,
     )

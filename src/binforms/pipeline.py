@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from itertools import chain
-from math import ceil, lcm
+from math import ceil
 from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,9 +40,9 @@ from .batch import BatchEvaluator, check_int64
 from .exprs import Expr, F, tr
 from .modlinalg import StreamingEchelon, rank as matrix_rank
 from .nullcone import random_nullform
-from .rings import QQ, is_prime, randbelow
+from .rings import is_prime, randbelow
 from .series import (
-    SEED_DEGREES, PoincareRational, _div_one_minus_tk, invariant_dimension,
+    SEED_DEGREES, PoincareRational, _div_one_minus_tk, check_sequence, invariant_dimension,
     poincare_series, to_rational,
 )
 
@@ -235,14 +235,13 @@ class _ClosingIndex:
     `groups` maps each order (in order of first appearance) to one list per
     pool entry of that order, in pool order, holding the closings the entry
     starts; `partners` finds those lists by (order, degree).  `count` is the
-    number of closings held and `fresh` how many of them are not yet emitted.
+    number of closings held.
     """
 
     def __init__(self, m: int):
         self.m = m
         self.scanned = 0
         self.count = 0
-        self.fresh = 0
         self.groups: Dict[int, List[List[Closing]]] = {}
         self.partners: Dict[Tuple[int, int], List[Tuple[int, List[Closing]]]] = {}
 
@@ -289,6 +288,9 @@ class CandidateGenerator:
         self._pool: List[Tuple[Expr, int, int]] = [(F, n, 1)]
         self._seen_pool = {F}
         self._seen_out: set = set()
+        # Closings emitted per degree.  The index of a degree scans the whole
+        # pool, so it holds every closing of that degree emitted so far.
+        self._emitted: Dict[int, int] = {}
         self._index = _ClosingIndex(0)
         for k in range(2, n + 1, 2):
             e = tr(F, F, k)
@@ -329,12 +331,10 @@ class CandidateGenerator:
             if o < 1 or d >= m:
                 continue
             starts = [(i, i, o)] if 2 * d == m and o % 2 == 0 else []
-            added = list(starts)
-            for j, partner_starts in index.partners.get((o, m - d), ()):
+            partners = index.partners.get((o, m - d), ())
+            for j, partner_starts in partners:
                 partner_starts.append((j, i, o))
-                added.append((j, i, o))
-            index.count += len(added)
-            index.fresh += sum(c not in self._seen_out for c in added)
+            index.count += len(starts) + len(partners)
             index.groups.setdefault(o, []).append(starts)
             index.partners.setdefault((o, d), []).append((i, starts))
         index.scanned = len(self._pool)
@@ -351,7 +351,7 @@ class CandidateGenerator:
         while True:
             index = self._indexed(m)
             emitted = False
-            if not index.fresh:
+            if index.count == self._emitted.get(m, 0):
                 _shuffle_draws(self.rng, index.count)
             else:
                 closings = self._closings(m)
@@ -360,11 +360,7 @@ class CandidateGenerator:
                     if closing in self._seen_out:
                         continue
                     self._seen_out.add(closing)
-                    # The closing is fresh in the index of degree m, also
-                    # when another stream indexed m anew while this one was
-                    # suspended; an index of another degree does not hold it.
-                    if self._index.m == m:
-                        self._index.fresh -= 1
+                    self._emitted[m] = self._emitted.get(m, 0) + 1
                     emitted = True
                     i, j, o = closing
                     yield tr(self._pool[i][0], self._pool[j][0], o)
@@ -565,12 +561,6 @@ class VanishReport(NamedTuple):
     generic_all_vanish: int
 
 
-def _integer_row(form) -> List[int]:
-    """The coefficients of a rational form times the lcm of their denominators."""
-    scale = lcm(*(c.denominator for c in form.coeffs))
-    return [c.numerator * (scale // c.denominator) for c in form.coeffs]
-
-
 def vanish_on_nullcone_sample(
     exprs: Sequence[Expr], n: int, trials: int, seed: int, prime: int
 ) -> VanishReport:
@@ -578,10 +568,11 @@ def vanish_on_nullcone_sample(
     vanish) and on generic forms over F_p (simultaneous vanishing off the
     nullcone would witness a common zero the nullcone does not contain).
 
-    Each nullform is scaled by the lcm L of its denominators to an integer
-    form and evaluated in an exact integer batch, which leaves out the
-    transvectant prefactors.  An invariant I of degree d then reads
-    L^d * prod(1 / pref) * I(nf), a nonzero rational multiple of I(nf), so
+    Each nullform comes as its primitive integer coefficients
+    (`random_nullform`), the nullform times a positive rational s, and is
+    evaluated in an exact integer batch, which leaves out the transvectant
+    prefactors.  An invariant I of degree d then reads
+    s^d * prod(1 / pref) * I(nf), a nonzero rational multiple of I(nf), so
     it is zero exactly when I vanishes on the nullform: the check stays a
     proof.
 
@@ -600,7 +591,7 @@ def vanish_on_nullcone_sample(
     vanish = np.ones(trials, dtype=bool)
     for lo in range(0, trials, NULLFORM_CHUNK):
         hi = min(lo + NULLFORM_CHUNK, trials)
-        forms = [_integer_row(random_nullform(n, QQ, seed * 100003 + t)) for t in range(lo, hi)]
+        forms = [random_nullform(n, seed * 100003 + t) for t in range(lo, hi)]
         exact = BatchEvaluator(np.array(forms, dtype=object), prime=None)
         generic = BatchEvaluator(generic_forms[lo:hi], prime)
         for i, e in enumerate(exprs):
@@ -717,8 +708,6 @@ def certify_hsop(
             n, names, degrees, "refuted", tuple(reasons), (), required, None, (),
             cfg.prime, cfg.seed,
         )
-    from .series import check_sequence
-
     filt = check_sequence(n, degrees)
     if not filt.ok:
         for t, divisor, need, got in filt.violations:

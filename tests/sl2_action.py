@@ -1,14 +1,17 @@
-"""The SL2 action on binary forms and random forms: test helpers.
+"""The SL2 action on binary forms, random SL2 matrices and random forms:
+test helpers.
 
-No command needs either.  The tests use `sl2_act` to check that covariants
-are equivariant and that nullforms stay nullforms, and `random_form` to draw
-operands over any scalar ring.
+No command needs them.  The tests use `sl2_act` and `random_sl2` to check
+that covariants are equivariant and that nullforms stay nullforms, and
+`random_form` to draw operands over any scalar ring.  `nullform_by_sl2_act`
+builds the nullform whose multiple `nullcone.random_nullform` returns, from
+the same draws, with `random_sl2` drawing b then c.
 """
 
 import random
 
 from binforms.forms import BinaryForm
-from binforms.rings import Ring
+from binforms.rings import QQ, Ring
 
 
 def sl2_act(mat, f: BinaryForm) -> BinaryForm:
@@ -38,5 +41,29 @@ def sl2_act(mat, f: BinaryForm) -> BinaryForm:
     return out
 
 
+def random_sl2(ring: Ring, rng: random.Random):
+    """A random determinant-1 matrix (product of unit triangulars)."""
+    b = ring.random(rng)
+    c = ring.random(rng)
+    # ((1, 0), (c, 1)) * ((1, b), (0, 1)) = ((1, b), (c, c*b + 1))
+    return (
+        (ring.one, b),
+        (c, ring.add(ring.mul(c, b), ring.one)),
+    )
+
+
 def random_form(ring: Ring, order: int, rng: random.Random) -> BinaryForm:
     return BinaryForm(ring, order, [ring.random(rng) for _ in range(order + 1)])
+
+
+def nullform_by_sl2_act(n: int, seed: int) -> BinaryForm:
+    """The reference construction of `random_nullform(n, seed)` over QQ: the
+    same draws, and the image of x^(n//2 + 1) * r(x, y) under `sl2_act`."""
+    rng = random.Random(f"nullform:{seed}:{n}")
+    k = n // 2 + 1
+    while True:
+        rest = [QQ.random(rng) for _ in range(n - k + 1)]
+        if not all(QQ.is_zero(c) for c in rest):
+            break
+    base = BinaryForm.monomial(QQ, k, 0) * BinaryForm(QQ, n - k, rest)
+    return sl2_act(random_sl2(QQ, rng), base)

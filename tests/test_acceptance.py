@@ -18,9 +18,9 @@ import pytest
 from binforms.catalog import catalog_for
 from binforms.cli import main
 from binforms.exprs import Evaluator, pw, tr
-from binforms.forms import random_sl2, transvectant
+from binforms.forms import BinaryForm, transvectant
 from binforms.modlinalg import rank
-from binforms.nullcone import is_nullform, random_nullform
+from binforms.nullcone import nullform_report, random_nullform
 from binforms.pipeline import (
     PointEvaluations,
     PointSet,
@@ -34,7 +34,7 @@ from binforms.series import (
     to_rational,
 )
 from lowering_operator import dimension_by_lowering_operator
-from sl2_action import random_form, sl2_act
+from sl2_action import random_form, random_sl2, sl2_act
 
 EXTENDED = os.environ.get("BINFORMS_EXTENDED") == "1"
 P = 32003
@@ -265,8 +265,8 @@ def test_criterion_09_property_suites(capsys):
             assert ev1.eval(cat[name].expr).scalar() == ev2.eval(cat[name].expr).scalar(), name
     # nullform invariance under the group action
     for seed in range(10):
-        nf = random_nullform(9, QQ, seed)
-        assert is_nullform(sl2_act(random_sl2(QQ, rng), nf))
+        nf = BinaryForm(QQ, 9, random_nullform(9, seed))
+        assert nullform_report(sl2_act(random_sl2(QQ, rng), nf)).is_nullform
     with capsys.disabled():
         conclude(9, "antisymmetry, equivariance, invariance, nullcone", t0, 600)
 
@@ -281,8 +281,7 @@ def test_criterion_10_small_order_parameter_systems(capsys):
         assert len(hsop) == max(n - 2, 1)
         exprs = [cat.closed(e.name) for e in hsop]
         for seed in range(50):
-            nf = random_nullform(n, QQ, seed)
-            ev = Evaluator(nf)
+            ev = Evaluator(BinaryForm(QQ, n, random_nullform(n, seed)))
             for e, entry in zip(exprs, hsop):
                 assert ev.eval(e).scalar() == 0, (n, seed, entry.name)
         rng = random.Random(f"acc10:{n}")

@@ -14,7 +14,7 @@ factors in both modes, with the per-pair loop of `loop_weights`.
 import hashlib
 import random
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from binforms.rings import QQ, PrimeField
 import loop_weights
 from closed_form import transvectant as oracle_transvectant
 from dual_numbers import DualNumbers
-from sl2_action import random_form
+from sl2_action import nullform_by_sl2_act
 
 DATA = Path(__file__).parent / "data"
 BASIS_ARGV = ["basis", "--n", "9", "--max-degree", "12", "--json"]
@@ -221,14 +221,13 @@ def test_batched_dag_values_match_scalar_evaluator(dag, prime, seed):
 
 def _integer_forms(n, rng):
     """Integer forms of order n over QQ: generic, with a root of multiplicity
-    above n / 2, and a random nullform scaled by its denominators."""
+    above n / 2, and a random nullform's primitive integer row."""
     generic = BinaryForm(QQ, n, [Fraction(rng.randint(-9, 9)) for _ in range(n + 1)])
     r = rng.randint(n // 2 + 1, n)
     root = BinaryForm(QQ, 1, (Fraction(rng.randint(1, 4)), Fraction(rng.randint(-4, 4))))
     rest = BinaryForm(QQ, n - r, [Fraction(rng.randint(-5, 5)) for _ in range(n - r + 1)])
-    nf = random_nullform(n, QQ, rng.randrange(10**6))
-    scale = lcm(*(c.denominator for c in nf.coeffs))
-    return [generic, root.power(r) * rest, nf.scale(Fraction(scale))]
+    nf = BinaryForm(QQ, n, random_nullform(n, rng.randrange(10**6)))
+    return [generic, root.power(r) * rest, nf]
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,12 +291,24 @@ def test_generic_vanish_counts_match_scalar_path(names, prime, trials):
         assert expected > 0
 
 
+def _generic_row(n, seed):
+    rng = random.Random(seed)
+    return [rng.randint(-9, 9) for _ in range(n + 1)]
+
+
 def _qq_nullform_loop(exprs, n, trials, seed):
-    """The per-trial QQ loop that the exact batched nullform check replaced."""
+    """The per-trial QQ loop that the exact batched nullform check replaced,
+    on the forms that `test_nullform_failures_match_rational_loop` samples: a
+    generic row where the seed is 2 mod 3.  At a nullform trial it
+    evaluates the image that `sl2_act` builds from the same draws, of which
+    the sampled row is a multiple, so its flags do not depend on the row's
+    scaling."""
     failures = []
     all_vanish = 0
     for t in range(trials):
-        ev = Evaluator(pipeline.random_nullform(n, QQ, seed * 100003 + t))
+        s = seed * 100003 + t
+        form = BinaryForm(QQ, n, _generic_row(n, s)) if s % 3 == 2 else nullform_by_sl2_act(n, s)
+        ev = Evaluator(form)
         values = [ev.eval(e).scalar() for e in exprs]
         if all(v == 0 for v in values):
             all_vanish += 1
@@ -320,16 +331,19 @@ def _one_batch_generic_vanish(exprs, n, trials, seed, prime):
 @pytest.mark.parametrize(
     "trials",
     # Around the chunk edges an off-by-one in the batches would drop, repeat
-    # or misnumber a failing trial.
-    [1, 10, 23, 100, NULLFORM_CHUNK - 1, NULLFORM_CHUNK, NULLFORM_CHUNK + 1, 2 * NULLFORM_CHUNK + 1],
+    # or misnumber a failing trial; 1000 trials cross 62 chunk edges.
+    [
+        1, 10, 23, 100, 1000,
+        NULLFORM_CHUNK - 1, NULLFORM_CHUNK, NULLFORM_CHUNK + 1, 2 * NULLFORM_CHUNK + 1,
+    ],
 )
 def test_nullform_failures_match_rational_loop(monkeypatch, trials):
     real = pipeline.random_nullform
 
-    def sometimes_generic(n, ring, seed):
+    def sometimes_generic(n, seed):
         if seed % 3 == 2:  # trials 0, 3, 6, ... at seed 2
-            return random_form(ring, n, random.Random(seed))
-        return real(n, ring, seed)
+            return _generic_row(n, seed)
+        return real(n, seed)
 
     real_forms = pipeline._random_forms
 

@@ -13,10 +13,10 @@ from binforms.exprs import (
     tr,
     F,
 )
-from binforms.forms import BinaryForm, random_sl2, transvectant
+from binforms.forms import BinaryForm, transvectant
 from binforms.multipoly import PolynomialRing
 from binforms.rings import QQ, PrimeField
-from sl2_action import random_form, sl2_act
+from sl2_action import random_form, random_sl2, sl2_act
 
 GF = PrimeField(32003)
 

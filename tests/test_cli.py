@@ -19,7 +19,9 @@ from binforms.rings import QQ
 # first six, the commands that evaluate one form at a time, were recorded
 # from the derivative-sum transvectant that the weight table replaced; the
 # rest from the per-command renderers that the one output writer replaced.
-# The file is never re-pinned: a change here is a change of output.
+# A change here is a change of output.  The two `nullcone test` text entries
+# were re-pinned once, when that text went from the payload's Python repr to
+# one `key: value` line per field.
 SCALAR_PATH = json.loads((Path(__file__).parent / "data" / "scalar_path.json").read_text())
 
 

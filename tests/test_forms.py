@@ -5,10 +5,10 @@ from math import comb
 import pytest
 
 import closed_form
-from binforms.forms import BinaryForm, derivative_weights, random_sl2, transvectant
+from binforms.forms import BinaryForm, derivative_weights, transvectant
 from binforms.multipoly import PolynomialRing
 from binforms.rings import QQ, PrimeField
-from sl2_action import random_form, sl2_act
+from sl2_action import random_form, random_sl2, sl2_act
 
 P = 32003
 GF = PrimeField(P)

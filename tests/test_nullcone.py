@@ -1,17 +1,18 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from binforms.catalog import catalog_for
 from binforms.exprs import Evaluator
-from binforms.forms import BinaryForm, random_sl2
+from binforms.forms import BinaryForm
 from binforms.nullcone import (
-    is_nullform,
+    NullformReport,
+    nullform_report,
     random_nullform,
-    root_multiplicity_max,
     verify_lemma_expansions,
 )
 from binforms.rings import QQ, PrimeField
-from sl2_action import random_form, sl2_act
+from sl2_action import nullform_by_sl2_act, random_form, random_sl2, sl2_act
 
 
 def lin(a, b):
@@ -20,9 +21,9 @@ def lin(a, b):
 
 def test_constructed_multiplicities():
     f = lin(1, -2).power(7) * lin(1, 1).power(2)
-    assert root_multiplicity_max(f).max_multiplicity == 7
-    rep = root_multiplicity_max(BinaryForm.monomial(QQ, 0, 9))
-    assert rep.max_multiplicity == 9 and rep.witness == "point at infinity"
+    assert nullform_report(f).multiplicity == 7
+    rep = nullform_report(BinaryForm.monomial(QQ, 0, 9))
+    assert rep.multiplicity == 9 and rep.witness == "point at infinity"
 
 
 def test_distinct_roots_give_multiplicity_one():
@@ -32,19 +33,18 @@ def test_distinct_roots_give_multiplicity_one():
         f = lin(1, -roots[0])
         for r in roots[1:]:
             f = f * lin(1, -r)
-        assert root_multiplicity_max(f).max_multiplicity == 1
+        assert nullform_report(f).multiplicity == 1
 
 
 def test_zero_form_sentinel():
-    rep = root_multiplicity_max(BinaryForm.zero(QQ, 9))
-    assert rep.is_zero_form and rep.max_multiplicity == 10
-    assert is_nullform(BinaryForm.zero(QQ, 9))
+    for n in (1, 2, 9):
+        assert nullform_report(BinaryForm.zero(QQ, n)) == NullformReport(None, True, "zero form")
 
 
 def test_nullform_threshold():
-    assert is_nullform(BinaryForm.monomial(QQ, 5, 4))  # mult 5 > 4.5
+    assert nullform_report(BinaryForm.monomial(QQ, 5, 4)).is_nullform  # mult 5 > 4.5
     f = BinaryForm.monomial(QQ, 4, 4) * lin(1, 1)
-    assert not is_nullform(f)  # max mult 4 <= 4.5
+    assert not nullform_report(f).is_nullform  # max mult 4 <= 4.5
 
 
 def test_multiplicity_is_sl2_invariant():
@@ -54,10 +54,7 @@ def test_multiplicity_is_sl2_invariant():
         if f.is_zero():
             continue
         g = random_sl2(QQ, rng)
-        assert (
-            root_multiplicity_max(sl2_act(g, f)).max_multiplicity
-            == root_multiplicity_max(f).max_multiplicity
-        )
+        assert nullform_report(sl2_act(g, f)).multiplicity == nullform_report(f).multiplicity
 
 
 def test_nullform_invariance_under_sl2():
@@ -65,36 +62,36 @@ def test_nullform_invariance_under_sl2():
     base = BinaryForm.monomial(QQ, 6, 3)  # x^6 y^3, mult 6 > 4.5
     for _ in range(5):
         g = random_sl2(QQ, rng)
-        assert is_nullform(sl2_act(g, base))
+        assert nullform_report(sl2_act(g, base)).is_nullform
 
 
 def test_random_nullform_is_deterministic_and_null():
     for seed in range(10):
-        f1 = random_nullform(9, QQ, seed)
-        f2 = random_nullform(9, QQ, seed)
-        assert f1 == f2
-        assert is_nullform(f1)
+        row = random_nullform(9, seed)
+        assert row == random_nullform(9, seed)
+        assert nullform_report(BinaryForm(QQ, 9, row)).is_nullform
 
 
-def _nullform_by_sl2_act(n, ring, seed):
-    """The reference construction: the same draws, acted on by sl2_act."""
-    rng = random.Random(f"nullform:{seed}:{n}")
-    k = n // 2 + 1
-    while True:
-        rest = [ring.random(rng) for _ in range(n - k + 1)]
-        if not all(ring.is_zero(c) for c in rest):
-            break
-    base = BinaryForm.monomial(ring, k, 0) * BinaryForm(ring, n - k, rest)
-    return sl2_act(random_sl2(ring, rng), base)
+def test_random_nullform_rows_are_primitive_and_nonzero():
+    for n in range(1, 13):
+        for seed in range(100):
+            row = random_nullform(n, seed)
+            assert len(row) == n + 1 and all(type(c) is int for c in row)
+            assert any(row) and gcd(*row) == 1, (n, seed)
 
 
 def test_random_nullform_equals_sl2_act_image():
-    for ring in (QQ, PrimeField(32003), PrimeField(7)):
-        for n in range(1, 13):
-            for seed in range(100):
-                got = random_nullform(n, ring, seed)
-                assert got.order == n
-                assert got.coeffs == _nullform_by_sl2_act(n, ring, seed).coeffs, (ring, n, seed)
+    for n in range(1, 13):
+        for seed in range(100):
+            row = random_nullform(n, seed)
+            want = nullform_by_sl2_act(n, seed).coeffs
+            assert len(row) == n + 1 and any(row) and any(want), (n, seed)
+            # Proportional: every cross product row[i] * want[j] - row[j] * want[i] is 0,
+            # and by a positive factor.
+            assert all(
+                row[i] * want[j] == row[j] * want[i] for i in range(n + 1) for j in range(i)
+            ), (n, seed)
+            assert all(r * w >= 0 for r, w in zip(row, want)), (n, seed)
 
 
 def test_all_low_degree_invariants_vanish_on_nullforms_mod_p():
@@ -103,7 +100,7 @@ def test_all_low_degree_invariants_vanish_on_nullforms_mod_p():
     names = [e.name for e in cat.invariants() if e.degree <= 12]
     assert len(names) >= 17
     for seed in range(50):
-        nf = random_nullform(9, gf, seed)
+        nf = BinaryForm(gf, 9, [c % gf.p for c in random_nullform(9, seed)])
         ev = Evaluator(nf, cat.defs)
         for name in names:
             assert ev.eval(cat[name].expr).scalar() == 0, (seed, name)
@@ -114,8 +111,7 @@ def test_invariants_vanish_exactly_over_rationals():
         cat = catalog_for(n)
         invariants = [e for e in cat.invariants()]
         for seed in range(25):
-            nf = random_nullform(n, QQ, seed)
-            ev = Evaluator(nf, cat.defs)
+            ev = Evaluator(BinaryForm(QQ, n, random_nullform(n, seed)), cat.defs)
             for e in invariants:
                 assert ev.eval(e.expr).scalar() == 0, (n, seed, e.name)
 
