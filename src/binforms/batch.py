@@ -1,26 +1,28 @@
-"""Batched evaluation of covariant expressions at many forms, over F_p or Z.
+"""Batched evaluation of covariant expressions at many forms, over F_p or exactly.
 
-Every F_p value the pipeline needs comes from here.  A covariant of order m
-evaluated at P base forms is an array of shape (P, m + 1), one row of
-coefficients per form.  A power is a chain of index-0 transvectants.
+Every covariant value the package computes comes from here.  A covariant of
+order m evaluated at P base forms is an array of shape (P, m + 1), one row
+of coefficients per form.  A power is a chain of index-0 transvectants.
 
-Both modes, and the single-form `forms.transvectant`, apply one weight
-table: W[u, v] carries g_u * h_v into output coefficient u + v - k, the
-transvectant is pref * W with pref = (m-k)! (n-k)! / (m! n!), and W is one
-product of the derivative factors D = `forms.derivative_weights` (`band`).
-`transvect` is one kernel for every mode: it gathers the band of W (`band`),
+There is one weight table: W[u, v] carries g_u * h_v into output
+coefficient u + v - k, the transvectant is pref * W with
+pref = (m-k)! (n-k)! / (m! n!), and W is one product of the derivative
+factors D = `forms.derivative_weights` (`band`).  `transvect` is the one
+kernel that applies it, for every mode and every caller, the single-form
+`forms.transvectant` included: it gathers the band of W (`band`),
 multiplies the gathered coefficients of both operands by its weights, and
 sums each output column with one `np.add.reduceat`.  Over F_p the weights
 are pref * W mod p, one int64 product of the factors reduced mod p and
 reduced once more (the delayed reduction of FFLAS-FFPACK), and the sums are
 reduced mod p, all exact in int64 within `check_int64`'s bound.
 
-With `prime=None` the batch is exact over the integers instead: values are
-object arrays of Python ints, nothing is reduced, and the weights are W
-without its prefactor.  At integer base forms an exact value is therefore
-the true value times the product of 1 / pref over the transvectant nodes of
-the expression, a nonzero rational constant, so it is zero exactly where the
-true value is.
+With `prime=None` the batch is exact instead: values are object arrays of
+Python scalars (ints, Fractions, or `multipoly` polynomials in
+`forms.transvectant`), nothing is reduced, and the weights are W without
+its prefactor.  An exact value is therefore the true value divided by the
+product of the prefactors over the transvectant nodes of the expression
+(`exprs.expr_prefactor`), a nonzero rational constant: it is zero exactly
+where the true value is, and `binforms eval` multiplies the constant back.
 
 Forward-mode derivatives use the same kernel.  A value then carries its
 first-order jet (value, slope) and bilinearity gives the product rule
@@ -91,11 +93,10 @@ def band(m: int, n: int, k: int, prime: Optional[int]) -> Tuple[np.ndarray, ...]
 
     that is W = (D_m * s) @ D_n[:, ::-1].T with s_i = (-1)^i C(k, i), and
     every term vanishes off the band 0 <= u + v - k <= m + n - 2k.  With
-    `prime=None` the weights are W in Python ints, the table that
-    `forms.transvectant` applies.  Over F_p the weights are pref * W mod p in
-    int64, with pref folded into s mod p: each of the product's k + 1 terms
-    is below (p - 1)^2, within `check_int64`'s bound.  The arrays are
-    read-only and shared by every caller.
+    `prime=None` the weights are W in Python ints.  Over F_p the weights are
+    pref * W mod p in int64, with pref folded into s mod p: each of the
+    product's k + 1 terms is below (p - 1)^2, within `check_int64`'s bound.
+    The arrays are read-only and shared by every caller.
     """
     s = np.array([(-1) ** i * comb(k, i) for i in range(k + 1)], dtype=object)
     if prime is None:
@@ -118,9 +119,9 @@ def transvect(G: np.ndarray, H: np.ndarray, k: int, prime: Optional[int]) -> np.
     """(g, h)_k for every row pair of G (P, m+1) and H (P, n+1).
 
     With a prime, entries of G and H must lie in [0, p) and the result is
-    reduced mod p.  With `prime=None`, G and H are object arrays of Python
-    ints and the result is the exact integer value without the prefactor:
-    (g, h)_k / pref.
+    reduced mod p.  With `prime=None`, G and H are object arrays of exact
+    scalars closed under + and * with Python ints, and the result is the
+    exact value without the prefactor: (g, h)_k / pref.
     """
     U, V, w, starts = band(G.shape[1] - 1, H.shape[1] - 1, k, prime)
     terms = H[:, V] * w
@@ -132,15 +133,15 @@ def transvect(G: np.ndarray, H: np.ndarray, k: int, prime: Optional[int]) -> np.
 
 
 class BatchEvaluator:
-    """Evaluates expressions at a batch of base forms over F_p, or Z, at once.
+    """Evaluates expressions at a batch of base forms over F_p, or exactly, at once.
 
     `forms` holds one base form per row, shape (P, n + 1).  Every node value
     is a jet: `(value,)`, or `(value, slope)` when `slopes` (same shape as
     `forms`) gives the direction of a derivative at each row.  Shared
     subtrees are evaluated once per batch, and every transvectant and power
     node runs through the one band kernel, `transvect`.  With `prime=None`
-    the base forms must be integers and values are exact without
-    transvectant prefactors.
+    the base forms hold exact scalars (ints or Fractions) and values are
+    exact without transvectant prefactors.
     """
 
     def __init__(self, forms, prime: Optional[int], slopes=None):

@@ -33,7 +33,7 @@ try:
     from fractions import Fraction
     from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-    from .exprs import Evaluator, expr_from_text, expr_meta, expr_to_text
+    from .exprs import expr_from_text, expr_meta, expr_prefactor, expr_to_text, inline_refs
     from .forms import BinaryForm
     from .nullcone import nullform_report, verify_lemma_expansions
     from .pipeline import (
@@ -44,7 +44,10 @@ try:
         find_basic_invariants,
         ideal_membership_dim,
     )
-    from .rings import QQ, PrimeField
+    from .rings import QQ, is_prime, residue
+    # After `pipeline`, which loads numpy: importing `batch` ahead of it raised
+    # the peak RSS of `basis --n 9 --max-degree 12` by 0.7 MB.
+    from .batch import BatchEvaluator
     from .series import SEED_DEGREES, ecriture_minimale_search, poincare_series
 finally:
     gc.freeze()
@@ -189,8 +192,15 @@ def _cmd_catalog(args) -> Result:
 
 
 def _cmd_eval(args) -> Result:
-    ring = QQ if args.prime is None else PrimeField(args.prime)
-    form = parse_form_literal(args.form, ring, args.a_convention)
+    p = args.prime
+    if p is not None and (p == 2 or not is_prime(p)):
+        raise ValueError(f"modulus {p} is not an odd prime")
+    form = parse_form_literal(args.form, QQ)
+    # With --prime each given coefficient maps to F_p before the --a-convention
+    # binomials multiply it, so a denominator p divides is refused as given.
+    coeffs = form.coeffs if p is None else [residue(c, p) for c in form.coeffs]
+    if args.a_convention:
+        coeffs = BinaryForm.from_a_convention(QQ, form.order, coeffs).coeffs
     expr = expr_from_text(args.expr)
     # The covariant catalog: only catalog, eval and hsop resolve names; basis never does.
     from .catalog import ORDERS, catalog_for
@@ -199,8 +209,11 @@ def _cmd_eval(args) -> Result:
     order, degree = expr_meta(expr, args.n, defs)
     if form.order != args.n:
         raise ValueError(f"form has order {form.order}, expected {args.n}")
-    value = Evaluator(form, defs).eval(expr)
-    out = str(value.scalar()) if order == 0 else print_form_literal(value)
+    closed = inline_refs(expr, defs)
+    pref = expr_prefactor(closed, args.n, p)
+    (exact,) = BatchEvaluator([coeffs], prime=None).eval(closed)
+    value = [c * pref if p is None else residue(c * pref, p) for c in exact[0]]
+    out = str(value[0]) if order == 0 else print_form_literal(BinaryForm(QQ, order, value))
     return Result(
         {"n": args.n, "expr": args.expr, "order": order, "degree": degree, "value": out},
         [out],

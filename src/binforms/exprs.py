@@ -1,4 +1,4 @@
-"""Covariant expression trees and their evaluation.
+"""Covariant expression trees.
 
 Expressions are built from four node kinds: the base form `f`, transvectants,
 powers, and named references into a catalog.  The text grammar, which
@@ -7,22 +7,23 @@ powers, and named references into a catalog.  The text grammar, which
     f | (tr E E INT) | (pow E INT) | @name
 
 Nodes are immutable with precomputed hashes, so structurally equal subtrees
-land on the same memo slots during evaluation.  An `Evaluator` is bound to one
-(ring, base form, definitions) triple and memoizes every node, so the heavily
-shared covariants of the catalogs are computed once no matter how many
-invariants mention them.  It serves any scalar ring (exact rationals,
-polynomial rings, single forms for `binforms eval`); values at many forms,
-over F_p or exactly over the integers, come from `batch.BatchEvaluator`,
-which evaluates a whole batch at once.  Both apply the one transvectant
-weight table, `batch.band`: a power is a chain of 0-th transvectants, that
-is, of form products.
+land on the same memo slots during evaluation.  Values come from
+`batch.BatchEvaluator`, which evaluates a closed expression (`inline_refs`)
+at a whole batch of forms at once, over F_p or exactly; a power is a chain
+of 0-th transvectants, that is, of form products.  The exact mode drops the
+transvectant prefactors, and `expr_prefactor` is the constant that restores
+them, so `binforms eval` prints true values.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import perm
 from typing import Mapping, Optional
 
-from .forms import BinaryForm, transvectant
+# Nothing here calls it: the name stays bound because perfbench's tracer binds it.
+from .forms import transvectant  # noqa: F401
+from .rings import residue
 
 
 class Expr:
@@ -241,33 +242,42 @@ def expr_meta(
     return meta
 
 
-class Evaluator:
-    """Evaluates expressions at one base form, memoizing shared subtrees."""
+def expr_prefactor(e: Expr, base_order: int, prime: Optional[int] = None) -> Fraction:
+    """The constant by which `BatchEvaluator(prime=None)` values of the closed
+    expression `e`, over a base form of `base_order`, fall short of the true
+    values.
 
-    def __init__(self, form: BinaryForm, resolve: Optional[Mapping[str, Expr]] = None):
-        self.form = form
-        self.resolve = resolve or {}
-        self._memo: dict = {}
+    The exact batch drops the prefactor 1 / (perm(m, k) perm(n, k)) of each
+    transvectant (g, h)_k, and a power raises its child's constant to the
+    power, so the constant is the product of the prefactors over the tree, a
+    shared subtree counted at each use.  With a prime, the first
+    transvectant in evaluation order (operands first, left before right)
+    whose denominator p divides raises ZeroDivisionError: its value has no
+    image in F_p.
+    """
+    memo: dict = {}
 
-    def eval(self, e: Expr) -> BinaryForm:
-        got = self._memo.get(e)
+    def walk(e: Expr) -> tuple:
+        got = memo.get(e)
         if got is not None:
             return got
         if isinstance(e, Base):
-            val = self.form
-        elif isinstance(e, Ref):
-            defn = self.resolve.get(e.name)
-            if defn is None:
-                raise KeyError(f"unresolvable name {e.name!r}")
-            val = self.eval(defn)
+            out = (base_order, Fraction(1))
         elif isinstance(e, Tr):
-            val = transvectant(self.eval(e.left), self.eval(e.right), e.index)
+            (m, a), (n, b) = walk(e.left), walk(e.right)
+            den = perm(m, e.index) * perm(n, e.index)
+            if prime is not None:
+                residue(Fraction(1, den), prime)  # raises where p divides den
+            out = (m + n - 2 * e.index, a * b / den)
         elif isinstance(e, Pow):
-            val = self.eval(e.child).power(e.k)
+            m, a = walk(e.child)
+            out = (e.k * m, a ** e.k)
         else:
-            raise TypeError(f"not an expression: {e!r}")
-        self._memo[e] = val
-        return val
+            raise TypeError(f"not a closed expression: {e!r}; inline named references first")
+        memo[e] = out
+        return out
+
+    return walk(e)[1]
 
 
 def inline_refs(

@@ -14,13 +14,14 @@ The p-th transvectant of g (order m) and h (order n) is
 a form of order m + n - 2p.  Expanded on coefficients, the sum is one integer
 weight per coefficient pair, a signed sum over the derivative factors
 `derivative_weights` of both operands.  `batch.band` builds that table, the
-only transvectant formula in the package, as one product of the factors.
-`transvectant` applies its exact table with the scalar ring's own
-operations, so it serves rationals, prime fields and polynomial rings alike,
-and `batch` applies it to whole arrays of forms.  The product of forms is
-the 0-th transvectant.  The prefactor is computed exactly over the rationals
-and mapped into the scalar ring, so a prime dividing one of the factorials
-is rejected rather than silently wrapped.
+only transvectant formula in the package, and `batch.transvect` is the only
+code that applies it.  `transvectant` is one call of that kernel on one-row
+object arrays of the operands' coefficients, which may be any scalars closed
+under + and * with integers: rationals, prime-field residues or `multipoly`
+polynomials.  The product of forms is the 0-th transvectant.  The prefactor
+is computed exactly over the rationals and mapped into the scalar ring, so a
+prime dividing one of the factorials is rejected rather than silently
+wrapped.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, perm
 from typing import List, Tuple
 
 from .rings import Ring
@@ -125,8 +126,7 @@ class BinaryForm:
         return (
             isinstance(other, BinaryForm)
             and other.ring == self.ring
-            and other.order == self.order
-            and all(self.ring.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
+            and other.coeffs == self.coeffs
         )
 
     def __hash__(self):
@@ -159,26 +159,20 @@ def derivative_weights(m: int, k: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def transvectant(g: BinaryForm, h: BinaryForm, p: int) -> BinaryForm:
-    """The p-th transvectant (g, h)_p, a form of order m + n - 2p."""
-    # `batch` imports `exprs`, which imports this module.
-    from .batch import band
+    """The p-th transvectant (g, h)_p, a form of order m + n - 2p.
+
+    It keeps its name, and its bindings in `exprs` and `nullcone`, because
+    perfbench's tracer binds them.
+    """
+    # `batch` imports `exprs`, which imports this module; numpy loads with it.
+    import numpy as np
+
+    from .batch import transvect
 
     if g.ring != h.ring:
         raise ValueError("scalar ring mismatch")
-    m, n = g.order, h.order
-    U, V, W, _ = band(m, n, p, None)
+    G, H = (np.array([f.coeffs], dtype=object) for f in (g, h))
+    exact = transvect(G, H, p, None)[0]
     ring = g.ring
-    add, mul, mul_int, is_zero = ring.add, ring.mul, ring.mul_int, ring.is_zero
-    gs, hs = g.coeffs, h.coeffs
-    nonzero_g = [not is_zero(c) for c in gs]
-    nonzero_h = [not is_zero(c) for c in hs]
-    out = [ring.zero] * (m + n - 2 * p + 1)
-    for u, v, w in zip(U.tolist(), V.tolist(), W.tolist()):
-        if w and nonzero_g[u] and nonzero_h[v]:
-            out[u + v - p] = add(out[u + v - p], mul_int(mul(gs[u], hs[v]), w))
-    pref = Fraction(factorial(m - p) * factorial(n - p), factorial(m) * factorial(n))
-    if pref != 1:
-        c = ring.from_fraction(pref)
-        out = [mul(c, x) for x in out]
-    return BinaryForm(ring, m + n - 2 * p, out)
-
+    c = ring.from_fraction(Fraction(1, perm(g.order, p) * perm(h.order, p)))
+    return BinaryForm(ring, g.order + h.order - 2 * p, [ring.mul(c, x) for x in exact])

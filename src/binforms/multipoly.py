@@ -67,9 +67,6 @@ class PolynomialRing(Ring):
     def is_zero(self, a):
         return not a.terms
 
-    def from_int(self, k):
-        return self.const(k)
-
     def from_fraction(self, q):
         return self.const(q)
 

@@ -69,7 +69,8 @@ def nullform_report(f: BinaryForm) -> NullformReport:
     """The largest multiplicity among the projective roots of a rational form,
     whether it exceeds order/2, and the roots that attain it.
 
-    The zero form is a nullform with no multiplicity.
+    The zero form is a nullform with no multiplicity.  A nonzero form of
+    order 0, a constant, has no roots: multiplicity 0.
     """
     if f.ring != QQ:
         raise ValueError("multiplicity is computed over the rationals")
@@ -78,7 +79,9 @@ def nullform_report(f: BinaryForm) -> NullformReport:
     y_mult, chain = _root_chain(f)
     finite_mult = len(chain) - 1
     multiplicity = max(y_mult, finite_mult)
-    if finite_mult == 0 or y_mult > finite_mult:
+    if multiplicity == 0:
+        witness = "no roots"
+    elif finite_mult == 0 or y_mult > finite_mult:
         # f = c * y^order (up to the split), or infinity has the larger multiplicity.
         witness = "point at infinity"
     else:

@@ -1,20 +1,18 @@
-"""Scalar rings: exact rationals and prime fields.
+"""Scalar rings, the seeded draw, primality and residues mod p.
 
-Ring objects operate on plain unboxed values so the inner loops of covariant
-evaluation stay cheap:
+Ring objects operate on plain unboxed values: rationals are
+`fractions.Fraction` (`QQ`), and `multipoly.PolynomialRing` holds
+`MultiPoly` polynomials over a ring.  `forms.transvectant` computes with
+the elements' own + and *, and needs of the ring only `from_fraction`, for
+the prefactor, and `mul`; `BinaryForm`'s constructors and arithmetic use
+`zero`, `one`, `add`, `sub`, `neg`, `mul_int` and `is_zero`.
 
-* rationals are `fractions.Fraction`,
-* prime-field elements are ints in [0, p).
-
-A transvectant (`forms.transvectant`, and so every product of forms) needs
-only `add`, `mul`, `mul_int`, `is_zero` and `from_fraction`.  Polynomial
-rings (with `MultiPoly` elements) live in `multipoly` and follow the same
-protocol.
+F_p values are plain ints in [0, p), or int64 arrays in `batch`; `residue`
+maps a rational into F_p.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -44,6 +42,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def residue(q: Fraction, p: int) -> int:
+    """The image of the rational q in F_p, in [0, p).
+
+    A denominator that p divides has no inverse, and raises ZeroDivisionError.
+    """
+    den = q.denominator % p
+    if den == 0:
+        raise ZeroDivisionError(f"denominator {q.denominator} is divisible by p={p}")
+    return q.numerator % p * pow(den, -1, p) % p
+
+
 def randbelow(getrandbits, n: int) -> int:
     """A uniform draw from range(n), n >= 1, made from `getrandbits` alone.
 
@@ -61,41 +70,13 @@ def randbelow(getrandbits, n: int) -> int:
 
 
 class Ring:
-    """Protocol base class; operations act on plain element values."""
+    """Base of the scalar rings, whose operations act on plain element values."""
 
     zero: object
     one: object
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero)
-
-    def from_int(self, k: int):
-        raise NotImplementedError
-
-    def from_fraction(self, q: Fraction):
-        raise NotImplementedError
-
-    def mul_int(self, a, k: int):
-        """a * k for an integer k; overridden where a faster path exists."""
-        return self.mul(a, self.from_int(k))
-
-    def random(self, rng: random.Random):
-        raise NotImplementedError
+        return a == self.zero
 
 
 class RationalField(Ring):
@@ -134,58 +115,3 @@ class RationalField(Ring):
 
 
 QQ = RationalField()
-
-
-class PrimeField(Ring):
-    """F_p for an odd prime p; elements are ints fully reduced into [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"modulus {p} is not an odd prime")
-        self.p = p
-
-    zero = 0
-    one = 1
-
-    def add(self, a, b):
-        s = a + b
-        return s - self.p if s >= self.p else s
-
-    def sub(self, a, b):
-        s = a - b
-        return s + self.p if s < 0 else s
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return self.p - a if a else 0
-
-    def from_int(self, k):
-        return k % self.p
-
-    def from_fraction(self, q):
-        den = q.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError(
-                f"denominator {q.denominator} is divisible by p={self.p}"
-            )
-        return q.numerator % self.p * pow(den, -1, self.p) % self.p
-
-    def mul_int(self, a, k):
-        return a * k % self.p
-
-    def random(self, rng):
-        return randbelow(rng.getrandbits, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
-

@@ -2,10 +2,13 @@
 
 `BatchEvaluator` computes exact partial derivatives as slopes of batched
 jets.  The tests check those slopes against the scalar `Evaluator` run over
-this ring, where evaluating at (a + eps) yields (value, derivative).
+this ring with `closed_form.transvectant`, where evaluating at (a + eps)
+yields (value, derivative).  Its pairs cannot live in the object arrays of
+`batch.transvect`, so `forms.transvectant` does not serve it.
 """
 
-from binforms.rings import PrimeField, Ring
+from binforms.rings import Ring
+from prime_field import PrimeField
 
 
 class DualNumbers(Ring):

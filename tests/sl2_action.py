@@ -22,7 +22,7 @@ def sl2_act(mat, f: BinaryForm) -> BinaryForm:
     ring = f.ring
     (a, b), (c, d) = mat
     det = ring.sub(ring.mul(a, d), ring.mul(b, c))
-    if not ring.eq(det, ring.one):
+    if det != ring.one:
         raise ValueError("matrix determinant is not 1")
     # g^-1 = ((d, -b), (-c, a)); substitute x -> d x - b y, y -> -c x + a y.
     lx = BinaryForm(ring, 1, (d, ring.neg(b)))

@@ -17,7 +17,7 @@ import pytest
 
 from binforms.catalog import catalog_for
 from binforms.cli import main
-from binforms.exprs import Evaluator, pw, tr
+from binforms.exprs import pw, tr
 from binforms.forms import BinaryForm, transvectant
 from binforms.modlinalg import rank
 from binforms.nullcone import nullform_report, random_nullform
@@ -26,7 +26,7 @@ from binforms.pipeline import (
     PointSet,
     jacobian_rank,
 )
-from binforms.rings import QQ, PrimeField
+from binforms.rings import QQ
 from binforms.series import (
     ecriture_minimale_search,
     invariant_dimension,
@@ -34,6 +34,8 @@ from binforms.series import (
     to_rational,
 )
 from lowering_operator import dimension_by_lowering_operator
+from prime_field import PrimeField
+from scalar_evaluator import Evaluator
 from sl2_action import random_form, random_sl2, sl2_act
 
 EXTENDED = os.environ.get("BINFORMS_EXTENDED") == "1"

@@ -5,10 +5,12 @@ GF(p) (or over dual numbers for slopes) behind the `BatchEvaluator`
 interface.  Swapping it into the pipeline reproduces the scalar path end to
 end, which the golden-output tests use.  The exact integer mode is checked
 against the scalar `Evaluator` over QQ, and the nullform check against the
-per-trial QQ loop it replaced.  Both kernels apply the weights of `band`,
-so the kernel tests compare them with the derivative-sum oracle of
-`closed_form` instead, and the band tables, which come from the derivative
-factors in both modes, with the per-pair loop of `loop_weights`.
+per-trial QQ loop it replaced.  `batch.transvect` is the only code that
+applies the weights of `band`, and `forms.transvectant` is one call of it,
+so every oracle here runs the scalar `Evaluator` over the derivative-sum
+transvectant of `closed_form` (`oracle`), which shares no code with the
+kernel; the band tables, which come from the derivative factors in both
+modes, are compared with the per-pair loop of `loop_weights`.
 """
 
 import hashlib
@@ -26,14 +28,16 @@ from binforms.batch import BatchEvaluator, band, transvect
 from binforms.cache import open_cache
 from binforms.catalog import catalog_for
 from binforms.cli import main
-from binforms.exprs import Evaluator, F, Pow, Tr, tr
+from binforms.exprs import F, Pow, Tr, tr
 from binforms.forms import BinaryForm
 from binforms.nullcone import random_nullform
 from binforms.pipeline import NULLFORM_CHUNK, PointEvaluations, PointSet, VanishReport
-from binforms.rings import QQ, PrimeField
+from binforms.rings import QQ
 import loop_weights
 from closed_form import transvectant as oracle_transvectant
 from dual_numbers import DualNumbers
+from prime_field import PrimeField
+from scalar_evaluator import Evaluator
 from sl2_action import nullform_by_sl2_act
 
 DATA = Path(__file__).parent / "data"
@@ -42,6 +46,11 @@ HSOP_ARGV = [
     "hsop", "check", "--n", "9", "--set", "thm",
     "--membership-degrees", "4,8,12", "--trials", "100", "--json",
 ]
+
+
+def oracle(form: BinaryForm) -> Evaluator:
+    """The scalar evaluator at `form` over the derivative-sum transvectant."""
+    return Evaluator(form, transvectant=oracle_transvectant)
 
 
 class ScalarBatch:
@@ -53,12 +62,12 @@ class ScalarBatch:
         n = forms.shape[1] - 1
         if slopes is None:
             self.dual = False
-            self._evs = [Evaluator(BinaryForm(gf, n, [int(c) for c in row])) for row in forms]
+            self._evs = [oracle(BinaryForm(gf, n, [int(c) for c in row])) for row in forms]
         else:
             self.dual = True
             ring = DualNumbers(gf)
             self._evs = [
-                Evaluator(BinaryForm(ring, n, [ring.lift(int(c), int(s)) for c, s in zip(row, srow)]))
+                oracle(BinaryForm(ring, n, [ring.lift(int(c), int(s)) for c, s in zip(row, srow)]))
                 for row, srow in zip(forms, np.asarray(slopes))
             ]
 
@@ -211,7 +220,7 @@ def test_batched_dag_values_match_scalar_evaluator(dag, prime, seed):
     forms = np.random.default_rng(seed).integers(0, prime, (3, n + 1))
     batch = BatchEvaluator(forms, prime)
     gf = PrimeField(prime)
-    scalar = [Evaluator(BinaryForm(gf, n, [int(c) for c in row])) for row in forms]
+    scalar = [oracle(BinaryForm(gf, n, [int(c) for c in row])) for row in forms]
     for e, order in nodes:
         (value,) = batch.eval(e)
         assert value.shape == (3, order + 1)
@@ -236,7 +245,7 @@ def test_exact_dag_values_are_a_fixed_multiple_of_rational_values(dag, seed):
     n, nodes = dag
     forms = _integer_forms(n, random.Random(seed))
     batch = BatchEvaluator([[int(c) for c in f.coeffs] for f in forms], prime=None)
-    scalar = [Evaluator(f) for f in forms]
+    scalar = [oracle(f) for f in forms]
     for e, order in nodes:
         (value,) = batch.eval(e)
         assert value.shape == (3, order + 1)
@@ -270,7 +279,7 @@ def _scalar_generic_vanish(exprs, n, trials, seed, prime):
     rng = random.Random(f"generic:{seed}:{n}:{prime}")
     count = 0
     for _ in range(trials):
-        ev = Evaluator(BinaryForm(gf, n, [rng.randrange(prime) for _ in range(n + 1)]))
+        ev = oracle(BinaryForm(gf, n, [rng.randrange(prime) for _ in range(n + 1)]))
         if all(ev.eval(e).scalar() == 0 for e in exprs):
             count += 1
     return count
@@ -308,7 +317,7 @@ def _qq_nullform_loop(exprs, n, trials, seed):
     for t in range(trials):
         s = seed * 100003 + t
         form = BinaryForm(QQ, n, _generic_row(n, s)) if s % 3 == 2 else nullform_by_sl2_act(n, s)
-        ev = Evaluator(form)
+        ev = oracle(form)
         values = [ev.eval(e).scalar() for e in exprs]
         if all(v == 0 for v in values):
             all_vanish += 1

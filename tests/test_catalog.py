@@ -5,7 +5,6 @@ import pytest
 
 from binforms.catalog import catalog_for
 from binforms.exprs import (
-    Evaluator,
     expr_from_text,
     expr_meta,
     expr_to_text,
@@ -15,7 +14,9 @@ from binforms.exprs import (
 )
 from binforms.forms import BinaryForm, transvectant
 from binforms.multipoly import PolynomialRing
-from binforms.rings import QQ, PrimeField
+from binforms.rings import QQ
+from prime_field import PrimeField
+from scalar_evaluator import Evaluator
 from sl2_action import random_form, random_sl2, sl2_act
 
 GF = PrimeField(32003)

@@ -221,6 +221,21 @@ def test_eval_mod_p(capsys):
     assert out.strip() != "0"
 
 
+def test_eval_prime_beyond_the_int64_bound_and_prime_dividing_a_prefactor(capsys):
+    # eval runs on the exact batch whatever the prime: 2^61 - 1 is beyond the
+    # bound of the int64 kernel, and a prime dividing a transvectant's
+    # prefactor is refused at that node, before anything is evaluated.
+    from binforms.batch import check_int64
+
+    argv = ("eval", "--n", "9", "--expr", "@j_4", "--form", "9: 1,2,3,4,5,6,7,8,9,10")
+    with pytest.raises(ValueError, match="int64"):
+        check_int64(9, 9, 2**61 - 1)
+    assert run_cli(capsys, *argv, "--prime", str(2**61 - 1)) == (0, "1560273547092863901\n", "")
+    assert run_cli(capsys, *argv, "--prime", "7") == (
+        2, "", "error: denominator 131681894400 is divisible by p=7\n",
+    )
+
+
 def test_basis_quick_json(capsys):
     code, out, _ = run_cli(
         capsys, "basis", "--n", "9", "--max-degree", "10", "--json"

@@ -7,7 +7,8 @@ import pytest
 import closed_form
 from binforms.forms import BinaryForm, derivative_weights, transvectant
 from binforms.multipoly import PolynomialRing
-from binforms.rings import QQ, PrimeField
+from binforms.rings import QQ
+from prime_field import PrimeField
 from sl2_action import random_form, random_sl2, sl2_act
 
 P = 32003
@@ -70,6 +71,20 @@ def test_transvectant_matches_derivative_sum_oracle_through_order_12():
                 for k in range(min(m, n) + 1):
                     want = closed_form.transvectant(g, h, k)
                     assert transvectant(g, h, k) == want, (g.ring, m, n, k)
+
+
+def test_polynomial_transvectant_matches_derivative_sum_oracle_through_order_6():
+    # Coefficients that are independent variables make each comparison an
+    # identity in them: the object-array kernel against the definition.
+    R = PolynomialRing(tuple(f"a{i}" for i in range(7)) + tuple(f"b{i}" for i in range(7)))
+    for m in range(7):
+        g = BinaryForm(R, m, [R.var(f"a{i}") for i in range(m + 1)])
+        for n in range(7):
+            h = BinaryForm(R, n, [R.var(f"b{i}") for i in range(n + 1)])
+            for k in range(min(m, n) + 1):
+                assert transvectant(g, h, k) == closed_form.transvectant(g, h, k), (m, n, k)
+                if m == n:
+                    assert transvectant(g, g, k) == closed_form.transvectant(g, g, k), (m, k)
 
 
 def test_odd_self_transvectant_vanishes():

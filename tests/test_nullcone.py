@@ -3,7 +3,6 @@ from fractions import Fraction
 from math import gcd
 
 from binforms.catalog import catalog_for
-from binforms.exprs import Evaluator
 from binforms.forms import BinaryForm
 from binforms.nullcone import (
     NullformReport,
@@ -11,7 +10,9 @@ from binforms.nullcone import (
     random_nullform,
     verify_lemma_expansions,
 )
-from binforms.rings import QQ, PrimeField
+from binforms.rings import QQ
+from prime_field import PrimeField
+from scalar_evaluator import Evaluator
 from sl2_action import nullform_by_sl2_act, random_form, random_sl2, sl2_act
 
 
@@ -39,6 +40,12 @@ def test_distinct_roots_give_multiplicity_one():
 def test_zero_form_sentinel():
     for n in (1, 2, 9):
         assert nullform_report(BinaryForm.zero(QQ, n)) == NullformReport(None, True, "zero form")
+
+
+def test_nonzero_constant_has_no_roots():
+    # A nonzero form of order 0 has no roots, not even at infinity.
+    for c in (Fraction(3), Fraction(-1, 2)):
+        assert nullform_report(BinaryForm(QQ, 0, (c,))) == NullformReport(0, False, "no roots")
 
 
 def test_nullform_threshold():

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from binforms.rings import QQ, PrimeField, is_prime, randbelow
+from binforms.rings import QQ, is_prime, randbelow
 from dual_numbers import DualNumbers
+from prime_field import PrimeField
 
 P = 32003
 GF = PrimeField(P)
