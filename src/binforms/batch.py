@@ -17,8 +17,9 @@ reduced once more (the delayed reduction of FFLAS-FFPACK), and the sums are
 reduced mod p, all exact in int64 within `check_int64`'s bound.
 
 With `prime=None` the batch is exact instead: values are object arrays of
-Python scalars (ints, Fractions, or `multipoly` polynomials in
-`forms.transvectant`), nothing is reduced, and the weights are W without
+Python scalars closed under + and * with ints (ints and Fractions in the
+commands; whatever a form's coefficients are in `forms.transvectant`, which
+computes with their own operators), nothing is reduced, and the weights are W without
 its prefactor.  An exact value is therefore the true value divided by the
 product of the prefactors over the transvectant nodes of the expression
 (`exprs.expr_prefactor`), a nonzero rational constant: it is zero exactly

@@ -44,7 +44,7 @@ try:
         find_basic_invariants,
         ideal_membership_dim,
     )
-    from .rings import QQ, is_prime, residue
+    from .rings import is_prime, residue
     # After `pipeline`, which loads numpy: importing `batch` ahead of it raised
     # the peak RSS of `basis --n 9 --max-degree 12` by 0.7 MB.
     from .batch import BatchEvaluator
@@ -93,19 +93,26 @@ def open_cache(root: Optional[str]):
     return cache.open_cache(root)
 
 
-def parse_form_literal(text: str, ring, a_convention: bool = False) -> BinaryForm:
-    """Parse `order: c0,c1,...,cn`; coefficients may be fractions."""
+def parse_form_literal(text: str, a_convention: bool = False) -> BinaryForm:
+    """Parse `order: c0,c1,...,cn` into Fraction coefficients; they may be fractions."""
     head, _, tail = text.partition(":")
     if not tail:
         raise ValueError("form literal must look like 'order: c0,c1,...,cn'")
     order = int(head.strip())
-    raw = [Fraction(part.strip()) for part in tail.split(",")]
-    if len(raw) != order + 1:
-        raise ValueError(f"order {order} needs {order + 1} coefficients, got {len(raw)}")
-    coeffs = [ring.from_fraction(c) for c in raw]
+    if order < 0:
+        raise ValueError(f"form order {order} is negative")
+    parts = [part.strip() for part in tail.split(",")]
+    if len(parts) != order + 1:
+        raise ValueError(f"order {order} needs {order + 1} coefficients, got {len(parts)}")
+    coeffs = []
+    for i, part in enumerate(parts):
+        try:
+            coeffs.append(Fraction(part))
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient c{i} = {part} has a zero denominator") from None
     if a_convention:
-        return BinaryForm.from_a_convention(ring, order, coeffs)
-    return BinaryForm(ring, order, coeffs)
+        return BinaryForm.from_a_convention(order, coeffs)
+    return BinaryForm(order, coeffs)
 
 
 def print_form_literal(f: BinaryForm) -> str:
@@ -147,7 +154,7 @@ def _cmd_ecriture(args) -> Result:
 
 
 def _cmd_nullcone_test(args) -> Result:
-    form = parse_form_literal(args.form, QQ, args.a_convention)
+    form = parse_form_literal(args.form, args.a_convention)
     if form.order != args.n:
         raise ValueError(f"form literal has order {form.order}, --n says {args.n}")
     payload = nullform_report(form)._asdict()
@@ -195,12 +202,12 @@ def _cmd_eval(args) -> Result:
     p = args.prime
     if p is not None and (p == 2 or not is_prime(p)):
         raise ValueError(f"modulus {p} is not an odd prime")
-    form = parse_form_literal(args.form, QQ)
+    form = parse_form_literal(args.form)
     # With --prime each given coefficient maps to F_p before the --a-convention
     # binomials multiply it, so a denominator p divides is refused as given.
     coeffs = form.coeffs if p is None else [residue(c, p) for c in form.coeffs]
     if args.a_convention:
-        coeffs = BinaryForm.from_a_convention(QQ, form.order, coeffs).coeffs
+        coeffs = BinaryForm.from_a_convention(form.order, coeffs).coeffs
     expr = expr_from_text(args.expr)
     # The covariant catalog: only catalog, eval and hsop resolve names; basis never does.
     from .catalog import ORDERS, catalog_for
@@ -213,7 +220,7 @@ def _cmd_eval(args) -> Result:
     pref = expr_prefactor(closed, args.n, p)
     (exact,) = BatchEvaluator([coeffs], prime=None).eval(closed)
     value = [c * pref if p is None else residue(c * pref, p) for c in exact[0]]
-    out = str(value[0]) if order == 0 else print_form_literal(BinaryForm(QQ, order, value))
+    out = str(value[0]) if order == 0 else print_form_literal(BinaryForm(order, value))
     return Result(
         {"n": args.n, "expr": args.expr, "order": order, "degree": degree, "value": out},
         [out],

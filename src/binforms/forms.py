@@ -17,11 +17,12 @@ weight per coefficient pair, a signed sum over the derivative factors
 only transvectant formula in the package, and `batch.transvect` is the only
 code that applies it.  `transvectant` is one call of that kernel on one-row
 object arrays of the operands' coefficients, which may be any scalars closed
-under + and * with integers: rationals, prime-field residues or `multipoly`
-polynomials.  The product of forms is the 0-th transvectant.  The prefactor
-is computed exactly over the rationals and mapped into the scalar ring, so a
-prime dividing one of the factorials is rejected rather than silently
-wrapped.
+under + and * with integers and Fractions: rationals, `multipoly`
+polynomials, or the tests' prime-field residues.  Nothing here names a ring.
+The product of forms is the 0-th transvectant.  The prefactor is the
+Fraction 1 / (perm(m, p) perm(n, p)), which the result's coefficients
+multiply by themselves, so a scalar type that maps rationals into F_p
+rejects a prime dividing one of the factorials rather than wrapping it.
 """
 
 from __future__ import annotations
@@ -32,48 +33,39 @@ from functools import lru_cache
 from math import comb, perm
 from typing import List, Tuple
 
-from .rings import Ring
-
 
 class BinaryForm:
-    """Homogeneous two-variable form with coefficients in a scalar ring."""
+    """Homogeneous two-variable form; its coefficients are any scalars
+    closed under + and * with integers."""
 
-    __slots__ = ("ring", "order", "coeffs")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, ring: Ring, order: int, coeffs):
+    def __init__(self, order: int, coeffs):
         coeffs = tuple(coeffs)
         if order < 0 or len(coeffs) != order + 1:
             raise ValueError(
                 f"order {order} needs {order + 1} coefficients, got {len(coeffs)}"
             )
-        self.ring = ring
         self.order = order
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls, ring: Ring, order: int) -> "BinaryForm":
-        return cls(ring, order, [ring.zero] * (order + 1))
-
-    @classmethod
-    def from_a_convention(cls, ring: Ring, order: int, a) -> "BinaryForm":
+    def from_a_convention(cls, order: int, a) -> "BinaryForm":
         """Build sum_i binom(n, i) * a_i * x^(n-i) * y^i from the a_i."""
         a = list(a)
         if len(a) != order + 1:
             raise ValueError("coefficient count does not match order")
-        return cls(
-            ring, order, [ring.mul_int(ai, comb(order, i)) for i, ai in enumerate(a)]
-        )
+        return cls(order, [ai * comb(order, i) for i, ai in enumerate(a)])
 
     @classmethod
-    def monomial(cls, ring: Ring, xexp: int, yexp: int, coeff=None) -> "BinaryForm":
-        """The form c * x^xexp * y^yexp."""
-        n = xexp + yexp
-        cs = [ring.zero] * (n + 1)
-        cs[yexp] = ring.one if coeff is None else coeff
-        return cls(ring, n, cs)
+    def monomial(cls, xexp: int, yexp: int) -> "BinaryForm":
+        """The form x^xexp * y^yexp, with integer coefficients."""
+        cs = [0] * (xexp + yexp + 1)
+        cs[yexp] = 1
+        return cls(xexp + yexp, cs)
 
     def is_zero(self) -> bool:
-        return all(self.ring.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def scalar(self):
         """The value of an order-0 form."""
@@ -81,38 +73,9 @@ class BinaryForm:
             raise ValueError(f"form of order {self.order} is not a scalar")
         return self.coeffs[0]
 
-    def _check(self, other: "BinaryForm"):
-        if self.ring != other.ring:
-            raise ValueError("scalar ring mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        if self.order != other.order:
-            raise ValueError("cannot add forms of different orders")
-        add = self.ring.add
-        return BinaryForm(
-            self.ring, self.order, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        if self.order != other.order:
-            raise ValueError("cannot subtract forms of different orders")
-        sub = self.ring.sub
-        return BinaryForm(
-            self.ring, self.order, [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self):
-        return BinaryForm(self.ring, self.order, [self.ring.neg(c) for c in self.coeffs])
-
     def __mul__(self, other):
         """Product of forms, the 0-th transvectant; orders add."""
         return transvectant(self, other, 0)
-
-    def scale(self, c) -> "BinaryForm":
-        mul = self.ring.mul
-        return BinaryForm(self.ring, self.order, [mul(c, v) for v in self.coeffs])
 
     def power(self, k: int) -> "BinaryForm":
         if k < 1:
@@ -123,11 +86,7 @@ class BinaryForm:
         return out
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BinaryForm)
-            and other.ring == self.ring
-            and other.coeffs == self.coeffs
-        )
+        return isinstance(other, BinaryForm) and other.coeffs == self.coeffs
 
     def __hash__(self):
         return hash((self.order, self.coeffs))
@@ -169,10 +128,7 @@ def transvectant(g: BinaryForm, h: BinaryForm, p: int) -> BinaryForm:
 
     from .batch import transvect
 
-    if g.ring != h.ring:
-        raise ValueError("scalar ring mismatch")
     G, H = (np.array([f.coeffs], dtype=object) for f in (g, h))
     exact = transvect(G, H, p, None)[0]
-    ring = g.ring
-    c = ring.from_fraction(Fraction(1, perm(g.order, p) * perm(h.order, p)))
-    return BinaryForm(ring, g.order + h.order - 2 * p, [ring.mul(c, x) for x in exact])
+    c = Fraction(1, perm(g.order, p) * perm(h.order, p))
+    return BinaryForm(g.order + h.order - 2 * p, [c * x for x in exact])

@@ -1,11 +1,13 @@
-"""Sparse multivariate polynomials over a scalar ring.
+"""Sparse multivariate polynomials.
 
 A `MultiPoly` is a dict from exponent tuples (one slot per declared variable)
-to nonzero coefficients.  The term order used for printing and golden files
-is graded lexicographic on the declared variable list.  These polynomials
-carry the symbolic coefficients a_0..a_n and b_1..b_4 used by the lemma
-verification fixtures, so arithmetic is exact and unsimplified terms never
-survive (zero coefficients are dropped eagerly).
+to nonzero coefficients, which are any scalars closed under + and *: ints
+and Fractions in the package, prime-field residues in the tests.  The term
+order used for printing and golden files is graded lexicographic on the
+declared variable list.  These polynomials carry the symbolic coefficients
+a_0..a_n and b_1..b_4 used by the lemma verification fixtures, so arithmetic
+is exact and unsimplified terms never survive (a coefficient that comes out
+0 is dropped at once).
 
 Dense univariate helpers over the rationals (coefficient lists, low degree
 first) live here too; their gcd backs the root-multiplicity chains of the
@@ -17,83 +19,47 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rings import QQ, Ring
 
+class PolynomialRing:
+    """The polynomials in the declared variables."""
 
-class PolynomialRing(Ring):
-    """Polynomial ring over `base` in the declared variables."""
+    __slots__ = ("variables", "zero", "one", "_index")
 
-    __slots__ = ("variables", "base", "zero", "one", "_index")
-
-    def __init__(self, variables: Sequence[str], base: Ring = QQ):
+    def __init__(self, variables: Sequence[str]):
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         self.variables = tuple(variables)
-        self.base = base
         self._index = {v: i for i, v in enumerate(self.variables)}
         self.zero = MultiPoly(self, {})
-        self.one = MultiPoly(self, {(0,) * len(self.variables): base.one})
+        self.one = self.const(1)
 
     def var(self, name: str) -> "MultiPoly":
         exp = [0] * len(self.variables)
         exp[self._index[name]] = 1
-        return MultiPoly(self, {tuple(exp): self.base.one})
+        return MultiPoly(self, {tuple(exp): 1})
 
     def vars(self) -> tuple:
         return tuple(self.var(v) for v in self.variables)
 
     def const(self, c) -> "MultiPoly":
-        if isinstance(c, int):
-            c = self.base.from_int(c)
-        elif isinstance(c, Fraction):
-            c = self.base.from_fraction(c)
-        if self.base.is_zero(c):
-            return self.zero
-        return MultiPoly(self, {(0,) * len(self.variables): c})
-
-    # Ring protocol: elements are MultiPoly instances.
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def is_zero(self, a):
-        return not a.terms
-
-    def from_fraction(self, q):
-        return self.const(q)
-
-    def mul_int(self, a, k):
-        if k == 0:
-            return self.zero
-        base = self.base
-        return MultiPoly(
-            self, {e: base.mul_int(c, k) for e, c in a.terms.items()}
-        )
+        return MultiPoly(self, {(0,) * len(self.variables): c} if c else {})
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PolynomialRing)
-            and other.variables == self.variables
-            and other.base == self.base
-        )
+        return isinstance(other, PolynomialRing) and other.variables == self.variables
 
     def __hash__(self):
-        return hash(("PolynomialRing", self.variables, self.base))
+        return hash(("PolynomialRing", self.variables))
 
     def __repr__(self):
-        return f"Poly({self.base!r}[{', '.join(self.variables)}])"
+        return f"Poly[{', '.join(self.variables)}]"
 
 
 class MultiPoly:
-    """Sparse polynomial; `terms` maps exponent tuples to coefficients."""
+    """Sparse polynomial; `terms` maps exponent tuples to nonzero coefficients.
+
+    An operand that is not a `MultiPoly` is a constant: a scalar scales every
+    term, and a coefficient that comes out 0 is dropped.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -106,37 +72,37 @@ class MultiPoly:
             raise ValueError("polynomial ring mismatch")
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, MultiPoly):
+            if not other:
+                return self
+            other = self.ring.const(other)
         self._check(other)
-        base = self.ring.base
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = base.add(out.get(e, base.zero), c)
-            if base.is_zero(s):
-                out.pop(e, None)
-            else:
+            s = out.pop(e, 0) + c
+            if s:
                 out[e] = s
         return MultiPoly(self.ring, out)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + -other
 
     def __neg__(self):
-        base = self.ring.base
-        return MultiPoly(self.ring, {e: base.neg(c) for e, c in self.terms.items()})
+        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, MultiPoly):
+            if not other:
+                return self.ring.zero
+            scaled = {e: v for e, c in self.terms.items() if (v := c * other)}
+            return MultiPoly(self.ring, scaled)
         self._check(other)
-        base = self.ring.base
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                s = base.add(out.get(e, base.zero), base.mul(c1, c2))
-                if base.is_zero(s):
-                    out.pop(e, None)
-                else:
+                s = out.pop(e, 0) + c1 * c2
+                if s:
                     out[e] = s
         return MultiPoly(self.ring, out)
 
@@ -144,7 +110,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __pow__(self, k: int):
         if k < 0:
@@ -158,12 +124,8 @@ class MultiPoly:
             k >>= 1
         return out
 
-    def _coerce(self, other):
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
-        return NotImplemented
+    def __bool__(self):
+        return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -176,9 +138,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def sorted_terms(self) -> list:
         """Terms in canonical order: graded lex, highest first."""
@@ -198,7 +157,7 @@ class MultiPoly:
             ]
             if not factors:
                 parts.append(str(c))
-            elif c == self.ring.base.one:
+            elif c == 1:
                 parts.append("*".join(factors))
             else:
                 parts.append("*".join([str(c)] + factors))

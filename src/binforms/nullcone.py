@@ -15,7 +15,9 @@ the one shape in which the exact nullform check evaluates it.
 displayed covariant expansion and scalar identity used in the three nullcone
 reduction lemmas (the nonic case analysis and the two pair-nullcone
 reductions for V_2 + V_7 and V_6 + V_3) and compares them against hard-coded
-transcriptions, exact constants included.
+transcriptions, exact constants included.  Their forms hold `multipoly`
+polynomials, the integers 0 and 1 where a displayed form has them, and
+Fraction constants; a form computes with its coefficients' own + and *.
 
 Every command imports this module (the pipeline samples `random_nullform`,
 which needs only integers), so the multiplicity and lemma code import
@@ -30,7 +32,7 @@ from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Tuple
 
 from .forms import BinaryForm, transvectant
-from .rings import QQ
+from .rings import random_rational
 
 
 class NullformReport(NamedTuple):
@@ -72,8 +74,6 @@ def nullform_report(f: BinaryForm) -> NullformReport:
     The zero form is a nullform with no multiplicity.  A nonzero form of
     order 0, a constant, has no roots: multiplicity 0.
     """
-    if f.ring != QQ:
-        raise ValueError("multiplicity is computed over the rationals")
     if f.is_zero():
         return NullformReport(None, True, "zero form")
     y_mult, chain = _root_chain(f)
@@ -110,8 +110,9 @@ def random_nullform(n: int, seed: int) -> List[int]:
     """A seeded random nullform of order n: the primitive integer coefficients
     of an SL2 image of x^(floor(n/2)+1) * r(x, y).
 
-    The draws are rationals from `QQ.random`: the coefficients of r, then b
-    and c of g = ((1, b), (c, cb + 1)), which acts by (g . f)(v) = f(g^-1 v).
+    The draws are rationals from `rings.random_rational`: the coefficients of
+    r, then b and c of g = ((1, b), (c, cb + 1)), which acts by
+    (g . f)(v) = f(g^-1 v).
     Write r's coefficients as N_i / q over their common denominator q, and
     b = bn/bd, c = cn/cd.  The substitution of that action,
     x -> (cb + 1) x - b y and y -> -c x + y, times bd*cd and cd gives the
@@ -127,10 +128,10 @@ def random_nullform(n: int, seed: int) -> List[int]:
     rng = random.Random(f"nullform:{seed}:{n}")
     k = n // 2 + 1
     while True:
-        rest = [QQ.random(rng) for _ in range(n - k + 1)]
+        rest = [random_rational(rng) for _ in range(n - k + 1)]
         if any(rest):
             break
-    b, c = QQ.random(rng), QQ.random(rng)
+    b, c = random_rational(rng), random_rational(rng)
     bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
     q = lcm(*(r.denominator for r in rest))
     nums = [r.numerator * (q // r.denominator) for r in rest]
@@ -190,23 +191,20 @@ def verify_lemma_expansions() -> LemmaReport:
 def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
     lemma = "nonic-multiplicity"
     a = [ring.var(f"a{i}") for i in range(10)]
-    zero = ring.zero
 
     # Generic nonic: p = (f, x^2)_2 = (1/72) sum_{i>=2} binom(9,i) i (i-1) a_i x^(9-i) y^(i-2)
-    f = BinaryForm.from_a_convention(ring, 9, a)
-    x2 = BinaryForm.monomial(ring, 2, 0)
+    f = BinaryForm.from_a_convention(9, a)
+    x2 = BinaryForm.monomial(2, 0)
     p = transvectant(f, x2, 2)
     from math import comb
 
     # coeffs[j] is the x^(7-j) y^j coefficient; term i lands at j = i - 2.
-    expected_p = [
-        ring.const(Fraction(comb(9, i) * i * (i - 1), 72)) * a[i] for i in range(2, 10)
-    ]
+    expected_p = [Fraction(comb(9, i) * i * (i - 1), 72) * a[i] for i in range(2, 10)]
     _check(checks, lemma, "case1: p = (f, x^2)_2", list(p.coeffs), expected_p)
 
     # Case l = x^2: with a_6 = ... = a_9 = 0,
     # l = 70 a5^2 y^2 + 28 a4 a5 x y + (70 a4^2 - 112 a3 a5) x^2.
-    f1 = BinaryForm.from_a_convention(ring, 9, a[:6] + [zero] * 4)
+    f1 = BinaryForm.from_a_convention(9, a[:6] + [0] * 4)
     l1 = transvectant(f1, f1, 8)
     _check(
         checks, lemma, "case1: l with a6..a9 = 0", list(l1.coeffs),
@@ -214,7 +212,7 @@ def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
     )
 
     # Case l = 0, q = x^6: r = (f, x^6)_6 = a9 y^3 + 3 a8 x y^2 + 3 a7 x^2 y + a6 x^3.
-    x6 = BinaryForm.monomial(ring, 6, 0)
+    x6 = BinaryForm.monomial(6, 0)
     r1 = transvectant(f, x6, 6)
     _check(
         checks, lemma, "case q=x^6: r = (f, x^6)_6", list(r1.coeffs),
@@ -222,7 +220,7 @@ def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
     )
 
     # ... then a_8 = a_9 = 0 and the full expansions of q and l.
-    f2 = BinaryForm.from_a_convention(ring, 9, a[:8] + [zero, zero])
+    f2 = BinaryForm.from_a_convention(9, a[:8] + [0, 0])
     q2 = transvectant(f2, f2, 6)
     expected_q2 = [
         -20 * a[3] ** 2 + 30 * a[2] * a[4] - 12 * a[1] * a[5] + 2 * a[0] * a[6],
@@ -243,7 +241,7 @@ def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
     _check(checks, lemma, "case q=x^6: l with a8 = a9 = 0", list(l2.coeffs), expected_l2)
 
     # Case q = x^5 y: r = (f, x^5 y)_6 = -a8 y^3 - 3 a7 x y^2 - 3 a6 x^2 y - a5 x^3.
-    x5y = BinaryForm.monomial(ring, 5, 1)
+    x5y = BinaryForm.monomial(5, 1)
     r2 = transvectant(f, x5y, 6)
     _check(
         checks, lemma, "case q=x^5y: r = (f, x^5y)_6", list(r2.coeffs),
@@ -251,9 +249,7 @@ def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
     )
 
     # ... then a_7 = a_8 = 0; the displayed q coefficients and l's y^2 one.
-    f3 = BinaryForm.from_a_convention(
-        ring, 9, a[:7] + [zero, zero] + [a[9]]
-    )
+    f3 = BinaryForm.from_a_convention(9, a[:7] + [0, 0, a[9]])
     q3 = transvectant(f3, f3, 6)
     l3 = transvectant(f3, f3, 8)
     displayed = {
@@ -278,7 +274,7 @@ def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
     _check(checks, lemma, "case q=x^5y: elimination identity for a9", lhs, rhs)
 
     # Case q = x^4 y (x + y): r = (a7-a8) y^3 + 3(a6-a7) x y^2 + 3(a5-a6) x^2 y + (a4-a5) x^3.
-    q_fix = BinaryForm(ring, 6, [zero, ring.one, ring.one, zero, zero, zero, zero])
+    q_fix = BinaryForm(6, [0, 1, 1, 0, 0, 0, 0])
     r3 = transvectant(f, q_fix, 6)
     _check(
         checks, lemma, "case q=x^4y(x+y): r", list(r3.coeffs),
@@ -286,9 +282,7 @@ def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
     )
 
     # ... then a_8 = a_7 = a_6; full q and l expansions.
-    f4 = BinaryForm.from_a_convention(
-        ring, 9, a[:7] + [a[6], a[6]] + [a[9]]
-    )
+    f4 = BinaryForm.from_a_convention(9, a[:7] + [a[6], a[6], a[9]])
     q4 = transvectant(f4, f4, 6)
     a0, a1, a2, a3, a4, a5, a6, a9 = (a[i] for i in (0, 1, 2, 3, 4, 5, 6, 9))
     expected_q4 = [
@@ -313,24 +307,23 @@ def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
 def _pair_v2_v7_checks(checks: List[LemmaCheck], ring) -> None:
     lemma = "pair-V2+V7"
     b1, b2, b3, b4 = ring.vars()
-    zero = ring.zero
     # g = x^2, h = y^4 (b1 x^3 + b2 x^2 y + b3 x y^2 + b4 y^3)
-    g = BinaryForm.monomial(ring, 2, 0)
-    h = BinaryForm(ring, 7, [zero, zero, zero, zero, b1, b2, b3, b4])
+    g = BinaryForm.monomial(2, 0)
+    h = BinaryForm(7, [0, 0, 0, 0, b1, b2, b3, b4])
     hh6 = transvectant(h, h, 6)
     _check(
         checks, lemma, "((h,h)_6, g)_2 = -4/245 b1^2", transvectant(hh6, g, 2).scalar(),
-        ring.const(Fraction(-4, 245)) * b1 ** 2,
+        Fraction(-4, 245) * b1 ** 2,
     )
     _check(
         checks, lemma, "((h,h)_4, g^3)_6 = 2/735 (5 b2^2 - 12 b1 b3)",
         transvectant(transvectant(h, h, 4), g.power(3), 6).scalar(),
-        ring.const(Fraction(2, 735)) * (5 * b2 ** 2 - 12 * b1 * b3),
+        Fraction(2, 735) * (5 * b2 ** 2 - 12 * b1 * b3),
     )
     _check(
         checks, lemma, "((h,h)_2, g^5)_10 = -2/147 (3 b3^2 - 7 b2 b4)",
         transvectant(transvectant(h, h, 2), g.power(5), 10).scalar(),
-        ring.const(Fraction(-2, 147)) * (3 * b3 ** 2 - 7 * b2 * b4),
+        Fraction(-2, 147) * (3 * b3 ** 2 - 7 * b2 * b4),
     )
     _check(
         checks, lemma, "(h^2, g^7)_14 = b4^2", transvectant(h * h, g.power(7), 14).scalar(),
@@ -341,37 +334,36 @@ def _pair_v2_v7_checks(checks: List[LemmaCheck], ring) -> None:
 def _pair_v6_v3_checks(checks: List[LemmaCheck], ring) -> None:
     lemma = "pair-V6+V3"
     b1, b2, b3 = ring.vars()
-    zero = ring.zero
     # g = x^4 (b1 x^2 + b2 x y + b3 y^2)
-    g = BinaryForm(ring, 6, [b1, b2, b3, zero, zero, zero, zero])
+    g = BinaryForm(6, [b1, b2, b3, 0, 0, 0, 0])
 
     # Case h = y^3.
-    h = BinaryForm.monomial(ring, 0, 3)
+    h = BinaryForm.monomial(0, 3)
     _check(
         checks, lemma, "case h=y^3: ((g^2, g)_6, h^2)_6 = 1/495 b3^3",
         transvectant(transvectant(g * g, g, 6), h * h, 6).scalar(),
-        ring.const(Fraction(1, 495)) * b3 ** 3,
+        Fraction(1, 495) * b3 ** 3,
     )
     _check(
         checks, lemma, "case h=y^3: (((g,g)_2, g)_1, h^4)_12 = -1/540 b2 (5 b2^2 - 18 b1 b3)",
         transvectant(transvectant(transvectant(g, g, 2), g, 1), h.power(4), 12).scalar(),
-        ring.const(Fraction(-1, 540)) * b2 * (5 * b2 ** 2 - 18 * b1 * b3),
+        Fraction(-1, 540) * b2 * (5 * b2 ** 2 - 18 * b1 * b3),
     )
     _check(checks, lemma, "case h=y^3: (g, h^2)_6 = b1", transvectant(g, h * h, 6).scalar(), b1)
 
     # Case h = x y^2.
-    h = BinaryForm.monomial(ring, 1, 2)
+    h = BinaryForm.monomial(1, 2)
     _check(
         checks, lemma, "case h=xy^2: (g, h^2)_6 = 1/15 b3", transvectant(g, h * h, 6).scalar(),
-        ring.const(Fraction(1, 15)) * b3,
+        Fraction(1, 15) * b3,
     )
     _check(
         checks, lemma, "case h=xy^2: (g, (h,h)_2^3)_6 = -8/729 b1",
         transvectant(g, transvectant(h, h, 2).power(3), 6).scalar(),
-        ring.const(Fraction(-8, 729)) * b1,
+        Fraction(-8, 729) * b1,
     )
     _check(
         checks, lemma, "case h=xy^2: (g, (h^3, h)_3)_6 = 1/84 b2",
         transvectant(g, transvectant(h.power(3), h, 3), 6).scalar(),
-        ring.const(Fraction(1, 84)) * b2,
+        Fraction(1, 84) * b2,
     )

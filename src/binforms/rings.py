@@ -1,14 +1,9 @@
-"""Scalar rings, the seeded draw, primality and residues mod p.
+"""Primality, residues mod p and the seeded draws.
 
-Ring objects operate on plain unboxed values: rationals are
-`fractions.Fraction` (`QQ`), and `multipoly.PolynomialRing` holds
-`MultiPoly` polynomials over a ring.  `forms.transvectant` computes with
-the elements' own + and *, and needs of the ring only `from_fraction`, for
-the prefactor, and `mul`; `BinaryForm`'s constructors and arithmetic use
-`zero`, `one`, `add`, `sub`, `neg`, `mul_int` and `is_zero`.
-
-F_p values are plain ints in [0, p), or int64 arrays in `batch`; `residue`
-maps a rational into F_p.
+There is no scalar-ring layer: forms and polynomials compute with their
+coefficients' own + and *.  Rationals are `fractions.Fraction`; F_p values
+are plain ints in [0, p), or int64 arrays in `batch`, and `residue` maps a
+rational into F_p.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -69,49 +64,6 @@ def randbelow(getrandbits, n: int) -> int:
     return r
 
 
-class Ring:
-    """Base of the scalar rings, whose operations act on plain element values."""
-
-    zero: object
-    one: object
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
-
-class RationalField(Ring):
-    """The rationals, with `fractions.Fraction` values (always reduced)."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def from_int(self, k):
-        return Fraction(k)
-
-    def from_fraction(self, q):
-        return q
-
-    def mul_int(self, a, k):
-        return a * k
-
-    def random(self, rng):
-        # The draws of randint on [-9, 9], then on [1, 9].
-        return Fraction(randbelow(rng.getrandbits, 19) - 9, randbelow(rng.getrandbits, 9) + 1)
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
+def random_rational(rng) -> Fraction:
+    """A seeded small rational: the draws of randint on [-9, 9], then on [1, 9]."""
+    return Fraction(randbelow(rng.getrandbits, 19) - 9, randbelow(rng.getrandbits, 9) + 1)

@@ -1,57 +1,87 @@
-"""The prime field F_p as a scalar ring: a test helper.
+"""Prime-field residues: the F_p scalars of the tests.
 
-No command needs it: `batch` computes over F_p on int64 arrays, and
+No command needs them: `batch` computes over F_p on int64 arrays, and
 `binforms eval --prime` maps rationals with `rings.residue`.  The tests build
-F_p forms with it and draw their operands with `random`.
+F_p forms and polynomials from them, and forms compute with their + and *.
 """
 
-from binforms.rings import Ring, is_prime, randbelow, residue
+from fractions import Fraction
+
+from binforms.rings import is_prime, randbelow, residue
 
 
-class PrimeField(Ring):
-    """F_p for an odd prime p; elements are ints fully reduced into [0, p)."""
-
-    __slots__ = ("p",)
+class PrimeField:
+    """F_p for an odd prime p: `GF(a)` is the residue of a, `GF.random` a draw."""
 
     def __init__(self, p: int):
         if p == 2 or not is_prime(p):
             raise ValueError(f"modulus {p} is not an odd prime")
         self.p = p
 
-    zero = 0
-    one = 1
+    def __call__(self, a) -> "Residue":
+        """The residue of an int or Fraction."""
+        return Residue(residue(a, self.p) if isinstance(a, Fraction) else a, self.p)
 
-    def add(self, a, b):
-        s = a + b
-        return s - self.p if s >= self.p else s
+    def random(self, rng) -> "Residue":
+        return Residue(randbelow(rng.getrandbits, self.p), self.p)
 
-    def sub(self, a, b):
-        s = a - b
-        return s + self.p if s < 0 else s
 
-    def mul(self, a, b):
-        return a * b % self.p
+class Residue:
+    """An element of F_p, `value` in [0, p).
 
-    def neg(self, a):
-        return self.p - a if a else 0
+    An int or Fraction operand maps into F_p; a Fraction goes through
+    `rings.residue`, so one whose denominator p divides raises
+    ZeroDivisionError.  Any other operand is left to its own operators.
+    """
 
-    def from_int(self, k):
-        return k % self.p
+    __slots__ = ("value", "p")
 
-    def from_fraction(self, q):
-        return residue(q, self.p)
+    def __init__(self, a: int, p: int):
+        self.value = a % p
+        self.p = p
 
-    def mul_int(self, a, k):
-        return a * k % self.p
+    def _lift(self, other):
+        if isinstance(other, Residue):
+            if other.p != self.p:
+                raise ValueError(f"residues mod {self.p} and {other.p} do not mix")
+            return other.value
+        if isinstance(other, int):
+            return other
+        if isinstance(other, Fraction):
+            return residue(other, self.p)
+        return NotImplemented
 
-    def random(self, rng):
-        return randbelow(rng.getrandbits, self.p)
+    def __add__(self, other):
+        v = self._lift(other)
+        return v if v is NotImplemented else Residue(self.value + v, self.p)
+
+    def __sub__(self, other):
+        v = self._lift(other)
+        return v if v is NotImplemented else Residue(self.value - v, self.p)
+
+    def __rsub__(self, other):
+        v = self._lift(other)
+        return v if v is NotImplemented else Residue(v - self.value, self.p)
+
+    def __mul__(self, other):
+        v = self._lift(other)
+        return v if v is NotImplemented else Residue(self.value * v, self.p)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Residue(-self.value, self.p)
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        v = self._lift(other)
+        return v if v is NotImplemented else (self.value - v) % self.p == 0
 
     def __hash__(self):
-        return hash(("PrimeField", self.p))
+        return hash(self.value)
+
+    def __bool__(self):
+        return self.value != 0
 
     def __repr__(self):
-        return f"GF({self.p})"
+        return f"{self.value} (mod {self.p})"

@@ -1,11 +1,11 @@
 """The per-form scalar evaluator: the reference of the batched engine's tests.
 
-`Evaluator` evaluates expressions at one `BinaryForm` over any scalar ring,
-memoizing shared subtrees, and resolves named references itself.  Its
-transvectant is a parameter: `forms.transvectant`, the library's kernel, by
-default, or `closed_form.transvectant`, the derivative-sum oracle, which
-shares no code with `batch.transvect`.  A power is a chain of 0-th
-transvectants, as in `batch`.
+`Evaluator` evaluates expressions at one `BinaryForm`, whatever scalars its
+coefficients are, memoizing shared subtrees, and resolves named references
+itself.  Its transvectant is a parameter: `forms.transvectant`, the
+library's kernel, by default, or `closed_form.transvectant`, the
+derivative-sum oracle, which shares no code with `batch.transvect`.  A power
+is a chain of 0-th transvectants, as in `batch`.
 """
 
 from typing import Callable, Mapping, Optional

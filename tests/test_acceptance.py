@@ -26,7 +26,7 @@ from binforms.pipeline import (
     PointSet,
     jacobian_rank,
 )
-from binforms.rings import QQ
+from binforms.rings import random_rational
 from binforms.series import (
     ecriture_minimale_search,
     invariant_dimension,
@@ -36,7 +36,7 @@ from binforms.series import (
 from lowering_operator import dimension_by_lowering_operator
 from prime_field import PrimeField
 from scalar_evaluator import Evaluator
-from sl2_action import random_form, random_sl2, sl2_act
+from sl2_action import form_scale, form_sum, random_form, random_sl2, sl2_act
 
 EXTENDED = os.environ.get("BINFORMS_EXTENDED") == "1"
 P = 32003
@@ -240,18 +240,18 @@ def test_criterion_09_property_suites(capsys):
     t0 = time.time()
     rng = random.Random(99)
     # transvectant antisymmetry and bilinearity over the rationals
-    g, h = random_form(QQ, 6, rng), random_form(QQ, 4, rng)
+    g, h = random_form(random_rational, 6, rng), random_form(random_rational, 4, rng)
     for k in range(5):
         assert transvectant(g, h, k) == (
-            transvectant(h, g, k) if k % 2 == 0 else -transvectant(h, g, k)
+            transvectant(h, g, k) if k % 2 == 0 else form_scale(-1, transvectant(h, g, k))
         )
-    g2 = random_form(QQ, 6, rng)
-    lhs = transvectant(g + g2, h, 2)
-    assert lhs == transvectant(g, h, 2) + transvectant(g2, h, 2)
+    g2 = random_form(random_rational, 6, rng)
+    lhs = transvectant(form_sum(g, g2), h, 2)
+    assert lhs == form_sum(transvectant(g, h, 2), transvectant(g2, h, 2))
     # equivariance of catalog covariants
     cat = catalog_for(9)
-    f = random_form(QQ, 9, rng)
-    s = random_sl2(QQ, rng)
+    f = random_form(random_rational, 9, rng)
+    s = random_sl2(random_rational, rng)
     for name in ("l", "q", "r", "p"):
         left = Evaluator(sl2_act(s, f), cat.defs).eval(cat[name].expr)
         right = sl2_act(s, Evaluator(f, cat.defs).eval(cat[name].expr))
@@ -260,15 +260,15 @@ def test_criterion_09_property_suites(capsys):
     gf = PrimeField(P)
     names = [e.name for e in cat.invariants() if e.degree <= 16]
     for _ in range(20):
-        fp = random_form(gf, 9, rng)
-        sp = random_sl2(gf, rng)
+        fp = random_form(gf.random, 9, rng)
+        sp = random_sl2(gf.random, rng)
         ev1, ev2 = Evaluator(fp, cat.defs), Evaluator(sl2_act(sp, fp), cat.defs)
         for name in names:
             assert ev1.eval(cat[name].expr).scalar() == ev2.eval(cat[name].expr).scalar(), name
     # nullform invariance under the group action
     for seed in range(10):
-        nf = BinaryForm(QQ, 9, random_nullform(9, seed))
-        assert nullform_report(sl2_act(random_sl2(QQ, rng), nf)).is_nullform
+        nf = BinaryForm(9, random_nullform(9, seed))
+        assert nullform_report(sl2_act(random_sl2(random_rational, rng), nf)).is_nullform
     with capsys.disabled():
         conclude(9, "antisymmetry, equivariance, invariance, nullcone", t0, 600)
 
@@ -283,7 +283,7 @@ def test_criterion_10_small_order_parameter_systems(capsys):
         assert len(hsop) == max(n - 2, 1)
         exprs = [cat.closed(e.name) for e in hsop]
         for seed in range(50):
-            ev = Evaluator(BinaryForm(QQ, n, random_nullform(n, seed)))
+            ev = Evaluator(BinaryForm(n, random_nullform(n, seed)))
             for e, entry in zip(exprs, hsop):
                 assert ev.eval(e).scalar() == 0, (n, seed, entry.name)
         rng = random.Random(f"acc10:{n}")

@@ -32,10 +32,9 @@ from binforms.exprs import F, Pow, Tr, tr
 from binforms.forms import BinaryForm
 from binforms.nullcone import random_nullform
 from binforms.pipeline import NULLFORM_CHUNK, PointEvaluations, PointSet, VanishReport
-from binforms.rings import QQ
 import loop_weights
 from closed_form import transvectant as oracle_transvectant
-from dual_numbers import DualNumbers
+from dual_numbers import Dual
 from prime_field import PrimeField
 from scalar_evaluator import Evaluator
 from sl2_action import nullform_by_sl2_act
@@ -62,20 +61,21 @@ class ScalarBatch:
         n = forms.shape[1] - 1
         if slopes is None:
             self.dual = False
-            self._evs = [oracle(BinaryForm(gf, n, [int(c) for c in row])) for row in forms]
+            self._evs = [oracle(BinaryForm(n, [gf(int(c)) for c in row])) for row in forms]
         else:
             self.dual = True
-            ring = DualNumbers(gf)
             self._evs = [
-                oracle(BinaryForm(ring, n, [ring.lift(int(c), int(s)) for c, s in zip(row, srow)]))
+                oracle(BinaryForm(n, [Dual(int(c), int(s), prime) for c, s in zip(row, srow)]))
                 for row, srow in zip(forms, np.asarray(slopes))
             ]
 
     def scalar(self, e):
         values = [ev.eval(e).scalar() for ev in self._evs]
         if not self.dual:
-            return (np.array(values, dtype=np.int64),)
-        return tuple(np.array(part, dtype=np.int64) for part in zip(*values))
+            return (np.array([v.value for v in values], dtype=np.int64),)
+        return tuple(
+            np.array(part, dtype=np.int64) for part in zip(*((v.value, v.slope) for v in values))
+        )
 
 
 def test_kernel_matches_scalar_transvectant_through_order_18():
@@ -90,11 +90,11 @@ def test_kernel_matches_scalar_transvectant_through_order_18():
                 got = transvect(G, H, k, p)
                 for row in range(2):
                     want = oracle_transvectant(
-                        BinaryForm(gf, m, [int(c) for c in G[row]]),
-                        BinaryForm(gf, n, [int(c) for c in H[row]]),
+                        BinaryForm(m, [gf(int(c)) for c in G[row]]),
+                        BinaryForm(n, [gf(int(c)) for c in H[row]]),
                         k,
                     )
-                    assert list(got[row]) == list(want.coeffs), (m, n, k)
+                    assert list(got[row]) == [c.value for c in want.coeffs], (m, n, k)
 
 
 def _pref(m, n, k):
@@ -112,8 +112,8 @@ def test_exact_kernel_times_prefactor_matches_rational_transvectant_through_orde
                 assert got.dtype == object and got.shape == (2, m + n - 2 * k + 1)
                 for row in range(2):
                     want = oracle_transvectant(
-                        BinaryForm(QQ, m, [Fraction(int(c)) for c in G[row]]),
-                        BinaryForm(QQ, n, [Fraction(int(c)) for c in H[row]]),
+                        BinaryForm(m, [Fraction(int(c)) for c in G[row]]),
+                        BinaryForm(n, [Fraction(int(c)) for c in H[row]]),
                         k,
                     )
                     assert [_pref(m, n, k) * c for c in got[row]] == list(want.coeffs), (m, n, k)
@@ -138,11 +138,11 @@ def test_band_table_is_cached_read_only_and_guarded():
         got = transvect(G, H, k, p)
         for row in range(2):
             want = oracle_transvectant(
-                BinaryForm(gf, 18, [int(c) for c in G[row]]),
-                BinaryForm(gf, 18, [int(c) for c in H[row]]),
+                BinaryForm(18, [gf(int(c)) for c in G[row]]),
+                BinaryForm(18, [gf(int(c)) for c in H[row]]),
                 k,
             )
-            assert list(got[row]) == list(want.coeffs), k
+            assert list(got[row]) == [c.value for c in want.coeffs], k
     # The next prime is just outside the bound.
     with pytest.raises(ValueError, match="int64"):
         band(18, 18, 0, 696_735_727)
@@ -220,22 +220,22 @@ def test_batched_dag_values_match_scalar_evaluator(dag, prime, seed):
     forms = np.random.default_rng(seed).integers(0, prime, (3, n + 1))
     batch = BatchEvaluator(forms, prime)
     gf = PrimeField(prime)
-    scalar = [oracle(BinaryForm(gf, n, [int(c) for c in row])) for row in forms]
+    scalar = [oracle(BinaryForm(n, [gf(int(c)) for c in row])) for row in forms]
     for e, order in nodes:
         (value,) = batch.eval(e)
         assert value.shape == (3, order + 1)
         for row, ev in zip(value, scalar):
-            assert list(row) == list(ev.eval(e).coeffs), e
+            assert list(row) == [c.value for c in ev.eval(e).coeffs], e
 
 
 def _integer_forms(n, rng):
     """Integer forms of order n over QQ: generic, with a root of multiplicity
     above n / 2, and a random nullform's primitive integer row."""
-    generic = BinaryForm(QQ, n, [Fraction(rng.randint(-9, 9)) for _ in range(n + 1)])
+    generic = BinaryForm(n, [Fraction(rng.randint(-9, 9)) for _ in range(n + 1)])
     r = rng.randint(n // 2 + 1, n)
-    root = BinaryForm(QQ, 1, (Fraction(rng.randint(1, 4)), Fraction(rng.randint(-4, 4))))
-    rest = BinaryForm(QQ, n - r, [Fraction(rng.randint(-5, 5)) for _ in range(n - r + 1)])
-    nf = BinaryForm(QQ, n, random_nullform(n, rng.randrange(10**6)))
+    root = BinaryForm(1, (Fraction(rng.randint(1, 4)), Fraction(rng.randint(-4, 4))))
+    rest = BinaryForm(n - r, [Fraction(rng.randint(-5, 5)) for _ in range(n - r + 1)])
+    nf = BinaryForm(n, random_nullform(n, rng.randrange(10**6)))
     return [generic, root.power(r) * rest, nf]
 
 
@@ -279,7 +279,7 @@ def _scalar_generic_vanish(exprs, n, trials, seed, prime):
     rng = random.Random(f"generic:{seed}:{n}:{prime}")
     count = 0
     for _ in range(trials):
-        ev = oracle(BinaryForm(gf, n, [rng.randrange(prime) for _ in range(n + 1)]))
+        ev = oracle(BinaryForm(n, [gf(rng.randrange(prime)) for _ in range(n + 1)]))
         if all(ev.eval(e).scalar() == 0 for e in exprs):
             count += 1
     return count
@@ -316,7 +316,7 @@ def _qq_nullform_loop(exprs, n, trials, seed):
     all_vanish = 0
     for t in range(trials):
         s = seed * 100003 + t
-        form = BinaryForm(QQ, n, _generic_row(n, s)) if s % 3 == 2 else nullform_by_sl2_act(n, s)
+        form = BinaryForm(n, _generic_row(n, s)) if s % 3 == 2 else nullform_by_sl2_act(n, s)
         ev = oracle(form)
         values = [ev.eval(e).scalar() for e in exprs]
         if all(v == 0 for v in values):

@@ -14,10 +14,10 @@ from binforms.exprs import (
 )
 from binforms.forms import BinaryForm, transvectant
 from binforms.multipoly import PolynomialRing
-from binforms.rings import QQ
+from binforms.rings import random_rational
 from prime_field import PrimeField
 from scalar_evaluator import Evaluator
-from sl2_action import random_form, random_sl2, sl2_act
+from sl2_action import form_scale, random_form, random_sl2, sl2_act
 
 GF = PrimeField(32003)
 
@@ -59,7 +59,7 @@ def test_small_catalog_degrees():
 
 def test_j4_vanishes_on_monomial_form():
     cat = catalog_for(9)
-    x9 = BinaryForm.monomial(GF, 9, 0)
+    x9 = BinaryForm(9, [GF(c) for c in BinaryForm.monomial(9, 0).coeffs])
     assert Evaluator(x9, cat.defs).eval(cat["j_4"].expr).scalar() == 0
 
 
@@ -67,7 +67,7 @@ def test_r_orientation_agrees_both_ways():
     # (q, f)_6 and (f, q)_6 coincide because the index is even.
     cat = catalog_for(9)
     rng = random.Random(1)
-    f = random_form(QQ, 9, rng)
+    f = random_form(random_rational, 9, rng)
     q = transvectant(f, f, 6)
     assert transvectant(q, f, 6) == transvectant(f, q, 6)
     r_val = Evaluator(f, cat.defs).eval(cat["r"].expr)
@@ -79,8 +79,8 @@ def test_catalog_invariance_under_sl2():
     rng = random.Random(2)
     names = [e.name for e in cat.invariants() if e.degree <= 12]
     for trial in range(20):
-        f = random_form(GF, 9, rng)
-        g = random_sl2(GF, rng)
+        f = random_form(GF.random, 9, rng)
+        g = random_sl2(GF.random, rng)
         ev1 = Evaluator(f, cat.defs)
         ev2 = Evaluator(sl2_act(g, f), cat.defs)
         for name in names:
@@ -90,8 +90,8 @@ def test_catalog_invariance_under_sl2():
 def test_covariant_equivariance():
     cat = catalog_for(9)
     rng = random.Random(3)
-    f = random_form(QQ, 9, rng)
-    g = random_sl2(QQ, rng)
+    f = random_form(random_rational, 9, rng)
+    g = random_sl2(random_rational, rng)
     for name in ("l", "q", "r", "p", "k_q"):
         ev1 = Evaluator(sl2_act(g, f), cat.defs)
         ev2 = Evaluator(f, cat.defs)
@@ -101,11 +101,11 @@ def test_covariant_equivariance():
 def test_invariant_homogeneity():
     cat = catalog_for(9)
     rng = random.Random(4)
-    f = random_form(QQ, 9, rng)
+    f = random_form(random_rational, 9, rng)
     lam = Fraction(2, 3)
     for name in ("j_4", "B_8", "D_10", "j_12"):
         entry = cat[name]
-        v1 = Evaluator(f.scale(lam), cat.defs).eval(entry.expr).scalar()
+        v1 = Evaluator(form_scale(lam, f), cat.defs).eval(entry.expr).scalar()
         v0 = Evaluator(f, cat.defs).eval(entry.expr).scalar()
         assert v1 == v0 * lam ** entry.degree, name
 
@@ -121,9 +121,9 @@ def test_invariant_weight_condition_symbolically():
     ]
     for n, expr, defs, degree in cases:
         R = PolynomialRing(tuple(f"a{i}" for i in range(n + 1)))
-        f = BinaryForm(R, n, [R.var(f"a{i}") for i in range(n + 1)])
+        f = BinaryForm(n, [R.var(f"a{i}") for i in range(n + 1)])
         value = Evaluator(f, defs).eval(expr).scalar()
-        assert not value.is_zero()
+        assert value
         for exps in value.terms:
             assert sum(exps) == degree
             assert sum(i * e for i, e in enumerate(exps)) == n * degree // 2
@@ -146,7 +146,7 @@ def test_parse_errors():
 def test_inline_refs_values_match():
     cat = catalog_for(9)
     rng = random.Random(5)
-    f = random_form(GF, 9, rng)
+    f = random_form(GF.random, 9, rng)
     with_defs = Evaluator(f, cat.defs)
     closed = Evaluator(f)
     for name in ("j_4", "B_8", "j_16", "C_20"):
@@ -155,7 +155,7 @@ def test_inline_refs_values_match():
 
 def test_evaluator_memoizes_shared_subtrees():
     cat = catalog_for(9)
-    f = random_form(GF, 9, random.Random(6))
+    f = random_form(GF.random, 9, random.Random(6))
     ev = Evaluator(f, cat.defs)
     ev.eval(cat["j_4"].expr)
     l_value = ev._memo[cat["l"].expr]
@@ -164,13 +164,13 @@ def test_evaluator_memoizes_shared_subtrees():
 
 
 def test_unresolvable_name_raises():
-    f = random_form(GF, 9, random.Random(7))
+    f = random_form(GF.random, 9, random.Random(7))
     with pytest.raises(KeyError):
         Evaluator(f, {}).eval(ref("nope"))
 
 
 def test_order_mismatch_raises():
     cat = catalog_for(9)
-    f7 = random_form(GF, 7, random.Random(8))
+    f7 = random_form(GF.random, 7, random.Random(8))
     with pytest.raises(ValueError):
         Evaluator(f7, cat.defs).eval(cat["j_4"].expr)  # (f,f)_8 needs order >= 8

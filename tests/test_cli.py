@@ -7,13 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from binforms import cli
 from binforms.cli import build_parser, main, parse_form_literal
-from binforms.rings import QQ
 
 # Stdout and exit code of command lines in every format they offer.  The
 # first six, the commands that evaluate one form at a time, were recorded
@@ -504,17 +504,32 @@ def test_unresolvable_name_error_is_not_quoted_twice(capsys):
 
 def test_form_literal_errors():
     with pytest.raises(ValueError):
-        parse_form_literal("banana", QQ)
+        parse_form_literal("banana")
     with pytest.raises(ValueError):
-        parse_form_literal("3: 1,2", QQ)
+        parse_form_literal("3: 1,2")
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (["eval", "--n", "2", "--expr", "f", "--form", "2: 1,1/0,2"],
+         "error: coefficient c1 = 1/0 has a zero denominator\n"),
+        (["nullcone", "test", "--n", "2", "--form", "2: 1,1/0,2"],
+         "error: coefficient c1 = 1/0 has a zero denominator\n"),
+        (["nullcone", "test", "--n", "3", "--form=-1: 3"], "error: form order -1 is negative\n"),
+    ],
+)
+def test_form_literal_errors_name_the_problem(capsys, argv, stderr):
+    assert run_cli(capsys, *argv) == (2, "", stderr)
 
 
 def test_form_literal_round_trip():
     from binforms.cli import print_form_literal
 
     text = "4: 1,-3/2,0,7,2/5"
-    form = parse_form_literal(text, QQ)
-    assert parse_form_literal(print_form_literal(form), QQ) == form
+    form = parse_form_literal(text)
+    assert parse_form_literal(print_form_literal(form)) == form
+    assert all(type(c) is Fraction for c in form.coeffs)
     assert print_form_literal(form) == text
 
 

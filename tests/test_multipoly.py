@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from binforms.forms import BinaryForm
 from binforms.multipoly import PolynomialRing, dense_divmod, dense_gcd
+from prime_field import PrimeField
 
 R2 = PolynomialRing(("x", "y"))
 
@@ -88,6 +90,27 @@ def test_no_zero_terms_survive():
     p = x * y + 2 * y
     q = -(x * y)
     assert all(c != 0 for c in (p + q).terms.values())
+
+
+def test_scalars_scale_every_term_and_zero_gives_the_zero_polynomial():
+    x, y = R2.vars()
+    p = 3 * x * y + y ** 2
+    assert p * 0 == R2.zero and 0 * p == R2.zero and not (0 * p).terms
+    assert p * Fraction(1, 3) == x * y + Fraction(1, 3) * y ** 2
+    assert Fraction(1, 3) * p == p * Fraction(1, 3)
+    assert 2 * p == p + p and p - 1 == -(1 - p)
+
+
+def test_zero_terms_are_dropped_over_a_prime_field():
+    # Over F_7 the integer 7 is zero, so 7 * s is the zero polynomial.
+    F7 = PrimeField(7)
+    R = PolynomialRing(("s",))
+    s = F7(1) * R.var("s")
+    assert 7 * s == R.zero and not (s * 7).terms
+    assert s + 6 * s == R.zero
+    f = BinaryForm.from_a_convention(7, [s] * 8)
+    assert f.coeffs[1] == R.zero and not f.coeffs[1]
+    assert f.coeffs[0] == s
 
 
 def test_canonical_text_is_graded_lex():
