@@ -38,11 +38,6 @@ FORMAT = 1
 Stored = Dict[int, Tuple[int, List[Expr]]]
 
 
-def open_cache(root: Optional[str]) -> Optional[EvalCache]:
-    """The cache in `root`, or None when no directory is given."""
-    return EvalCache(root) if root else None
-
-
 def _key_fields(n: int, cfg) -> dict:
     return {
         "format": FORMAT, "n": n, "prime": cfg.prime, "seed": cfg.seed,

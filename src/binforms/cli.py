@@ -31,6 +31,7 @@ try:
     import json
     import sys
     from fractions import Fraction
+    from math import prod
     from typing import List, NamedTuple, Optional, Sequence, Tuple
 
     from .exprs import expr_from_text, expr_meta, expr_prefactor, expr_to_text, inline_refs
@@ -48,7 +49,7 @@ try:
     # After `pipeline`, which loads numpy: importing `batch` ahead of it raised
     # the peak RSS of `basis --n 9 --max-degree 12` by 0.7 MB.
     from .batch import BatchEvaluator
-    from .series import SEED_DEGREES, ecriture_minimale_search, poincare_series
+    from .series import ecriture_minimale_search, poincare_series
 finally:
     gc.freeze()
     if _collecting:
@@ -85,12 +86,13 @@ def _write(result: Result, fmt: str) -> int:
 
 
 def open_cache(root: Optional[str]):
-    """`cache.open_cache(root)`; the `cache` module loads only when a directory is given."""
+    """The campaign cache in `root`, or None when no directory is given; the
+    `cache` module loads only when one is."""
     if not root:
         return None
     from . import cache
 
-    return cache.open_cache(root)
+    return cache.EvalCache(root)
 
 
 def parse_form_literal(text: str, a_convention: bool = False) -> BinaryForm:
@@ -120,7 +122,7 @@ def print_form_literal(f: BinaryForm) -> str:
 
 
 def _cmd_poincare(args) -> Result:
-    dims = dict(enumerate(poincare_series(args.n, args.max_degree).dims))
+    dims = dict(enumerate(poincare_series(args.n, args.max_degree)))
     text = [f"invariant dimensions for order {args.n}, degrees 0..{args.max_degree}:"]
     return Result(
         {"n": args.n, "max_degree": args.max_degree, "dims": dims},
@@ -130,15 +132,9 @@ def _cmd_poincare(args) -> Result:
 
 
 def _cmd_ecriture(args) -> Result:
-    if args.n not in SEED_DEGREES:
-        known = ", ".join(str(n) for n in sorted(SEED_DEGREES))
-        raise ValueError(
-            f"ecriture has a built-in seed degree sequence only for n = {known}; "
-            f"got n = {args.n}"
-        )
     rows = ecriture_minimale_search(args.n)
     by_numerator = sorted(rows, key=lambda r: r.numerator_degree)
-    product = rows[0].product if rows else "-"
+    product = prod(rows[0].degrees) if rows else "-"
     entries = [
         {"degrees": r.degrees, "numerator_degree": r.numerator_degree, "numerator": r.numerator}
         for r in rows

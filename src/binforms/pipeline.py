@@ -42,8 +42,8 @@ from .modlinalg import StreamingEchelon, rank as matrix_rank
 from .nullcone import random_nullform
 from .rings import is_prime, randbelow
 from .series import (
-    SEED_DEGREES, PoincareRational, _div_one_minus_tk, check_sequence, invariant_dimension,
-    poincare_series, to_rational,
+    SEED_DEGREES, _div_one_minus_tk, check_sequence, invariant_dimension, poincare_series,
+    to_rational,
 )
 
 if TYPE_CHECKING:
@@ -84,7 +84,7 @@ class PipelineConfig(NamedTuple):
                 f"prime {self.prime} must exceed 2n + 1 = {2 * n + 1} so the "
                 "transvectant prefactors stay invertible"
             )
-        dims = poincare_series(n, max_degree).dims[1:]
+        dims = poincare_series(n, max_degree)[1:]
         points = max((dim + 2 * self.margin(dim) for dim in dims if dim), default=0)
         if points * (self.prime - 1) ** 2 >= 2 ** 53:
             raise ValueError(
@@ -466,11 +466,6 @@ def compute_dm(
     )
 
 
-def _rational_form(n: int, degrees: Sequence[int]) -> Optional[PoincareRational]:
-    """The series of order n over prod(1 - t^d) for `degrees`, or None."""
-    return to_rational(poincare_series(n, sum(degrees) + max(degrees)), degrees)
-
-
 def _stop_bound(n: int) -> Optional[int]:
     """Degree beyond which no basic invariant exists, when a seed sequence is
     known.  The ring is free over the seed hsop, with secondaries up to the
@@ -655,7 +650,8 @@ def ideal_membership_dim(
     a_i: Optional[int] = None
     expected: Optional[int] = None
     if len(hsop) == n - 2:
-        rat = _rational_form(n, [d for _, _, d in hsop])
+        degrees = [d for _, _, d in hsop]
+        rat = to_rational(poincare_series(n, sum(degrees) + max(degrees)), degrees)
         if rat is not None:
             a_i = rat.numerator[degree] if degree <= rat.numerator_degree else 0
             expected = dim - a_i

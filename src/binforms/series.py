@@ -10,10 +10,12 @@ at most n (a coefficient of the Gaussian binomial [n+d, d]_q), and dim I_d = 0
 when nd is odd.  The test suite checks it against an independent oracle, the
 nullity of the sl2 lowering operator on weight-space monomials.
 
-On top of the dimension table sit rational-form representations
-P(t) = a(t) / prod(1 - t^(d_i)), the divisibility restrictions on parameter
-degrees, and the search for minimal-product degree sequences (the "ecritures
-minimales" of the Poincare series).
+`poincare_series(n, D)` is the tuple of these dimensions for d = 0..D.  On
+top of it sit the rational forms P(t) = a(t) / prod(1 - t^(d_i)), each one
+`PoincareRational(numerator, degrees)`, the divisibility restrictions on
+parameter degrees, and the search for minimal-product degree sequences (the
+"ecritures minimales" of the Poincare series), whose rows are the
+`PoincareRational`s it accepts.
 
 All power-series arithmetic is two in-place primitives on coefficient lists:
 `_mul_one_minus_tk` multiplies by (1 - t^k) and `_div_one_minus_tk` divides by
@@ -74,59 +76,33 @@ def _dimensions(n: int, top: int) -> Iterator[int]:
 
 
 @lru_cache(maxsize=None)
-def invariant_dimension(n: int, d: int) -> int:
-    """dim of the degree-d invariants of forms of order n (exact)."""
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
-    return poincare_series(n, d).dims[d]
-
-
-class DimTable(NamedTuple):
-    """Invariant-space dimensions, degree 0 .. max_degree inclusive."""
-
-    n: int
-    dims: Tuple[int, ...]
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.dims) - 1
+def poincare_series(n: int, max_degree: int) -> Tuple[int, ...]:
+    """dim I_d for d = 0..max_degree (a tuple, so the cache shares it safely)."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    if n < 1:
+        raise ValueError(f"order n must be >= 1, got {n}")
+    return tuple(_dimensions(n, max_degree))
 
 
 @lru_cache(maxsize=None)
-def poincare_series(n: int, max_degree: int) -> DimTable:
-    """Dimension table for degrees 0..max_degree (frozen, so shared safely)."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    if n < 1:
-        raise ValueError("need n >= 1 and d >= 0")
-    return DimTable(n, tuple(_dimensions(n, max_degree)))
+def invariant_dimension(n: int, d: int) -> int:
+    """dim of the degree-d invariants of forms of order n (exact)."""
+    return poincare_series(n, d)[d]
 
 
-class DegreeSequence:
-    """Sorted multiset of parameter degrees."""
-
-    def __init__(self, degrees: Sequence[int]):
-        self.degrees: Tuple[int, ...] = tuple(sorted(int(d) for d in degrees))
-        if any(d < 1 for d in self.degrees):
-            raise ValueError("degrees must be positive")
-
-    @property
-    def product(self) -> int:
-        return prod(self.degrees)
-
-    @property
-    def total(self) -> int:
-        return sum(self.degrees)
-
-    def __len__(self):
-        return len(self.degrees)
+def _trimmed(coeffs: List[int]) -> Tuple[int, ...]:
+    """The coefficients without their trailing zeros, as a tuple."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 class PoincareRational(NamedTuple):
-    """P(t) = numerator / prod(1 - t^d) with the stated denominator degrees."""
+    """P(t) = numerator / prod(1 - t^d) over the sorted denominator `degrees`."""
 
     numerator: Tuple[int, ...]
-    denominator_degrees: Tuple[int, ...]
+    degrees: Tuple[int, ...]
 
     @property
     def numerator_degree(self) -> int:
@@ -136,7 +112,7 @@ class PoincareRational(NamedTuple):
         """Power-series coefficients through max_degree."""
         out = list(self.numerator[: max_degree + 1])
         out += [0] * (max_degree + 1 - len(out))
-        for d in self.denominator_degrees:
+        for d in self.degrees:
             _div_one_minus_tk(out, d)
         return tuple(out)
 
@@ -149,62 +125,47 @@ class PoincareRational(NamedTuple):
         (1 - t^e) is exact exactly when the top e coefficients of the
         quotient series vanish; those are then dropped.
         """
-        seq = DegreeSequence(degrees)
-        num = list(self.numerator) + [0] * seq.total
-        for d in seq.degrees:
+        degrees = tuple(sorted(degrees))
+        num = list(self.numerator) + [0] * sum(degrees)
+        for d in degrees:
             _mul_one_minus_tk(num, d)
-        for e in self.denominator_degrees:
+        for e in self.degrees:
             _div_one_minus_tk(num, e)
             if any(num[-e:]):
                 return None
             del num[-e:]
         if any(c < 0 for c in num):
             return None
-        while num and num[-1] == 0:
-            num.pop()
-        return PoincareRational(tuple(num), seq.degrees)
+        return PoincareRational(_trimmed(num), degrees)
 
 
-def series_numerator(table: DimTable, degrees: Sequence[int]) -> List[int]:
-    """Coefficients of P(t) * prod(1 - t^d), computed through the table bound.
+def to_rational(dims: Sequence[int], degrees: Sequence[int]) -> Optional[PoincareRational]:
+    """Try to write the series with dimensions `dims` (degree 0 up) as
+    a(t) / prod(1 - t^d_i); None on rejection.
 
-    Raises if the table is too short to cover the guard window
-    (sum of degrees, sum + max], which the acceptance test needs.
+    a(t) is `dims` times prod(1 - t^d_i), by `_mul_one_minus_tk`.  Acceptance
+    demands nonnegative coefficients through the degree sum plus an all-zero
+    guard window of width max(degrees) above it, so `dims` must reach degree
+    sum + max; a shorter table raises.  Once a rational form is validated,
+    `PoincareRational.over` rewrites it over other degrees exactly, with no
+    table, by `_mul_one_minus_tk` and `_div_one_minus_tk`.
     """
-    degrees = sorted(degrees)
-    needed = sum(degrees) + max(degrees)
-    if table.max_degree < needed:
+    degrees = tuple(sorted(degrees))
+    if any(d < 1 for d in degrees):
+        raise ValueError("degrees must be positive")
+    total = sum(degrees)
+    needed = total + max(degrees)
+    if len(dims) <= needed:
         raise ValueError(
-            f"dimension table up to {table.max_degree} is too shallow; "
-            f"need degree {needed} for degrees {tuple(degrees)}"
+            f"dimension table up to {len(dims) - 1} is too shallow; "
+            f"need degree {needed} for degrees {degrees}"
         )
-    coeffs = list(table.dims)
+    coeffs = list(dims)
     for d in degrees:
         _mul_one_minus_tk(coeffs, d)
-    return coeffs
-
-
-def to_rational(table: DimTable, degrees: Sequence[int]) -> Optional[PoincareRational]:
-    """Try to write the series as a(t) / prod(1 - t^d_i); None on rejection.
-
-    a(t) is the table times prod(1 - t^d_i), by `_mul_one_minus_tk`.
-    Acceptance demands nonnegative coefficients through the degree sum plus an
-    all-zero guard window of width max(degrees) above it.  Once a rational form
-    is validated, `PoincareRational.over` rewrites it over other degrees
-    exactly, with no table, by `_mul_one_minus_tk` and `_div_one_minus_tk`.
-    """
-    seq = DegreeSequence(degrees)
-    coeffs = series_numerator(table, seq.degrees)
-    total = seq.total
-    window_top = total + max(seq.degrees)
-    if any(c < 0 for c in coeffs[: total + 1]):
+    if any(c < 0 for c in coeffs[: total + 1]) or any(coeffs[total + 1 : needed + 1]):
         return None
-    if any(coeffs[j] != 0 for j in range(total + 1, window_top + 1)):
-        return None
-    num = coeffs[: total + 1]
-    while num and num[-1] == 0:
-        num.pop()
-    return PoincareRational(tuple(num), seq.degrees)
+    return PoincareRational(_trimmed(coeffs[: total + 1]), degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -261,76 +222,38 @@ def check_sequence(n: int, degrees: Sequence[int]) -> SequenceCheck:
 # ---------------------------------------------------------------------------
 # Minimal ecritures.
 
-class EcritureRow(NamedTuple):
-    degrees: Tuple[int, ...]
-    numerator: Tuple[int, ...]
-
-    @property
-    def numerator_degree(self) -> int:
-        return len(self.numerator) - 1
-
-    @property
-    def product(self) -> int:
-        return prod(self.degrees)
-
-
-class EcritureContext:
-    """A validated reference rational form for one n, and the degrees with
-    invariants up to the search bound."""
-
-    def __init__(self, n: int, seed_degrees: Optional[Sequence[int]] = None):
-        if seed_degrees is None:
-            seed_degrees = SEED_DEGREES.get(n)
-        if seed_degrees is None:
-            raise ValueError(
-                f"no seed degree sequence known for n = {n}; pass one explicitly"
-            )
-        self.n = n
-        self.seed = DegreeSequence(seed_degrees)
-        table = poincare_series(n, self.seed.total + max(self.seed.degrees))
-        ref = to_rational(table, self.seed.degrees)
-        if ref is None:
-            raise ValueError(f"seed degrees {self.seed.degrees} are not a valid ecriture")
-        self.reference = ref
-        # The least degree with invariants bounds every other degree of a
-        # sequence from below (4 for n = 3, 7, 9; 2 for n = 6, 10).
-        self.least = next(d for d, dim in enumerate(table.dims) if d and dim)
-        # Degrees with invariants.  Beyond the partition-counted table the
-        # series is extended through the validated rational form, which is
-        # exact once the guard window has certified the numerator.
-        bound = max(self.least, self.seed.product // (self.least ** (len(self.seed) - 1)))
-        self.extended = self.reference.expand(bound)
-
-    def has_invariants(self, d: int) -> bool:
-        return d < len(self.extended) and self.extended[d] > 0
-
-    def accept(self, degrees: Sequence[int]) -> Optional[PoincareRational]:
-        return self.reference.over(degrees)
-
-
-def _candidate_degrees(ctx: EcritureContext, bound: int) -> List[int]:
-    return [d for d in range(2, bound + 1) if ctx.has_invariants(d)]
-
-
-def ecriture_minimale_search(
-    n: int, seed_degrees: Optional[Sequence[int]] = None
-) -> List[EcritureRow]:
-    """All minimal-product degree sequences of length n - 2, sorted lex.
+def ecriture_minimale_search(n: int) -> List[PoincareRational]:
+    """All minimal-product rational forms over degree sequences of length
+    n - 2, sorted lex by degrees.
 
     A sequence qualifies when every degree carries invariants, the
     divisibility restrictions hold, and the numerator of the corresponding
     rational form is a nonnegative polynomial; among those, only sequences
-    with the minimum product are returned.
+    with the minimum product are returned.  The built-in seed sequence of
+    order n bounds the search and gives its reference rational form.
     """
-    if n < 3:
-        raise ValueError("ecriture search needs n >= 3")
-    ctx = EcritureContext(n, seed_degrees)
+    seed = SEED_DEGREES.get(n)
+    if seed is None:
+        known = ", ".join(str(k) for k in sorted(SEED_DEGREES))
+        raise ValueError(
+            f"ecriture has a built-in seed degree sequence only for n = {known}; got n = {n}"
+        )
+    dims = poincare_series(n, sum(seed) + max(seed))
+    reference = to_rational(dims, seed)
     k = n - 2
-    budget = ctx.seed.product
-    domain = _candidate_degrees(ctx, budget // ctx.least ** (k - 1))
+    budget = prod(seed)
+    # The least degree with invariants bounds every other degree of a
+    # sequence from below (4 for n = 3, 7, 9; 2 for n = 6, 10), so no
+    # degree exceeds `top`.  Up to `top` the series is read from the
+    # validated rational form, which is exact once the guard window has
+    # certified the numerator.
+    least = next(d for d, dim in enumerate(dims) if d and dim)
+    top = budget // least ** (k - 1)
+    extended = reference.expand(top)
+    domain = [d for d in range(2, top + 1) if extended[d] > 0]
     # hits[i][j]: 1 when domain[i] is divisible by the j-th restriction's divisor.
     hits = [[int(d % divisor == 0) for _, divisor, _ in restrictions(n)] for d in domain]
-    accepted: List[Tuple[Tuple[int, ...], PoincareRational]] = []
+    accepted: List[PoincareRational] = []
 
     def rec(prefix: List[int], start_idx: int, product: int, need: List[int]):
         # need[j]: how many more degrees divisible by the j-th restriction's
@@ -339,9 +262,9 @@ def ecriture_minimale_search(
         if max(need, default=0) > remaining:
             return
         if remaining == 0:
-            rat = ctx.accept(prefix)
+            rat = reference.over(prefix)
             if rat is not None:
-                accepted.append((tuple(prefix), rat))
+                accepted.append(rat)
             return
         for idx in range(start_idx, len(domain)):
             d = domain[idx]
@@ -349,14 +272,7 @@ def ecriture_minimale_search(
                 break
             rec(prefix + [d], idx, product * d, list(map(sub, need, hits[idx])))
 
+    # The recursion visits nondecreasing sequences in lex order.
     rec([], 0, 1, [required for _, _, required in restrictions(n)])
-    if not accepted:
-        return []
-    best = min(prod(degs) for degs, _ in accepted)
-    rows = [
-        EcritureRow(degs, rat.numerator)
-        for degs, rat in accepted
-        if prod(degs) == best
-    ]
-    rows.sort(key=lambda r: r.degrees)
-    return rows
+    best = min((prod(r.degrees) for r in accepted), default=None)
+    return [r for r in accepted if prod(r.degrees) == best]

@@ -25,9 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 from binforms import pipeline
 from binforms.batch import BatchEvaluator, band, transvect
-from binforms.cache import open_cache
 from binforms.catalog import catalog_for
-from binforms.cli import main
+from binforms.cli import main, open_cache
 from binforms.exprs import F, Pow, Tr, tr
 from binforms.forms import BinaryForm
 from binforms.nullcone import random_nullform

@@ -96,14 +96,24 @@ def test_ecriture_without_a_seed_names_the_seeded_orders(capsys, n):
     )
 
 
-def test_ecriture_nonic_json_is_pinned(capsys):
-    # Recorded before the exact division became prefix sums; pins every
-    # numerator coefficient of the five rows, which the tests above do not.
-    code, out, _ = run_cli(capsys, "ecriture", "--n", "9", "--json")
+# sha256 of `ecriture --json` for every seeded order.  The nonic digest was
+# recorded before the exact division became prefix sums, the others before
+# the ecriture rows became `PoincareRational`s.  They pin every numerator
+# coefficient, which the text pins above do not.
+ECRITURE_JSON_SHA256 = {
+    3: "38f9d5c6a0394fc9b619b79db4cec7933370cbfaa49db7419abfb9f27fa75464",
+    6: "dc89acf8fae91fcce96790c93813c15c4f5c1190cb602659f996fbb933e0378a",
+    7: "4804b87acb8ed80a5cfb4edcc46f1e1dde75192b6079dec8dddd8ef152afaa1c",
+    9: "77be46d9ef255759e162ddb27765819686431a520b4dde2b7e89f30f19bc075b",
+    10: "d868295827bb69c8710609baee5b543be473475a34df3db8def064af9e0e814d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ECRITURE_JSON_SHA256))
+def test_ecriture_json_is_pinned(capsys, n):
+    code, out, _ = run_cli(capsys, "ecriture", "--n", str(n), "--json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "77be46d9ef255759e162ddb27765819686431a520b4dde2b7e89f30f19bc075b"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == ECRITURE_JSON_SHA256[n]
 
 
 def test_byte_identical_reruns(capsys):
@@ -464,7 +474,7 @@ def test_cache_dir_that_is_a_file_is_rejected_before_any_work(capsys, monkeypatc
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("basis", "--max-degree", "-3"), "max_degree must be >= 0"),
+        (("basis", "--max-degree", "-3"), "max_degree must be >= 0, got -3"),
         (("hsop", "check", "--set", "bogus"), "unknown catalog name 'bogus' for n = 9"),
         (
             ("hsop", "membership", "--set", "bogus", "--degrees", "8"),
@@ -478,6 +488,20 @@ def test_bad_input_is_rejected_before_the_cache_directory_exists(capsys, tmp_pat
     code, out, err = run_cli(capsys, *argv, "--n", "9", "--cache-dir", str(cache))
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (("poincare", "--n", "0", "--max-degree", "3"), "error: order n must be >= 1, got 0\n"),
+        (("basis", "--n", "0", "--max-degree", "3"), "error: order n must be >= 1, got 0\n"),
+        (("hsop", "check", "--n", "0"), "error: order n must be >= 1, got 0\n"),
+        (("poincare", "--n", "9", "--max-degree", "-3"), "error: max_degree must be >= 0, got -3\n"),
+    ],
+    ids=["poincare-order", "basis-order", "hsop-check-order", "poincare-degree"],
+)
+def test_order_and_degree_errors_name_the_given_value(capsys, argv, stderr):
+    assert run_cli(capsys, *argv) == (2, "", stderr)
 
 
 @pytest.mark.parametrize(

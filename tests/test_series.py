@@ -3,15 +3,14 @@ from math import prod
 import pytest
 
 from binforms.series import (
-    DegreeSequence,
-    EcritureContext,
+    SEED_DEGREES,
+    PoincareRational,
     check_sequence,
     ecriture_minimale_search,
     invariant_dimension,
     min_degree_count,
     poincare_series,
     restrictions,
-    series_numerator,
     to_rational,
 )
 from lowering_operator import dimension_by_lowering_operator
@@ -39,12 +38,12 @@ DIXMIER_DEGREES = (4, 8, 10, 12, 12, 14, 16)
 def test_nonic_series_matches_printed_expansion():
     table = poincare_series(9, 66)
     for d in range(67):
-        assert table.dims[d] == NONIC_DIMS.get(d, 0), d
+        assert table[d] == NONIC_DIMS.get(d, 0), d
 
 
 def test_odd_degrees_vanish():
     table = poincare_series(9, 66)
-    assert all(table.dims[d] == 0 for d in range(1, 67, 2))
+    assert all(table[d] == 0 for d in range(1, 67, 2))
 
 
 def test_spot_dimensions():
@@ -84,7 +83,7 @@ def test_incremental_series_matches_q_pascal_through_degree_109():
                 want.append(0)
             else:
                 want.append(box[w] - (box[w - 1] if w else 0))
-        assert poincare_series(n, 109).dims == tuple(want), n
+        assert poincare_series(n, 109) == tuple(want), n
         assert invariant_dimension(n, 109) == want[109]
 
 
@@ -100,7 +99,7 @@ def test_sextic_series_matches_its_rational_form():
 def test_cubic_series_is_powers_of_degree_four():
     table = poincare_series(3, 20)
     for d in range(21):
-        assert table.dims[d] == (1 if d % 4 == 0 else 0)
+        assert table[d] == (1 if d % 4 == 0 else 0)
 
 
 def test_lowering_operator_oracle_agreement():
@@ -133,7 +132,7 @@ def test_numerator_palindrome():
 def test_rational_reexpansion_reproduces_table():
     table = poincare_series(9, 92)
     rat = to_rational(table, DIXMIER_DEGREES)
-    assert rat.expand(92) == table.dims
+    assert rat.expand(92) == table
 
 
 def test_to_rational_depth_error_distinct_from_rejection():
@@ -202,26 +201,40 @@ INEXACT = {
 }
 
 
+def _times_one_minus(dims, degrees):
+    """dims * prod(1 - t^d), truncated at len(dims)."""
+    coeffs = list(dims)
+    for d in degrees:
+        coeffs = [c - (coeffs[j - d] if j >= d else 0) for j, c in enumerate(coeffs)]
+    return coeffs
+
+
+def _seed_form(n):
+    seed = SEED_DEGREES[n]
+    return to_rational(poincare_series(n, sum(seed) + max(seed)), seed)
+
+
 @pytest.mark.parametrize("n", sorted(INEXACT))
 def test_exact_division_agrees_with_the_table(monkeypatch, n):
+    # The search's leaves are the sequences it rewrites the seed's form over.
     leaves = []
-    accept = EcritureContext.accept
+    over = PoincareRational.over
 
-    def record(ctx, degrees):
+    def record(rat, degrees):
         leaves.append(tuple(degrees))
-        return accept(ctx, degrees)
+        return over(rat, degrees)
 
-    monkeypatch.setattr(EcritureContext, "accept", record)
+    monkeypatch.setattr(PoincareRational, "over", record)
     ecriture_minimale_search(n)
     monkeypatch.undo()
     assert leaves and max(map(sum, leaves)) <= 150
-    ctx = EcritureContext(n)
+    reference = _seed_form(n)
     outcomes = set()
     for degrees in leaves + INEXACT[n]:
         table = poincare_series(n, sum(degrees) + max(degrees))
-        got = ctx.accept(degrees)
+        got = reference.over(degrees)
         assert got == to_rational(table, degrees), degrees
-        exact = not any(series_numerator(table, degrees)[sum(degrees) + 1:])
+        exact = not any(_times_one_minus(table, degrees)[sum(degrees) + 1:])
         outcomes.add((got is not None, exact))
         assert degrees not in INEXACT[n] or not exact
     # accepted, rejected for a negative coefficient, rejected as inexact
@@ -229,11 +242,15 @@ def test_exact_division_agrees_with_the_table(monkeypatch, n):
 
 
 def test_degree_sequence_invariants():
-    seq = DegreeSequence((12, 4, 8))
-    assert seq.degrees == (4, 8, 12)
-    assert seq.product == 384 and seq.total == 24
-    with pytest.raises(ValueError):
-        DegreeSequence((0, 4))
+    # Rational forms hold their degrees sorted, and a zero degree is refused.
+    table = poincare_series(9, 92)
+    shuffled = (16, 4, 12, 10, 14, 12, 8)
+    rat = to_rational(table, shuffled)
+    assert rat == to_rational(table, DIXMIER_DEGREES)
+    assert rat.degrees == DIXMIER_DEGREES
+    assert rat.over(shuffled) == rat
+    with pytest.raises(ValueError, match="degrees must be positive"):
+        to_rational(table, (0, 4))
 
 
 def test_ecriture_nonic_five_rows():
@@ -246,7 +263,8 @@ def test_ecriture_nonic_five_rows():
         (4, 8, 10, 12, 12, 14, 16),
     ]
     assert sorted(r.numerator_degree for r in rows) == [66, 74, 78, 86, 90]
-    assert all(r.product == 10321920 for r in rows)
+    assert all(prod(r.degrees) == 10321920 for r in rows)
+    assert all(isinstance(r, PoincareRational) for r in rows)
 
 
 def test_ecriture_rows_have_valid_filters_and_numerators():
@@ -276,16 +294,16 @@ def test_ecriture_cubic():
 
 
 def test_ecriture_needs_seed():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="only for n = 3, 6, 7, 9, 10; got n = 5"):
         ecriture_minimale_search(5)
-    rows = ecriture_minimale_search(5, seed_degrees=(4, 8, 12))
-    assert rows and all(len(r.degrees) == 3 for r in rows)
 
 
 def test_extended_series_positive_dimensions():
-    ctx = EcritureContext(9)
+    # The search reads the series beyond the table from the seed's form.
+    extended = _seed_form(9).expand(199)
+    assert extended == poincare_series(9, 199)
     # no invariants in degrees 2 and 6; every other even degree >= 4 has some
-    assert not ctx.has_invariants(2)
-    assert not ctx.has_invariants(6)
-    assert ctx.has_invariants(4)
-    assert all(ctx.has_invariants(d) for d in range(8, 200, 2))
+    assert not extended[2]
+    assert not extended[6]
+    assert extended[4]
+    assert all(extended[d] for d in range(8, 200, 2))
