@@ -36,7 +36,7 @@ try:
 
     from .exprs import expr_from_text, expr_meta, expr_prefactor, expr_to_text, inline_refs
     from .forms import BinaryForm
-    from .nullcone import nullform_report, verify_lemma_expansions
+    from .nullcone import nullform_report
     from .pipeline import (
         PipelineConfig,
         SaturationError,
@@ -161,6 +161,9 @@ def _cmd_nullcone_test(args) -> Result:
 
 
 def _cmd_verify_lemmas(args) -> Result:
+    # The lattice checks of the lemmas: only verify-lemmas runs them.
+    from .lemmas import verify_lemma_expansions
+
     report = verify_lemma_expansions()
     checks = report.checks
     text = [

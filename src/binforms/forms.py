@@ -17,12 +17,13 @@ weight per coefficient pair, a signed sum over the derivative factors
 only transvectant formula in the package, and `batch.transvect` is the only
 code that applies it.  `transvectant` is one call of that kernel on one-row
 object arrays of the operands' coefficients, which may be any scalars closed
-under + and * with integers and Fractions: rationals, `multipoly`
-polynomials, or the tests' prime-field residues.  Nothing here names a ring.
-The product of forms is the 0-th transvectant.  The prefactor is the
-Fraction 1 / (perm(m, p) perm(n, p)), which the result's coefficients
-multiply by themselves, so a scalar type that maps rationals into F_p
-rejects a prime dividing one of the factorials rather than wrapping it.
+under + and * with integers and Fractions: rationals, or the tests'
+polynomials and prime-field residues.  Nothing here names a ring, and no
+command calls `transvectant`: it is the tests' single-form entry to the
+kernel.  The prefactor is the Fraction 1 / (perm(m, p) perm(n, p)), which
+the result's coefficients multiply by themselves, so a scalar type that maps
+rationals into F_p rejects a prime dividing one of the factorials rather than
+wrapping it.
 """
 
 from __future__ import annotations
@@ -57,33 +58,8 @@ class BinaryForm:
             raise ValueError("coefficient count does not match order")
         return cls(order, [ai * comb(order, i) for i, ai in enumerate(a)])
 
-    @classmethod
-    def monomial(cls, xexp: int, yexp: int) -> "BinaryForm":
-        """The form x^xexp * y^yexp, with integer coefficients."""
-        cs = [0] * (xexp + yexp + 1)
-        cs[yexp] = 1
-        return cls(xexp + yexp, cs)
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def scalar(self):
-        """The value of an order-0 form."""
-        if self.order != 0:
-            raise ValueError(f"form of order {self.order} is not a scalar")
-        return self.coeffs[0]
-
-    def __mul__(self, other):
-        """Product of forms, the 0-th transvectant; orders add."""
-        return transvectant(self, other, 0)
-
-    def power(self, k: int) -> "BinaryForm":
-        if k < 1:
-            raise ValueError("power must be >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         return isinstance(other, BinaryForm) and other.coeffs == self.coeffs

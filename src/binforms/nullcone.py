@@ -1,4 +1,4 @@
-"""Root multiplicities, nullform tests, and symbolic lemma verification.
+"""Root multiplicities and nullform tests.
 
 A form of order n lies in the nullcone exactly when it has a projective root
 of multiplicity greater than n/2.  `nullform_report` computes the largest
@@ -11,17 +11,9 @@ feed certification logic.
 `random_nullform` draws a seeded nullform as primitive integer coefficients,
 the one shape in which the exact nullform check evaluates it.
 
-`verify_lemma_expansions` recomputes, over symbolic coefficients, every
-displayed covariant expansion and scalar identity used in the three nullcone
-reduction lemmas (the nonic case analysis and the two pair-nullcone
-reductions for V_2 + V_7 and V_6 + V_3) and compares them against hard-coded
-transcriptions, exact constants included.  Their forms hold `multipoly`
-polynomials, the integers 0 and 1 where a displayed form has them, and
-Fraction constants; a form computes with its coefficients' own + and *.
-
-Every command imports this module (the pipeline samples `random_nullform`,
-which needs only integers), so the multiplicity and lemma code import
-`multipoly` when they run rather than here.
+The dense univariate helpers below (coefficient lists over the rationals,
+low degree first) give the gcd chains; nothing else in the package uses them.  The
+displayed identities of the nullcone lemmas are checked in `lemmas`.
 """
 
 from __future__ import annotations
@@ -31,7 +23,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Tuple
 
-from .forms import BinaryForm, transvectant
+from .forms import BinaryForm
+# Nothing here calls it: the name stays bound because perfbench's tracer binds it.
+from .forms import transvectant  # noqa: F401
 from .rings import random_rational
 
 
@@ -41,15 +35,58 @@ class NullformReport(NamedTuple):
     witness: str
 
 
+# ---------------------------------------------------------------------------
+# Dense univariate helpers over the rationals (coefficient lists, low first).
+
+def dense_trim(cs: list) -> list:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def dense_monic(cs: list) -> list:
+    if not cs:
+        return []
+    lead = cs[-1]
+    return [c / lead for c in cs]
+
+
+def dense_derivative(cs: list) -> list:
+    return dense_trim([c * k for k, c in enumerate(cs)][1:])
+
+
+def dense_divmod(a: list, b: list) -> tuple:
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and dense_trim(a):
+        if len(a) < len(b):
+            break
+        k = len(a) - len(b)
+        f = a[-1] / b[-1]
+        q[k] = f
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+        dense_trim(a)
+    return dense_trim(q), a
+
+
+def dense_gcd(a: list, b: list) -> list:
+    """Monic gcd of two rational coefficient lists."""
+    a, b = dense_trim(list(a)), dense_trim(list(b))
+    while b:
+        _, r = dense_divmod(a, b)
+        a, b = b, dense_trim(r)
+    return dense_monic(a)
+
+
 def _root_chain(f: BinaryForm) -> Tuple[int, List[List[Fraction]]]:
     """(power b of y dividing f, gcd chain of g_0 = f(x, 1) / y^b).
 
     g_(k+1) = gcd(g_k, g_k'), stopping at the first constant; coefficient
     lists run low degree first.
     """
-    # multipoly's dense rational gcd: only `nullcone test` needs it.
-    from .multipoly import dense_derivative, dense_gcd, dense_trim
-
     coeffs = [Fraction(c) for c in f.coeffs]
     b = 0
     while b <= f.order and coeffs[b] == 0:
@@ -146,224 +183,3 @@ def random_nullform(n: int, seed: int) -> List[int]:
             out = [u + w * v for u, v in zip(out, ypow)]
     g = gcd(*out)
     return [v // g for v in out]
-
-
-# ---------------------------------------------------------------------------
-# Symbolic verification of the displayed lemma expansions.
-
-class LemmaCheck(NamedTuple):
-    lemma: str
-    label: str
-    ok: bool
-    detail: str = ""
-
-
-class LemmaReport(NamedTuple):
-    checks: Tuple[LemmaCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def _check(checks: list, lemma: str, label: str, got, want) -> None:
-    """Record whether `got` equals the transcription `want`; a failure shows `got`.
-
-    A form is checked by its list of coefficients, each shown by `str`.
-    """
-    ok = got == want
-    shown = [str(c) for c in got] if isinstance(got, list) else got
-    checks.append(LemmaCheck(lemma, label, ok, "" if ok else f"got {shown}"))
-
-
-def verify_lemma_expansions() -> LemmaReport:
-    """Recompute every displayed expansion of the nullcone lemmas symbolically."""
-    # multipoly's symbolic coefficient rings: only `verify-lemmas` needs them.
-    from .multipoly import PolynomialRing
-
-    checks: List[LemmaCheck] = []
-    _nonic_case_checks(checks, PolynomialRing(tuple(f"a{i}" for i in range(10))))
-    _pair_v2_v7_checks(checks, PolynomialRing(("b1", "b2", "b3", "b4")))
-    _pair_v6_v3_checks(checks, PolynomialRing(("b1", "b2", "b3")))
-    return LemmaReport(tuple(checks))
-
-
-def _nonic_case_checks(checks: List[LemmaCheck], ring) -> None:
-    lemma = "nonic-multiplicity"
-    a = [ring.var(f"a{i}") for i in range(10)]
-
-    # Generic nonic: p = (f, x^2)_2 = (1/72) sum_{i>=2} binom(9,i) i (i-1) a_i x^(9-i) y^(i-2)
-    f = BinaryForm.from_a_convention(9, a)
-    x2 = BinaryForm.monomial(2, 0)
-    p = transvectant(f, x2, 2)
-    from math import comb
-
-    # coeffs[j] is the x^(7-j) y^j coefficient; term i lands at j = i - 2.
-    expected_p = [Fraction(comb(9, i) * i * (i - 1), 72) * a[i] for i in range(2, 10)]
-    _check(checks, lemma, "case1: p = (f, x^2)_2", list(p.coeffs), expected_p)
-
-    # Case l = x^2: with a_6 = ... = a_9 = 0,
-    # l = 70 a5^2 y^2 + 28 a4 a5 x y + (70 a4^2 - 112 a3 a5) x^2.
-    f1 = BinaryForm.from_a_convention(9, a[:6] + [0] * 4)
-    l1 = transvectant(f1, f1, 8)
-    _check(
-        checks, lemma, "case1: l with a6..a9 = 0", list(l1.coeffs),
-        [70 * a[4] ** 2 - 112 * a[3] * a[5], 28 * a[4] * a[5], 70 * a[5] ** 2],
-    )
-
-    # Case l = 0, q = x^6: r = (f, x^6)_6 = a9 y^3 + 3 a8 x y^2 + 3 a7 x^2 y + a6 x^3.
-    x6 = BinaryForm.monomial(6, 0)
-    r1 = transvectant(f, x6, 6)
-    _check(
-        checks, lemma, "case q=x^6: r = (f, x^6)_6", list(r1.coeffs),
-        [a[6], 3 * a[7], 3 * a[8], a[9]],
-    )
-
-    # ... then a_8 = a_9 = 0 and the full expansions of q and l.
-    f2 = BinaryForm.from_a_convention(9, a[:8] + [0, 0])
-    q2 = transvectant(f2, f2, 6)
-    expected_q2 = [
-        -20 * a[3] ** 2 + 30 * a[2] * a[4] - 12 * a[1] * a[5] + 2 * a[0] * a[6],
-        -30 * a[3] * a[4] + 54 * a[2] * a[5] - 30 * a[1] * a[6] + 6 * a[0] * a[7],
-        -90 * a[4] ** 2 + 114 * a[3] * a[5] - 12 * a[2] * a[6] - 18 * a[1] * a[7],
-        -72 * a[4] * a[5] + 124 * a[3] * a[6] - 60 * a[2] * a[7],
-        -90 * a[5] ** 2 + 114 * a[4] * a[6] - 12 * a[3] * a[7],
-        -30 * a[5] * a[6] + 54 * a[4] * a[7],
-        -20 * a[6] ** 2 + 30 * a[5] * a[7],
-    ]
-    _check(checks, lemma, "case q=x^6: q with a8 = a9 = 0", list(q2.coeffs), expected_q2)
-    l2 = transvectant(f2, f2, 8)
-    expected_l2 = [
-        70 * a[4] ** 2 - 112 * a[3] * a[5] + 56 * a[2] * a[6] - 16 * a[1] * a[7],
-        28 * a[4] * a[5] - 56 * a[3] * a[6] + 40 * a[2] * a[7],
-        70 * a[5] ** 2 - 112 * a[4] * a[6] + 56 * a[3] * a[7],
-    ]
-    _check(checks, lemma, "case q=x^6: l with a8 = a9 = 0", list(l2.coeffs), expected_l2)
-
-    # Case q = x^5 y: r = (f, x^5 y)_6 = -a8 y^3 - 3 a7 x y^2 - 3 a6 x^2 y - a5 x^3.
-    x5y = BinaryForm.monomial(5, 1)
-    r2 = transvectant(f, x5y, 6)
-    _check(
-        checks, lemma, "case q=x^5y: r = (f, x^5y)_6", list(r2.coeffs),
-        [-a[5], -3 * a[6], -3 * a[7], -a[8]],
-    )
-
-    # ... then a_7 = a_8 = 0; the displayed q coefficients and l's y^2 one.
-    f3 = BinaryForm.from_a_convention(9, a[:7] + [0, 0, a[9]])
-    q3 = transvectant(f3, f3, 6)
-    l3 = transvectant(f3, f3, 8)
-    displayed = {
-        6: -20 * a[6] ** 2 + 2 * a[3] * a[9],
-        5: -30 * a[5] * a[6] + 6 * a[2] * a[9],
-        4: -90 * a[5] ** 2 + 114 * a[4] * a[6] + 6 * a[1] * a[9],
-        2: -90 * a[4] ** 2 + 114 * a[3] * a[5] - 12 * a[2] * a[6],
-        1: -30 * a[3] * a[4] + 54 * a[2] * a[5] - 30 * a[1] * a[6],
-    }
-    for yexp, want in sorted(displayed.items()):
-        # coeffs[yexp] is the coefficient of x^(6-yexp) y^yexp
-        label = f"case q=x^5y: q coefficient of x^{6-yexp}y^{yexp}"
-        _check(checks, lemma, label, q3.coeffs[yexp], want)
-    want_c = 70 * a[5] ** 2 - 112 * a[4] * a[6] + 2 * a[1] * a[9]
-    _check(checks, lemma, "case q=x^5y: l coefficient of y^2", l3.coeffs[2], want_c)
-    # Displayed elimination identity: 5 d5 a9 = -75 a4 d0 + 45 a5 d1 - a6 (9c + 22 d2)
-    # with c the y^2 coefficient of l and d_i the x^i y^(6-i) coefficients of q.
-    c = l3.coeffs[2]
-    d = {i: q3.coeffs[6 - i] for i in range(7)}
-    lhs = 5 * d[5] * a[9]
-    rhs = -75 * a[4] * d[0] + 45 * a[5] * d[1] - a[6] * (9 * c + 22 * d[2])
-    _check(checks, lemma, "case q=x^5y: elimination identity for a9", lhs, rhs)
-
-    # Case q = x^4 y (x + y): r = (a7-a8) y^3 + 3(a6-a7) x y^2 + 3(a5-a6) x^2 y + (a4-a5) x^3.
-    q_fix = BinaryForm(6, [0, 1, 1, 0, 0, 0, 0])
-    r3 = transvectant(f, q_fix, 6)
-    _check(
-        checks, lemma, "case q=x^4y(x+y): r", list(r3.coeffs),
-        [a[4] - a[5], 3 * (a[5] - a[6]), 3 * (a[6] - a[7]), a[7] - a[8]],
-    )
-
-    # ... then a_8 = a_7 = a_6; full q and l expansions.
-    f4 = BinaryForm.from_a_convention(9, a[:7] + [a[6], a[6], a[9]])
-    q4 = transvectant(f4, f4, 6)
-    a0, a1, a2, a3, a4, a5, a6, a9 = (a[i] for i in (0, 1, 2, 3, 4, 5, 6, 9))
-    expected_q4 = [
-        -2 * (10 * a3 ** 2 - 15 * a2 * a4 + 6 * a1 * a5 - a0 * a6),
-        -6 * (5 * a3 * a4 - 9 * a2 * a5 - a0 * a6 + 5 * a1 * a6),
-        -6 * (15 * a4 ** 2 - 19 * a3 * a5 - a0 * a6 + 3 * a1 * a6 + 2 * a2 * a6),
-        -2 * (36 * a4 * a5 - 3 * a1 * a6 + 30 * a2 * a6 - 62 * a3 * a6 - a0 * a9),
-        -6 * (15 * a5 ** 2 + 3 * a2 * a6 + 2 * a3 * a6 - 19 * a4 * a6 - a1 * a9),
-        -6 * (5 * a3 * a6 - 9 * a4 * a6 + 5 * a5 * a6 - a2 * a9),
-        -2 * (6 * a4 * a6 - 15 * a5 * a6 + 10 * a6 ** 2 - a3 * a9),
-    ]
-    _check(checks, lemma, "case q=x^4y(x+y): q with a8 = a7 = a6", list(q4.coeffs), expected_q4)
-    l4 = transvectant(f4, f4, 8)
-    expected_l4 = [
-        2 * (35 * a4 ** 2 - 56 * a3 * a5 + a0 * a6 - 8 * a1 * a6 + 28 * a2 * a6),
-        2 * (14 * a4 * a5 - 7 * a1 * a6 + 20 * a2 * a6 - 28 * a3 * a6 + a0 * a9),
-        2 * (35 * a5 ** 2 - 8 * a2 * a6 + 28 * a3 * a6 - 56 * a4 * a6 + a1 * a9),
-    ]
-    _check(checks, lemma, "case q=x^4y(x+y): l with a8 = a7 = a6", list(l4.coeffs), expected_l4)
-
-
-def _pair_v2_v7_checks(checks: List[LemmaCheck], ring) -> None:
-    lemma = "pair-V2+V7"
-    b1, b2, b3, b4 = ring.vars()
-    # g = x^2, h = y^4 (b1 x^3 + b2 x^2 y + b3 x y^2 + b4 y^3)
-    g = BinaryForm.monomial(2, 0)
-    h = BinaryForm(7, [0, 0, 0, 0, b1, b2, b3, b4])
-    hh6 = transvectant(h, h, 6)
-    _check(
-        checks, lemma, "((h,h)_6, g)_2 = -4/245 b1^2", transvectant(hh6, g, 2).scalar(),
-        Fraction(-4, 245) * b1 ** 2,
-    )
-    _check(
-        checks, lemma, "((h,h)_4, g^3)_6 = 2/735 (5 b2^2 - 12 b1 b3)",
-        transvectant(transvectant(h, h, 4), g.power(3), 6).scalar(),
-        Fraction(2, 735) * (5 * b2 ** 2 - 12 * b1 * b3),
-    )
-    _check(
-        checks, lemma, "((h,h)_2, g^5)_10 = -2/147 (3 b3^2 - 7 b2 b4)",
-        transvectant(transvectant(h, h, 2), g.power(5), 10).scalar(),
-        Fraction(-2, 147) * (3 * b3 ** 2 - 7 * b2 * b4),
-    )
-    _check(
-        checks, lemma, "(h^2, g^7)_14 = b4^2", transvectant(h * h, g.power(7), 14).scalar(),
-        b4 ** 2,
-    )
-
-
-def _pair_v6_v3_checks(checks: List[LemmaCheck], ring) -> None:
-    lemma = "pair-V6+V3"
-    b1, b2, b3 = ring.vars()
-    # g = x^4 (b1 x^2 + b2 x y + b3 y^2)
-    g = BinaryForm(6, [b1, b2, b3, 0, 0, 0, 0])
-
-    # Case h = y^3.
-    h = BinaryForm.monomial(0, 3)
-    _check(
-        checks, lemma, "case h=y^3: ((g^2, g)_6, h^2)_6 = 1/495 b3^3",
-        transvectant(transvectant(g * g, g, 6), h * h, 6).scalar(),
-        Fraction(1, 495) * b3 ** 3,
-    )
-    _check(
-        checks, lemma, "case h=y^3: (((g,g)_2, g)_1, h^4)_12 = -1/540 b2 (5 b2^2 - 18 b1 b3)",
-        transvectant(transvectant(transvectant(g, g, 2), g, 1), h.power(4), 12).scalar(),
-        Fraction(-1, 540) * b2 * (5 * b2 ** 2 - 18 * b1 * b3),
-    )
-    _check(checks, lemma, "case h=y^3: (g, h^2)_6 = b1", transvectant(g, h * h, 6).scalar(), b1)
-
-    # Case h = x y^2.
-    h = BinaryForm.monomial(1, 2)
-    _check(
-        checks, lemma, "case h=xy^2: (g, h^2)_6 = 1/15 b3", transvectant(g, h * h, 6).scalar(),
-        Fraction(1, 15) * b3,
-    )
-    _check(
-        checks, lemma, "case h=xy^2: (g, (h,h)_2^3)_6 = -8/729 b1",
-        transvectant(g, transvectant(h, h, 2).power(3), 6).scalar(),
-        Fraction(-8, 729) * b1,
-    )
-    _check(
-        checks, lemma, "case h=xy^2: (g, (h^3, h)_3)_6 = 1/84 b2",
-        transvectant(g, transvectant(h.power(3), h, 3), 6).scalar(),
-        Fraction(1, 84) * b2,
-    )

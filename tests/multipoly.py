@@ -1,20 +1,15 @@
-"""Sparse multivariate polynomials.
+"""Sparse multivariate polynomials: the symbolic oracle of the tests.
 
 A `MultiPoly` is a dict from exponent tuples (one slot per declared variable)
-to nonzero coefficients, which are any scalars closed under + and *: ints
-and Fractions in the package, prime-field residues in the tests.  The term
-order used for printing and golden files is graded lexicographic on the
-declared variable list.  These polynomials carry the symbolic coefficients
-a_0..a_n and b_1..b_4 used by the lemma verification fixtures, so arithmetic
-is exact and unsimplified terms never survive (a coefficient that comes out
-0 is dropped at once).
-
-Dense univariate helpers over the rationals (coefficient lists, low degree
-first) live here too; their gcd backs the root-multiplicity chains of the
-nullcone module.
+to nonzero coefficients, which are any scalars closed under + and *: ints,
+Fractions or prime-field residues.  The term order used for printing is
+graded lexicographic on the declared variable list.  No command needs them:
+the tests expand transvectants of forms with symbolic coefficients through
+the library's kernel and the derivative-sum oracle, and bound the total
+degree of both sides of each lemma check (`binforms.lemmas`), which is what
+makes a check on the principal lattice a proof.  Arithmetic is exact and a
+coefficient that comes out 0 is dropped at once.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
@@ -139,6 +134,10 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
+    def total_degree(self) -> int:
+        """The largest exponent sum among the terms; -1 for the zero polynomial."""
+        return max((sum(e) for e in self.terms), default=-1)
+
     def sorted_terms(self) -> list:
         """Terms in canonical order: graded lex, highest first."""
         return sorted(
@@ -165,50 +164,3 @@ class MultiPoly:
 
     def __repr__(self):
         return f"<{self}>"
-
-
-# ---------------------------------------------------------------------------
-# Dense univariate helpers over the rationals (coefficient lists, low first).
-
-def dense_trim(cs: list) -> list:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def dense_monic(cs: list) -> list:
-    if not cs:
-        return []
-    lead = cs[-1]
-    return [c / lead for c in cs]
-
-
-def dense_derivative(cs: list) -> list:
-    return dense_trim([c * k for k, c in enumerate(cs)][1:])
-
-
-def dense_divmod(a: list, b: list) -> tuple:
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and dense_trim(a):
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        dense_trim(a)
-    return dense_trim(q), a
-
-
-def dense_gcd(a: list, b: list) -> list:
-    """Monic gcd of two rational coefficient lists."""
-    a, b = dense_trim(list(a)), dense_trim(list(b))
-    while b:
-        _, r = dense_divmod(a, b)
-        a, b = b, dense_trim(r)
-    return dense_monic(a)
-

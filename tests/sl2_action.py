@@ -1,5 +1,5 @@
-"""The SL2 action on binary forms, random SL2 matrices, random forms and
-coefficient-wise sums of forms: test helpers.
+"""The SL2 action on binary forms, random SL2 matrices, random forms, and
+sums, products, powers and monomials of forms: test helpers.
 
 No command needs them.  The tests use `sl2_act` and `random_sl2` to check
 that covariants are equivariant and that nullforms stay nullforms, and
@@ -11,7 +11,7 @@ the same draws, with `random_sl2` drawing b then c.
 
 import random
 
-from binforms.forms import BinaryForm
+from binforms.forms import BinaryForm, transvectant
 from binforms.rings import random_rational
 
 
@@ -25,6 +25,35 @@ def form_sum(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 def form_scale(c, f: BinaryForm) -> BinaryForm:
     """The form c * f."""
     return BinaryForm(f.order, [c * v for v in f.coeffs])
+
+
+def monomial(xexp: int, yexp: int) -> BinaryForm:
+    """The form x^xexp * y^yexp, with integer coefficients."""
+    cs = [0] * (xexp + yexp + 1)
+    cs[yexp] = 1
+    return BinaryForm(xexp + yexp, cs)
+
+
+def form_product(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """The product f * g, the 0-th transvectant; orders add."""
+    return transvectant(f, g, 0)
+
+
+def form_power(f: BinaryForm, k: int) -> BinaryForm:
+    """f^k, a chain of products."""
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    out = f
+    for _ in range(k - 1):
+        out = form_product(out, f)
+    return out
+
+
+def scalar(f: BinaryForm):
+    """The value of an order-0 form."""
+    if f.order != 0:
+        raise ValueError(f"form of order {f.order} is not a scalar")
+    return f.coeffs[0]
 
 
 def sl2_act(mat, f: BinaryForm) -> BinaryForm:
@@ -43,12 +72,12 @@ def sl2_act(mat, f: BinaryForm) -> BinaryForm:
     powx = [BinaryForm(0, (1,))]
     powy = [BinaryForm(0, (1,))]
     for _ in range(n):
-        powx.append(powx[-1] * lx)
-        powy.append(powy[-1] * ly)
+        powx.append(form_product(powx[-1], lx))
+        powy.append(form_product(powy[-1], ly))
     out = BinaryForm(n, [0] * (n + 1))
     for i, ci in enumerate(f.coeffs):
         if ci:
-            out = form_sum(out, form_scale(ci, powx[n - i] * powy[i]))
+            out = form_sum(out, form_scale(ci, form_product(powx[n - i], powy[i])))
     return out
 
 
@@ -75,5 +104,5 @@ def nullform_by_sl2_act(n: int, seed: int) -> BinaryForm:
         rest = [random_rational(rng) for _ in range(n - k + 1)]
         if any(rest):
             break
-    base = BinaryForm.monomial(k, 0) * BinaryForm(n - k, rest)
+    base = form_product(monomial(k, 0), BinaryForm(n - k, rest))
     return sl2_act(random_sl2(random_rational, rng), base)

@@ -36,7 +36,7 @@ from closed_form import transvectant as oracle_transvectant
 from dual_numbers import Dual
 from prime_field import PrimeField
 from scalar_evaluator import Evaluator
-from sl2_action import nullform_by_sl2_act
+from sl2_action import form_power, form_product, nullform_by_sl2_act, scalar
 
 DATA = Path(__file__).parent / "data"
 BASIS_ARGV = ["basis", "--n", "9", "--max-degree", "12", "--json"]
@@ -69,7 +69,7 @@ class ScalarBatch:
             ]
 
     def scalar(self, e):
-        values = [ev.eval(e).scalar() for ev in self._evs]
+        values = [scalar(ev.eval(e)) for ev in self._evs]
         if not self.dual:
             return (np.array([v.value for v in values], dtype=np.int64),)
         return tuple(
@@ -235,7 +235,7 @@ def _integer_forms(n, rng):
     root = BinaryForm(1, (Fraction(rng.randint(1, 4)), Fraction(rng.randint(-4, 4))))
     rest = BinaryForm(n - r, [Fraction(rng.randint(-5, 5)) for _ in range(n - r + 1)])
     nf = BinaryForm(n, random_nullform(n, rng.randrange(10**6)))
-    return [generic, root.power(r) * rest, nf]
+    return [generic, form_product(form_power(root, r), rest), nf]
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,7 +279,7 @@ def _scalar_generic_vanish(exprs, n, trials, seed, prime):
     count = 0
     for _ in range(trials):
         ev = oracle(BinaryForm(n, [gf(rng.randrange(prime)) for _ in range(n + 1)]))
-        if all(ev.eval(e).scalar() == 0 for e in exprs):
+        if all(scalar(ev.eval(e)) == 0 for e in exprs):
             count += 1
     return count
 
@@ -317,7 +317,7 @@ def _qq_nullform_loop(exprs, n, trials, seed):
         s = seed * 100003 + t
         form = BinaryForm(n, _generic_row(n, s)) if s % 3 == 2 else nullform_by_sl2_act(n, s)
         ev = oracle(form)
-        values = [ev.eval(e).scalar() for e in exprs]
+        values = [scalar(ev.eval(e)) for e in exprs]
         if all(v == 0 for v in values):
             all_vanish += 1
         else:

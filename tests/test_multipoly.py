@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from binforms.forms import BinaryForm
-from binforms.multipoly import PolynomialRing, dense_divmod, dense_gcd
+from binforms.nullcone import dense_divmod, dense_gcd
+from multipoly import PolynomialRing
 from prime_field import PrimeField
 
 R2 = PolynomialRing(("x", "y"))

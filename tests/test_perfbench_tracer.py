@@ -72,3 +72,26 @@ def test_tracer_times_the_cache_under_its_names(tmp_path):
     assert cold["pipeline.candidates.draws"] > 0
     assert (warm["cache.hits"], warm["cache.misses"]) == (1, 0)
     assert warm["pipeline.candidates.draws"] == 0
+
+
+def test_tracer_runs_verify_lemmas_with_the_untraced_stdout(tmp_path):
+    # The tracer's span hook on `forms.transvectant` reads a `ring` attribute
+    # that forms no longer have.  The lemma checks call the batch kernel
+    # directly, so a traced run prints what an untraced one does.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    argv = ["verify-lemmas", "--json"]
+    traced = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "S.json", "SP.jsonl", "--", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    plain = subprocess.run(
+        [sys.executable, "-m", "binforms.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert traced.returncode == 0, traced.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads(traced.stdout)["ok"] is True

@@ -64,7 +64,7 @@ def test_basis_loads_neither_hashlib_nor_catalog_multipoly_or_csv(tmp_path):
     assert "binforms.pipeline" in modules
     loaded = modules & {
         "hashlib", "_hashlib", "binforms.cache", "binforms.catalog", "binforms.multipoly", "csv",
-        "dataclasses",
+        "dataclasses", "binforms.lemmas",
     }
     assert not loaded
 
@@ -72,7 +72,7 @@ def test_basis_loads_neither_hashlib_nor_catalog_multipoly_or_csv(tmp_path):
 def test_hsop_check_without_a_cache_loads_no_hashlib(tmp_path):
     modules = set(run_command(tmp_path, *HSOP_CHECK)["modules"])
     assert "binforms.catalog" in modules
-    assert not modules & {"hashlib", "_hashlib", "binforms.cache", "dataclasses"}
+    assert not modules & {"hashlib", "_hashlib", "binforms.cache", "dataclasses", "binforms.lemmas"}
 
 
 def test_cache_directory_loads_no_hashlib_and_names_files_by_key(tmp_path):
