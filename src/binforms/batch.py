@@ -168,7 +168,7 @@ class BatchEvaluator:
             for _ in range(e.k - 1):
                 val = self._transvect(val, child, 0)
         else:
-            raise TypeError(f"cannot evaluate {e!r} in a batch; inline named references first")
+            raise TypeError(f"not an expression: {e!r}")
         self._memo[e] = val
         return val
 

@@ -74,7 +74,7 @@ def _stored(doc, n: int, cfg, top: int) -> Optional[Stored]:
         for text in texts:
             if "@" in text:
                 raise ValueError(f"degree {m}: {text[:60]!r} holds a named reference")
-            exprs.append(expr_from_text(text))
+            exprs.append(expr_from_text(text, {}))
             if expr_meta(exprs[-1], n) != (0, m):
                 raise ValueError(f"degree {m}: {text[:60]!r} is not an invariant of degree {m}")
         stored[m] = (attempt, exprs)

@@ -11,59 +11,53 @@ the explicit homogeneous system of parameters.  For n in {2, 3, 6, 7} the
 catalog carries the classical small-order parameter systems (degrees 2; 4;
 2, 4, 6, 10; and 4, 8, 12, 12, 20 respectively).
 
-Every entry's declared (order, degree) pair is recomputed from its expression
-at load time; a mismatch is a programming error and raises immediately.
+Each order's catalog is one table of rows (name, order, degree, hsop, text).
+A text is an `exprs` expression whose `@name`s are entries of earlier rows;
+it is parsed at load time into a closed expression that shares those
+entries' nodes, and its (order, degree) is recomputed then: a mismatch with
+the row is a programming error and raises immediately.
 """
 
 from __future__ import annotations
 
 from typing import Dict, NamedTuple, Tuple
 
-from .exprs import Expr, F, Ref, expr_meta, inline_refs, pw, tr
+from .exprs import Expr, expr_from_text, expr_meta
 
 
 class CatalogEntry(NamedTuple):
     name: str
-    expr: Expr
     order: int
     degree: int
-    hsop: bool = False
+    hsop: bool
+    text: str  # as the table writes it, with the names of earlier entries
+    expr: Expr  # closed: every name replaced by that entry's expression
 
 
 class Catalog:
     """Ordered name -> entry map for one base-form order."""
 
-    def __init__(self, n: int, entries):
+    def __init__(self, n: int, rows):
         self.n = n
         self.entries: Dict[str, CatalogEntry] = {}
+        # name -> closed expression: the names a text may use
         self.defs: Dict[str, Expr] = {}
-        self._closed: Dict[str, Expr] = {}
-        self._inline_memo: dict = {}
-        for entry in entries:
-            if entry.name in self.entries:
-                raise ValueError(f"duplicate catalog name {entry.name!r}")
-            self.entries[entry.name] = entry
-            self.defs[entry.name] = entry.expr
-        meta_memo: dict = {}
-        for entry in self.entries.values():
-            order, degree = expr_meta(entry.expr, n, self.defs, meta_memo)
-            if (order, degree) != (entry.order, entry.degree):
+        memo: dict = {}
+        for name, order, degree, hsop, text in rows:
+            if name in self.entries:
+                raise ValueError(f"duplicate catalog name {name!r}")
+            expr = expr_from_text(text, self.defs)
+            got = expr_meta(expr, n, memo)
+            if got != (order, degree):
                 raise ValueError(
-                    f"catalog entry {entry.name!r}: declared "
-                    f"(order, degree) = ({entry.order}, {entry.degree}) but "
-                    f"recomputed ({order}, {degree})"
+                    f"catalog entry {name!r}: declared (order, degree) = "
+                    f"({order}, {degree}) but recomputed {got}"
                 )
+            self.entries[name] = CatalogEntry(name, order, degree, hsop, text, expr)
+            self.defs[name] = expr
 
     def __getitem__(self, name: str) -> CatalogEntry:
         return self.entries[name]
-
-    def closed(self, name: str) -> Expr:
-        """The entry's expression with every named reference inlined."""
-        got = self._closed.get(name)
-        if got is None:
-            got = inline_refs(self.entries[name].expr, self.defs, self._inline_memo)
-            self._closed[name] = got
-        return got
 
     def invariants(self) -> Tuple[CatalogEntry, ...]:
         return tuple(e for e in self.entries.values() if e.order == 0)
@@ -72,121 +66,82 @@ class Catalog:
         return tuple(e for e in self.entries.values() if e.hsop)
 
 
-def _nonic() -> Catalog:
-    l, q, u, s = Ref("l"), Ref("q"), Ref("u"), Ref("s")
-    r, p = Ref("r"), Ref("p")
-    k_q, m_q = Ref("k_q"), Ref("m_q")
-    l_p, q_p, p_p = Ref("l_p"), Ref("q_p"), Ref("p_p")
-    k_qp = Ref("k_qp")
-
-    def cov(name, expr, order, degree):
-        return CatalogEntry(name, expr, order, degree)
-
-    def inv(name, expr, degree, hsop=False):
-        return CatalogEntry(name, expr, 0, degree, hsop)
-
-    entries = [
+# One table per order: rows (name, order, degree, hsop, text).
+_TABLES = {
+    2: [("h_2", 0, 2, True, "(tr f f 2)")],
+    3: [("h_4", 0, 4, True, "(tr (tr f f 2) (tr f f 2) 2)")],
+    6: [
+        ("k", 4, 2, False, "(tr f f 4)"),
+        ("m", 2, 3, False, "(tr f @k 4)"),
+        ("h_2", 0, 2, True, "(tr f f 6)"),
+        ("h_4", 0, 4, True, "(tr @k @k 4)"),
+        ("h_6", 0, 6, True, "(tr (tr @k @k 2) @k 4)"),
+        ("h_10", 0, 10, True, "(tr (pow @m 2) (tr @k @k 2) 4)"),
+    ],
+    7: [
+        ("l", 2, 2, False, "(tr f f 6)"),
+        ("q", 6, 2, False, "(tr f f 4)"),
+        ("p", 5, 3, False, "(tr f @l 2)"),
+        ("k_q", 4, 4, False, "(tr @q @q 4)"),
+        ("m_q", 2, 6, False, "(tr @q @k_q 4)"),
+        ("h_4", 0, 4, True, "(tr @l @l 2)"),
+        ("h_8", 0, 8, True, "(tr (tr @p @p 4) @l 2)"),
+        ("h_12a", 0, 12, True, "(tr (tr @k_q @k_q 2) @k_q 4)"),
+        ("h_12b", 0, 12, True, "(tr (tr @p @p 2) (pow @l 3) 6)"),
+        ("h_20", 0, 20, True, "(tr (pow @m_q 2) (tr @k_q @k_q 2) 4)"),
+    ],
+    9: [
         # covariants
-        cov("l", tr(F, F, 8), 2, 2),
-        cov("q", tr(F, F, 6), 6, 2),
-        cov("s", tr(F, F, 4), 10, 2),
-        cov("u", tr(F, F, 2), 14, 2),
-        cov("r", tr(q, F, 6), 3, 3),
-        cov("p", tr(F, l, 2), 7, 3),
-        cov("k_q", tr(q, q, 4), 4, 4),
-        cov("m_q", tr(q, k_q, 4), 2, 6),
-        cov("l_p", tr(p, p, 6), 2, 6),
-        cov("q_p", tr(p, p, 4), 6, 6),
-        cov("p_p", tr(p, l_p, 2), 5, 9),
-        cov("k_qp", tr(q_p, q_p, 4), 4, 12),
-        cov("m_qp", tr(q_p, k_qp, 4), 2, 18),
+        ("l", 2, 2, False, "(tr f f 8)"),
+        ("q", 6, 2, False, "(tr f f 6)"),
+        ("s", 10, 2, False, "(tr f f 4)"),
+        ("u", 14, 2, False, "(tr f f 2)"),
+        ("r", 3, 3, False, "(tr @q f 6)"),
+        ("p", 7, 3, False, "(tr f @l 2)"),
+        ("k_q", 4, 4, False, "(tr @q @q 4)"),
+        ("m_q", 2, 6, False, "(tr @q @k_q 4)"),
+        ("l_p", 2, 6, False, "(tr @p @p 6)"),
+        ("q_p", 6, 6, False, "(tr @p @p 4)"),
+        ("p_p", 5, 9, False, "(tr @p @l_p 2)"),
+        ("k_qp", 4, 12, False, "(tr @q_p @q_p 4)"),
+        ("m_qp", 2, 18, False, "(tr @q_p @k_qp 4)"),
         # invariants, suffix = degree
-        inv("j_4", tr(l, l, 2), 4, hsop=True),
-        inv("A_4", tr(q, q, 6), 4),
-        inv("j_8", tr(k_q, k_q, 4), 8),
-        inv("A_8", tr(tr(p, p, 6), l, 2), 8),
-        inv("B_8", tr(q, pw(r, 2), 6), 8, hsop=True),
-        inv("C_8", tr(tr(q, q, 4), pw(l, 2), 4), 8),
-        inv("D_8", tr(tr(q, q, 4), tr(q, s, 6), 4), 8),
-        inv("j_10", tr(tr(p, tr(F, q, 6), 3), tr(q, q, 4), 4), 10),
-        inv("A_10", tr(tr(p, tr(F, q, 6), 3), pw(l, 2), 4), 10),
-        inv("B_10", tr(tr(tr(F, q, 6), tr(F, s, 6), 3), tr(s, s, 8), 4), 10),
-        inv("C_10", tr(tr(tr(tr(s, s, 6), F, 6), tr(l, F, 2), 3), q, 6), 10),
-        inv("D_10", tr(tr(tr(tr(u, u, 10), F, 6), tr(q, F, 2), 5), q, 6), 10, hsop=True),
-        inv("j_12", tr(tr(k_q, k_q, 2), k_q, 4), 12, hsop=True),
-        inv("A_12", tr(l_p, l_p, 2), 12),
-        inv("B_12", tr(tr(p, p, 4), pw(l, 3), 6), 12, hsop=True),
-        inv("C_12", tr(tr(r, r, 2), tr(r, r, 2), 2), 12),
-        inv("D_12", tr(tr(pw(q, 2), q, 6), pw(r, 2), 6), 12),
-        inv("j_14", tr(q, tr(pw(r, 3), r, 3), 6), 14, hsop=True),
-        inv("j_16", tr(tr(p, p, 2), pw(l, 5), 10), 16, hsop=True),
-        inv("j_18", tr(tr(tr(q, q, 2), q, 1), pw(r, 4), 12), 18),
-        inv("j_20", tr(pw(m_q, 2), tr(k_q, k_q, 2), 4), 20),
-        inv("A_20", tr(pw(p, 2), pw(l, 7), 14), 20),
-        inv("B_20", tr(q, pw(tr(r, r, 2), 3), 6), 20),
-        inv(
-            "C_20",
-            tr(
-                tr(tr(pw(r, 3), r, 3), q, 4),
-                tr(tr(F, u, 8), tr(F, s, 8), 3),
-                4,
-            ),
-            20,
-        ),
-        inv("j_24", tr(tr(p_p, p_p, 4), l_p, 2), 24),
-        inv("j_36", tr(tr(k_qp, k_qp, 2), k_qp, 4), 36),
-        inv("A_36", tr(tr(p_p, p_p, 2), pw(l_p, 3), 6), 36),
-        inv("j_60", tr(pw(Ref("m_qp"), 2), tr(k_qp, k_qp, 2), 4), 60),
-    ]
-    return Catalog(9, entries)
-
-
-def _small(n: int) -> Catalog:
-    if n == 2:
-        return Catalog(2, [CatalogEntry("h_2", tr(F, F, 2), 0, 2, hsop=True)])
-    if n == 3:
-        ff2 = tr(F, F, 2)
-        return Catalog(3, [CatalogEntry("h_4", tr(ff2, ff2, 2), 0, 4, hsop=True)])
-    if n == 6:
-        k, m = Ref("k"), Ref("m")
-        return Catalog(
-            6,
-            [
-                CatalogEntry("k", tr(F, F, 4), 4, 2),
-                CatalogEntry("m", tr(F, k, 4), 2, 3),
-                CatalogEntry("h_2", tr(F, F, 6), 0, 2, hsop=True),
-                CatalogEntry("h_4", tr(k, k, 4), 0, 4, hsop=True),
-                CatalogEntry("h_6", tr(tr(k, k, 2), k, 4), 0, 6, hsop=True),
-                CatalogEntry("h_10", tr(pw(m, 2), tr(k, k, 2), 4), 0, 10, hsop=True),
-            ],
-        )
-    if n == 7:
-        l, q, p = Ref("l"), Ref("q"), Ref("p")
-        k_q, m_q = Ref("k_q"), Ref("m_q")
-        return Catalog(
-            7,
-            [
-                CatalogEntry("l", tr(F, F, 6), 2, 2),
-                CatalogEntry("q", tr(F, F, 4), 6, 2),
-                CatalogEntry("p", tr(F, l, 2), 5, 3),
-                CatalogEntry("k_q", tr(q, q, 4), 4, 4),
-                CatalogEntry("m_q", tr(q, k_q, 4), 2, 6),
-                CatalogEntry("h_4", tr(l, l, 2), 0, 4, hsop=True),
-                CatalogEntry("h_8", tr(tr(p, p, 4), l, 2), 0, 8, hsop=True),
-                CatalogEntry("h_12a", tr(tr(k_q, k_q, 2), k_q, 4), 0, 12, hsop=True),
-                CatalogEntry("h_12b", tr(tr(p, p, 2), pw(l, 3), 6), 0, 12, hsop=True),
-                CatalogEntry(
-                    "h_20", tr(pw(m_q, 2), tr(k_q, k_q, 2), 4), 0, 20, hsop=True
-                ),
-            ],
-        )
-    raise ValueError(f"no catalog for order {n}")
-
+        ("j_4", 0, 4, True, "(tr @l @l 2)"),
+        ("A_4", 0, 4, False, "(tr @q @q 6)"),
+        ("j_8", 0, 8, False, "(tr @k_q @k_q 4)"),
+        ("A_8", 0, 8, False, "(tr (tr @p @p 6) @l 2)"),
+        ("B_8", 0, 8, True, "(tr @q (pow @r 2) 6)"),
+        ("C_8", 0, 8, False, "(tr (tr @q @q 4) (pow @l 2) 4)"),
+        ("D_8", 0, 8, False, "(tr (tr @q @q 4) (tr @q @s 6) 4)"),
+        ("j_10", 0, 10, False, "(tr (tr @p (tr f @q 6) 3) (tr @q @q 4) 4)"),
+        ("A_10", 0, 10, False, "(tr (tr @p (tr f @q 6) 3) (pow @l 2) 4)"),
+        ("B_10", 0, 10, False, "(tr (tr (tr f @q 6) (tr f @s 6) 3) (tr @s @s 8) 4)"),
+        ("C_10", 0, 10, False, "(tr (tr (tr (tr @s @s 6) f 6) (tr @l f 2) 3) @q 6)"),
+        ("D_10", 0, 10, True, "(tr (tr (tr (tr @u @u 10) f 6) (tr @q f 2) 5) @q 6)"),
+        ("j_12", 0, 12, True, "(tr (tr @k_q @k_q 2) @k_q 4)"),
+        ("A_12", 0, 12, False, "(tr @l_p @l_p 2)"),
+        ("B_12", 0, 12, True, "(tr (tr @p @p 4) (pow @l 3) 6)"),
+        ("C_12", 0, 12, False, "(tr (tr @r @r 2) (tr @r @r 2) 2)"),
+        ("D_12", 0, 12, False, "(tr (tr (pow @q 2) @q 6) (pow @r 2) 6)"),
+        ("j_14", 0, 14, True, "(tr @q (tr (pow @r 3) @r 3) 6)"),
+        ("j_16", 0, 16, True, "(tr (tr @p @p 2) (pow @l 5) 10)"),
+        ("j_18", 0, 18, False, "(tr (tr (tr @q @q 2) @q 1) (pow @r 4) 12)"),
+        ("j_20", 0, 20, False, "(tr (pow @m_q 2) (tr @k_q @k_q 2) 4)"),
+        ("A_20", 0, 20, False, "(tr (pow @p 2) (pow @l 7) 14)"),
+        ("B_20", 0, 20, False, "(tr @q (pow (tr @r @r 2) 3) 6)"),
+        ("C_20", 0, 20, False,
+         "(tr (tr (tr (pow @r 3) @r 3) @q 4) (tr (tr f @u 8) (tr f @s 8) 3) 4)"),
+        ("j_24", 0, 24, False, "(tr (tr @p_p @p_p 4) @l_p 2)"),
+        ("j_36", 0, 36, False, "(tr (tr @k_qp @k_qp 2) @k_qp 4)"),
+        ("A_36", 0, 36, False, "(tr (tr @p_p @p_p 2) (pow @l_p 3) 6)"),
+        ("j_60", 0, 60, False, "(tr (pow @m_qp 2) (tr @k_qp @k_qp 2) 4)"),
+    ],
+}
 
 _CACHE: Dict[int, Catalog] = {}
 
 # The orders that have a catalog.
-ORDERS = (2, 3, 6, 7, 9)
+ORDERS = tuple(_TABLES)
 
 
 def catalog_for(n: int) -> Catalog:
@@ -195,6 +150,5 @@ def catalog_for(n: int) -> Catalog:
         raise ValueError(f"no catalog for order {n}")
     got = _CACHE.get(n)
     if got is None:
-        got = _nonic() if n == 9 else _small(n)
-        _CACHE[n] = got
+        got = _CACHE[n] = Catalog(n, _TABLES[n])
     return got

@@ -34,7 +34,7 @@ try:
     from math import prod
     from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-    from .exprs import expr_from_text, expr_meta, expr_prefactor, expr_to_text, inline_refs
+    from .exprs import expr_from_text, expr_meta, expr_prefactor
     from .forms import BinaryForm
     from .nullcone import nullform_report
     from .pipeline import (
@@ -177,12 +177,12 @@ def _cmd_verify_lemmas(args) -> Result:
 
 
 def _cmd_catalog(args) -> Result:
-    # The covariant catalog: only catalog, eval and hsop resolve names; basis never does.
+    # Only catalog, eval and hsop load the covariant catalog; basis never does.
     from .catalog import catalog_for
 
     header = ("name", "order", "degree", "hsop", "expr")
     rows = [
-        (e.name, e.order, e.degree, e.hsop, expr_to_text(e.expr))
+        (e.name, e.order, e.degree, e.hsop, e.text)
         for e in catalog_for(args.n).entries.values()
     ]
     text = [
@@ -207,17 +207,21 @@ def _cmd_eval(args) -> Result:
     coeffs = form.coeffs if p is None else [residue(c, p) for c in form.coeffs]
     if args.a_convention:
         coeffs = BinaryForm.from_a_convention(form.order, coeffs).coeffs
-    expr = expr_from_text(args.expr)
-    # The covariant catalog: only catalog, eval and hsop resolve names; basis never does.
+    # Only catalog, eval and hsop load the covariant catalog; basis never does.
     from .catalog import ORDERS, catalog_for
 
-    defs = catalog_for(args.n).defs if args.n in ORDERS else {}
-    order, degree = expr_meta(expr, args.n, defs)
-    if form.order != args.n:
-        raise ValueError(f"form has order {form.order}, expected {args.n}")
-    closed = inline_refs(expr, defs)
-    pref = expr_prefactor(closed, args.n, p)
-    (exact,) = BatchEvaluator([coeffs], prime=None).eval(closed)
+    # An @name in --expr is an entry of the catalog of --n, if that order has one.
+    names = catalog_for(args.n).defs if args.n in ORDERS else {}
+    try:
+        expr = expr_from_text(args.expr, names)
+        order, degree = expr_meta(expr, args.n)
+        if form.order != args.n:
+            raise ValueError(f"form has order {form.order}, expected {args.n}")
+        pref = expr_prefactor(expr, args.n, p)
+        (exact,) = BatchEvaluator([coeffs], prime=None).eval(expr)
+    except RecursionError:
+        # Parsing and every walk of the tree recurse once per level.
+        raise ValueError("--expr is nested too deeply") from None
     value = [c * pref if p is None else residue(c * pref, p) for c in exact[0]]
     out = str(value[0]) if order == 0 else print_form_literal(BinaryForm(order, value))
     return Result(
@@ -251,7 +255,7 @@ def _cmd_basis(args) -> Result:
 
 
 def _named_set(n: int, selector: str) -> List[Tuple[str, object, int]]:
-    # The covariant catalog: only catalog, eval and hsop resolve names; basis never does.
+    # Only catalog, eval and hsop load the covariant catalog; basis never does.
     from .catalog import catalog_for
 
     cat = catalog_for(n)
@@ -270,7 +274,7 @@ def _named_set(n: int, selector: str) -> List[Tuple[str, object, int]]:
         entry = cat[name]
         if entry.order != 0:
             raise ValueError(f"{name} is a covariant of order {entry.order}, not an invariant")
-        out.append((name, cat.closed(name), entry.degree))
+        out.append((name, entry.expr, entry.degree))
     return out
 
 

@@ -1,16 +1,21 @@
 """Covariant expression trees.
 
-Expressions are built from four node kinds: the base form `f`, transvectants,
-powers, and named references into a catalog.  The text grammar, which
-`expr_to_text` and `repr` print, round-trips exactly:
+Expressions are built from three node kinds: the base form `f`, transvectants
+and powers.  Their text grammar is
 
     f | (tr E E INT) | (pow E INT) | @name
 
+where `@name` stands for a named expression, a catalog entry for example:
+`expr_from_text` replaces it by that expression's node when it parses the
+text, so every parsed expression is closed and a shared entry stays one
+shared subtree.  `expr_to_text` and `repr` print the closed tree, which
+`expr_from_text` reads back exactly.
+
 Nodes are immutable with precomputed hashes, so structurally equal subtrees
 land on the same memo slots during evaluation.  Values come from
-`batch.BatchEvaluator`, which evaluates a closed expression (`inline_refs`)
-at a whole batch of forms at once, over F_p or exactly; a power is a chain
-of 0-th transvectants, that is, of form products.  The exact mode drops the
+`batch.BatchEvaluator`, which evaluates an expression at a whole batch of
+forms at once, over F_p or exactly; a power is a chain of 0-th
+transvectants, that is, of form products.  The exact mode drops the
 transvectant prefactors, and `expr_prefactor` is the constant that restores
 them, so `binforms eval` prints true values.
 """
@@ -51,21 +56,6 @@ class Base(Expr):
 
 
 F = Base()
-
-
-class Ref(Expr):
-    """Reference to a named catalog entry."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("@", name)))
-
-    def __eq__(self, other):
-        return isinstance(other, Ref) and other.name == self.name
-
-    __hash__ = Expr.__hash__
 
 
 class Tr(Expr):
@@ -124,19 +114,9 @@ def tr(left: Expr, right: Expr, index: int) -> Tr:
     return Tr(left, right, index)
 
 
-def pw(child: Expr, k: int) -> Pow:
-    return Pow(child, k)
-
-
-def ref(name: str) -> Ref:
-    return Ref(name)
-
-
 def expr_to_text(e: Expr) -> str:
     if isinstance(e, Base):
         return "f"
-    if isinstance(e, Ref):
-        return f"@{e.name}"
     if isinstance(e, Tr):
         return f"(tr {expr_to_text(e.left)} {expr_to_text(e.right)} {e.index})"
     if isinstance(e, Pow):
@@ -152,8 +132,9 @@ def _tokenize(text: str) -> list:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def expr_from_text(text: str) -> Expr:
-    """Parse the expression grammar; inverse of `expr_to_text`."""
+def expr_from_text(text: str, names: Mapping[str, Expr]) -> Expr:
+    """Parse the expression grammar, each `@name` as the node `names[name]`
+    itself; with no names, the inverse of `expr_to_text`."""
     tokens = _tokenize(text)
 
     def parse2(i: int):
@@ -163,9 +144,12 @@ def expr_from_text(text: str) -> Expr:
         if tok == "f":
             return F, i + 1
         if tok.startswith("@"):
-            if len(tok) == 1:
+            name = tok[1:]
+            if not name:
                 raise ExprParseError("empty name after @")
-            return Ref(tok[1:]), i + 1
+            if name not in names:
+                raise KeyError(f"unresolvable name {name!r}")
+            return names[name], i + 1
         if tok != "(":
             raise ExprParseError(f"unexpected token {tok!r}")
         if i + 1 >= len(tokens):
@@ -205,12 +189,7 @@ def _expect(tokens: list, i: int, what: str) -> int:
     return i + 1
 
 
-def expr_meta(
-    e: Expr,
-    base_order: int,
-    resolve: Optional[Mapping[str, Expr]] = None,
-    _memo: Optional[dict] = None,
-) -> tuple:
+def expr_meta(e: Expr, base_order: int, _memo: Optional[dict] = None) -> tuple:
     """(order, degree) of an expression over a base form of `base_order`.
 
     Validates transvectant indices against operand orders along the way.
@@ -221,20 +200,16 @@ def expr_meta(
         return got
     if isinstance(e, Base):
         meta = (base_order, 1)
-    elif isinstance(e, Ref):
-        if resolve is None or e.name not in resolve:
-            raise KeyError(f"unresolvable name {e.name!r}")
-        meta = expr_meta(resolve[e.name], base_order, resolve, memo)
     elif isinstance(e, Tr):
-        m1, d1 = expr_meta(e.left, base_order, resolve, memo)
-        m2, d2 = expr_meta(e.right, base_order, resolve, memo)
+        m1, d1 = expr_meta(e.left, base_order, memo)
+        m2, d2 = expr_meta(e.right, base_order, memo)
         if e.index > min(m1, m2):
             raise ValueError(
                 f"transvectant index {e.index} exceeds min(order) = {min(m1, m2)}"
             )
         meta = (m1 + m2 - 2 * e.index, d1 + d2)
     elif isinstance(e, Pow):
-        m, d = expr_meta(e.child, base_order, resolve, memo)
+        m, d = expr_meta(e.child, base_order, memo)
         meta = (e.k * m, e.k * d)
     else:
         raise TypeError(f"not an expression: {e!r}")
@@ -243,7 +218,7 @@ def expr_meta(
 
 
 def expr_prefactor(e: Expr, base_order: int, prime: Optional[int] = None) -> Fraction:
-    """The constant by which `BatchEvaluator(prime=None)` values of the closed
+    """The constant by which `BatchEvaluator(prime=None)` values of the
     expression `e`, over a base form of `base_order`, fall short of the true
     values.
 
@@ -273,37 +248,8 @@ def expr_prefactor(e: Expr, base_order: int, prime: Optional[int] = None) -> Fra
             m, a = walk(e.child)
             out = (e.k * m, a ** e.k)
         else:
-            raise TypeError(f"not a closed expression: {e!r}; inline named references first")
+            raise TypeError(f"not an expression: {e!r}")
         memo[e] = out
         return out
 
     return walk(e)[1]
-
-
-def inline_refs(
-    e: Expr, resolve: Mapping[str, Expr], _memo: Optional[dict] = None
-) -> Expr:
-    """Expand every named reference, returning a closed expression.
-
-    Shared subtrees stay shared (one node object), so evaluation memoization
-    behaves exactly as it does for the referenced form.
-    """
-    memo = {} if _memo is None else _memo
-    got = memo.get(e)
-    if got is not None:
-        return got
-    if isinstance(e, Base):
-        out: Expr = e
-    elif isinstance(e, Ref):
-        defn = resolve.get(e.name)
-        if defn is None:
-            raise KeyError(f"unresolvable name {e.name!r}")
-        out = inline_refs(defn, resolve, memo)
-    elif isinstance(e, Tr):
-        out = Tr(inline_refs(e.left, resolve, memo), inline_refs(e.right, resolve, memo), e.index)
-    elif isinstance(e, Pow):
-        out = Pow(inline_refs(e.child, resolve, memo), e.k)
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    memo[e] = out
-    return out

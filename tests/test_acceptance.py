@@ -17,7 +17,7 @@ import pytest
 
 from binforms.catalog import catalog_for
 from binforms.cli import main
-from binforms.exprs import pw, tr
+from binforms.exprs import Pow, tr
 from binforms.forms import BinaryForm, transvectant
 from binforms.modlinalg import rank
 from binforms.nullcone import nullform_report, random_nullform
@@ -153,15 +153,15 @@ def test_criterion_05_dm_extended(capsys):
 def test_criterion_06_degree8_and_10_spans(capsys):
     t0 = time.time()
     cat = catalog_for(9)
-    j4, a4 = cat.closed("j_4"), cat.closed("A_4")
+    j4, a4 = cat["j_4"].expr, cat["A_4"].expr
     deg8 = [
-        cat.closed("j_8"), cat.closed("A_8"), cat.closed("B_8"),
-        cat.closed("C_8"), cat.closed("D_8"),
-        pw(j4, 2), pw(a4, 2), tr(a4, j4, 0),
+        cat["j_8"].expr, cat["A_8"].expr, cat["B_8"].expr,
+        cat["C_8"].expr, cat["D_8"].expr,
+        Pow(j4, 2), Pow(a4, 2), tr(a4, j4, 0),
     ]
     pe8 = PointEvaluations(PointSet(9, P, 1, 14, "acc8"))
     assert rank(np.vstack([pe8.vector(e) for e in deg8]), P) == 8
-    deg10 = [cat.closed(n) for n in ("j_10", "A_10", "B_10", "C_10", "D_10")]
+    deg10 = [cat[n].expr for n in ("j_10", "A_10", "B_10", "C_10", "D_10")]
     pe10 = PointEvaluations(PointSet(9, P, 1, 11, "acc10"))
     assert rank(np.vstack([pe10.vector(e) for e in deg10]), P) == 5
     with capsys.disabled():
@@ -253,8 +253,8 @@ def test_criterion_09_property_suites(capsys):
     f = random_form(random_rational, 9, rng)
     s = random_sl2(random_rational, rng)
     for name in ("l", "q", "r", "p"):
-        left = Evaluator(sl2_act(s, f), cat.defs).eval(cat[name].expr)
-        right = sl2_act(s, Evaluator(f, cat.defs).eval(cat[name].expr))
+        left = Evaluator(sl2_act(s, f)).eval(cat[name].expr)
+        right = sl2_act(s, Evaluator(f).eval(cat[name].expr))
         assert left == right, name
     # invariance of catalog invariants under 20 random determinant-1 matrices
     gf = PrimeField(P)
@@ -262,7 +262,7 @@ def test_criterion_09_property_suites(capsys):
     for _ in range(20):
         fp = random_form(gf.random, 9, rng)
         sp = random_sl2(gf.random, rng)
-        ev1, ev2 = Evaluator(fp, cat.defs), Evaluator(sl2_act(sp, fp), cat.defs)
+        ev1, ev2 = Evaluator(fp), Evaluator(sl2_act(sp, fp))
         for name in names:
             assert scalar(ev1.eval(cat[name].expr)) == scalar(ev2.eval(cat[name].expr)), name
     # nullform invariance under the group action
@@ -281,7 +281,7 @@ def test_criterion_10_small_order_parameter_systems(capsys):
         cat = catalog_for(n)
         hsop = cat.hsop()
         assert len(hsop) == max(n - 2, 1)
-        exprs = [cat.closed(e.name) for e in hsop]
+        exprs = [cat[e.name].expr for e in hsop]
         for seed in range(50):
             ev = Evaluator(BinaryForm(n, random_nullform(n, seed)))
             for e, entry in zip(exprs, hsop):

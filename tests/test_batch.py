@@ -181,11 +181,11 @@ def test_point_set_and_values_are_pinned():
         "j_16": [13385, 30147, 7543, 27602, 27998, 17679],
     }
     for name, values in pinned.items():
-        assert list(pe.vector(cat.closed(name))[:6]) == values, name
+        assert list(pe.vector(cat[name].expr)[:6]) == values, name
 
 
 def test_empty_batch_gives_empty_vectors():
-    j4 = catalog_for(9).closed("j_4")
+    j4 = catalog_for(9)["j_4"].expr
     (value,) = BatchEvaluator(np.zeros((0, 10), dtype=np.int64), 32003).scalar(j4)
     assert value.shape == (0,)
 
@@ -259,7 +259,7 @@ def test_exact_dag_values_are_a_fixed_multiple_of_rational_values(dag, seed):
 def test_batched_jacobian_matches_dual_numbers_for_thm_set():
     p = 32003
     cat = catalog_for(9)
-    thm = [cat.closed(e.name) for e in cat.hsop()]
+    thm = [cat[e.name].expr for e in cat.hsop()]
     rng = random.Random(f"jacobian:1:9:{p}")
     for _ in range(5):
         point = [rng.randrange(p) for _ in range(10)]
@@ -291,7 +291,7 @@ def _scalar_generic_vanish(exprs, n, trials, seed, prime):
 def test_generic_vanish_counts_match_scalar_path(names, prime, trials):
     # Small primes make generic values vanish often enough to count.
     cat = catalog_for(9)
-    exprs = [cat.closed(name) for name in names]
+    exprs = [cat[name].expr for name in names]
     rep = pipeline.vanish_on_nullcone_sample(exprs, 9, trials, seed=2, prime=prime)
     expected = _scalar_generic_vanish(exprs, 9, trials, 2, prime)
     assert rep.generic_all_vanish == expected
@@ -365,7 +365,7 @@ def test_nullform_failures_match_rational_loop(monkeypatch, trials):
     cat = catalog_for(9)
     # (f, f)_9 is an odd self-transvectant, identically zero, so a failing
     # trial names only some candidates.
-    exprs = [cat.closed("j_4"), tr(F, F, 9), cat.closed("B_8")]
+    exprs = [cat["j_4"].expr, tr(F, F, 9), cat["B_8"].expr]
     rep = pipeline.vanish_on_nullcone_sample(exprs, 9, trials, seed=2, prime=32003)
     all_vanish, failures = _qq_nullform_loop(exprs, 9, trials, 2)
     assert (rep.nullform_all_vanish, rep.nullform_failures) == (all_vanish, failures)
@@ -387,7 +387,7 @@ def test_exact_nullform_batches_hold_at_most_one_chunk(monkeypatch):
         return BatchEvaluator(forms, prime, slopes)
 
     monkeypatch.setattr(pipeline, "BatchEvaluator", spy)
-    j4 = catalog_for(9).closed("j_4")
+    j4 = catalog_for(9)["j_4"].expr
     trials = 3 * NULLFORM_CHUNK + 1
     rep = pipeline.vanish_on_nullcone_sample([j4], 9, trials, seed=1, prime=32003)
     # The exact nullform batches and the generic F_p batches alike.
@@ -396,7 +396,7 @@ def test_exact_nullform_batches_hold_at_most_one_chunk(monkeypatch):
 
 
 def test_nullform_check_of_no_trials_and_negative_trials():
-    j4 = catalog_for(9).closed("j_4")
+    j4 = catalog_for(9)["j_4"].expr
     rep = pipeline.vanish_on_nullcone_sample([j4], 9, 0, seed=1, prime=32003)
     assert rep == VanishReport(0, 0, (), 0, 0)
     with pytest.raises(ValueError, match="trials"):

@@ -4,14 +4,7 @@ from fractions import Fraction
 import pytest
 
 from binforms.catalog import catalog_for
-from binforms.exprs import (
-    expr_from_text,
-    expr_meta,
-    expr_to_text,
-    ref,
-    tr,
-    F,
-)
+from binforms.exprs import F, Pow, expr_from_text, expr_meta, expr_to_text, tr
 from binforms.forms import BinaryForm, transvectant
 from binforms.rings import random_rational
 from multipoly import PolynomialRing
@@ -34,14 +27,18 @@ def test_declared_metadata_recomputed():
     cat = catalog_for(9)
     memo = {}
     for name, want in [("j_4", (0, 4)), ("D_10", (0, 10)), ("j_60", (0, 60)), ("u", (14, 2))]:
-        assert expr_meta(cat[name].expr, 9, cat.defs, memo) == want
+        assert expr_meta(cat[name].expr, 9, memo) == want
 
 
 def test_nonic_catalog_contents():
     cat = catalog_for(9)
-    assert cat["j_4"].expr == tr(ref("l"), ref("l"), 2)
-    d10 = cat["D_10"].expr
-    assert expr_to_text(d10) == "(tr (tr (tr (tr @u @u 10) f 6) (tr @q f 2) 5) @q 6)"
+    l, q, u = tr(F, F, 8), tr(F, F, 6), tr(F, F, 2)
+    assert cat["j_4"].text == "(tr @l @l 2)"
+    assert cat["j_4"].expr == tr(l, l, 2)
+    d10 = cat["D_10"]
+    assert d10.text == "(tr (tr (tr (tr @u @u 10) f 6) (tr @q f 2) 5) @q 6)"
+    assert d10.expr == tr(tr(tr(tr(u, u, 10), F, 6), tr(q, F, 2), 5), q, 6)
+    assert cat["B_8"].expr == tr(q, Pow(tr(q, F, 6), 2), 6)
     assert {e.name for e in cat.hsop()} == {"j_4", "B_8", "D_10", "j_12", "B_12", "j_14", "j_16"}
     assert hsop_degrees(9) == (4, 8, 10, 12, 12, 14, 16)
 
@@ -60,7 +57,7 @@ def test_small_catalog_degrees():
 def test_j4_vanishes_on_monomial_form():
     cat = catalog_for(9)
     x9 = BinaryForm(9, [GF(c) for c in monomial(9, 0).coeffs])
-    assert scalar(Evaluator(x9, cat.defs).eval(cat["j_4"].expr)) == 0
+    assert scalar(Evaluator(x9).eval(cat["j_4"].expr)) == 0
 
 
 def test_r_orientation_agrees_both_ways():
@@ -70,7 +67,7 @@ def test_r_orientation_agrees_both_ways():
     f = random_form(random_rational, 9, rng)
     q = transvectant(f, f, 6)
     assert transvectant(q, f, 6) == transvectant(f, q, 6)
-    r_val = Evaluator(f, cat.defs).eval(cat["r"].expr)
+    r_val = Evaluator(f).eval(cat["r"].expr)
     assert r_val == transvectant(f, q, 6)
 
 
@@ -81,8 +78,8 @@ def test_catalog_invariance_under_sl2():
     for trial in range(20):
         f = random_form(GF.random, 9, rng)
         g = random_sl2(GF.random, rng)
-        ev1 = Evaluator(f, cat.defs)
-        ev2 = Evaluator(sl2_act(g, f), cat.defs)
+        ev1 = Evaluator(f)
+        ev2 = Evaluator(sl2_act(g, f))
         for name in names:
             assert scalar(ev1.eval(cat[name].expr)) == scalar(ev2.eval(cat[name].expr)), (trial, name)
 
@@ -93,8 +90,8 @@ def test_covariant_equivariance():
     f = random_form(random_rational, 9, rng)
     g = random_sl2(random_rational, rng)
     for name in ("l", "q", "r", "p", "k_q"):
-        ev1 = Evaluator(sl2_act(g, f), cat.defs)
-        ev2 = Evaluator(f, cat.defs)
+        ev1 = Evaluator(sl2_act(g, f))
+        ev2 = Evaluator(f)
         assert ev1.eval(cat[name].expr) == sl2_act(g, ev2.eval(cat[name].expr)), name
 
 
@@ -105,8 +102,8 @@ def test_invariant_homogeneity():
     lam = Fraction(2, 3)
     for name in ("j_4", "B_8", "D_10", "j_12"):
         entry = cat[name]
-        v1 = scalar(Evaluator(form_scale(lam, f), cat.defs).eval(entry.expr))
-        v0 = scalar(Evaluator(f, cat.defs).eval(entry.expr))
+        v1 = scalar(Evaluator(form_scale(lam, f)).eval(entry.expr))
+        v0 = scalar(Evaluator(f).eval(entry.expr))
         assert v1 == v0 * lam ** entry.degree, name
 
 
@@ -114,15 +111,15 @@ def test_invariant_weight_condition_symbolically():
     # Every monomial a_0^m0 ... a_n^mn of a degree-d invariant satisfies
     # sum m_i = d and sum i m_i = n d / 2 (small orders, raw coefficients).
     cases = [
-        (2, catalog_for(2)["h_2"].expr, catalog_for(2).defs, 2),
-        (3, catalog_for(3)["h_4"].expr, catalog_for(3).defs, 4),
-        (4, tr(F, F, 4), {}, 2),
-        (4, tr(tr(F, F, 2), F, 4), {}, 3),
+        (2, catalog_for(2)["h_2"].expr, 2),
+        (3, catalog_for(3)["h_4"].expr, 4),
+        (4, tr(F, F, 4), 2),
+        (4, tr(tr(F, F, 2), F, 4), 3),
     ]
-    for n, expr, defs, degree in cases:
+    for n, expr, degree in cases:
         R = PolynomialRing(tuple(f"a{i}" for i in range(n + 1)))
         f = BinaryForm(n, [R.var(f"a{i}") for i in range(n + 1)])
-        value = scalar(Evaluator(f, defs).eval(expr))
+        value = scalar(Evaluator(f).eval(expr))
         assert value
         for exps in value.terms:
             assert sum(exps) == degree
@@ -130,33 +127,37 @@ def test_invariant_weight_condition_symbolically():
 
 
 def test_text_round_trip_whole_catalog():
+    # A closed expression prints without names and reads back with none.
     for n in (2, 3, 6, 7, 9):
         cat = catalog_for(n)
         for entry in cat.entries.values():
             text = expr_to_text(entry.expr)
-            assert expr_to_text(expr_from_text(text)) == text
+            assert "@" not in text
+            assert expr_from_text(text, {}) == entry.expr, (n, entry.name)
+            assert expr_to_text(expr_from_text(text, {})) == text
 
 
 def test_parse_errors():
     for bad in ("(tr f f)", "(pow f 0)", "@", "(foo f 2)", "f f", "(tr f f 2"):
-        with pytest.raises(Exception):
-            expr_from_text(bad)
+        with pytest.raises(ValueError):
+            expr_from_text(bad, {})
 
 
-def test_inline_refs_values_match():
+def test_name_is_the_entry_node():
+    # `@name` parses to the entry's own node, so shared subtrees stay shared.
     cat = catalog_for(9)
-    rng = random.Random(5)
-    f = random_form(GF.random, 9, rng)
-    with_defs = Evaluator(f, cat.defs)
-    closed = Evaluator(f)
-    for name in ("j_4", "B_8", "j_16", "C_20"):
-        assert scalar(closed.eval(cat.closed(name))) == scalar(with_defs.eval(cat[name].expr))
+    assert expr_from_text("@l", cat.defs) is cat["l"].expr
+    j4 = cat["j_4"].expr
+    assert j4.left is cat["l"].expr and j4.right is cat["l"].expr
+    e = expr_from_text("(tr (pow @p 2) @l 2)", cat.defs)
+    assert e.left.child is cat["p"].expr and e.right is cat["l"].expr
+    assert cat["p"].expr.right is cat["l"].expr
 
 
 def test_evaluator_memoizes_shared_subtrees():
     cat = catalog_for(9)
     f = random_form(GF.random, 9, random.Random(6))
-    ev = Evaluator(f, cat.defs)
+    ev = Evaluator(f)
     ev.eval(cat["j_4"].expr)
     l_value = ev._memo[cat["l"].expr]
     ev.eval(cat["B_12"].expr)  # also uses l via p
@@ -164,13 +165,14 @@ def test_evaluator_memoizes_shared_subtrees():
 
 
 def test_unresolvable_name_raises():
-    f = random_form(GF.random, 9, random.Random(7))
-    with pytest.raises(KeyError):
-        Evaluator(f, {}).eval(ref("nope"))
+    for text, names, name in [("@l", {}, "l"), ("(tr @nope f 2)", catalog_for(9).defs, "nope")]:
+        with pytest.raises(KeyError) as info:
+            expr_from_text(text, names)
+        assert info.value.args == (f"unresolvable name {name!r}",)
 
 
 def test_order_mismatch_raises():
     cat = catalog_for(9)
     f7 = random_form(GF.random, 7, random.Random(8))
     with pytest.raises(ValueError):
-        Evaluator(f7, cat.defs).eval(cat["j_4"].expr)  # (f,f)_8 needs order >= 8
+        Evaluator(f7).eval(cat["j_4"].expr)  # (f,f)_8 needs order >= 8

@@ -21,7 +21,9 @@ from binforms.cli import build_parser, main, parse_form_literal
 # rest from the per-command renderers that the one output writer replaced.
 # A change here is a change of output.  The two `nullcone test` text entries
 # were re-pinned once, when that text went from the payload's Python repr to
-# one `key: value` line per field.
+# one `key: value` line per field.  The last fourteen, the small-order
+# catalogs and one `eval` through a catalog name per small order, were
+# recorded before the catalogs became tables of expression texts.
 SCALAR_PATH = json.loads((Path(__file__).parent / "data" / "scalar_path.json").read_text())
 
 
@@ -524,6 +526,34 @@ def test_unresolvable_name_error_is_not_quoted_twice(capsys):
         capsys, "eval", "--n", "9", "--expr", "@zz", "--form", "9: 1,0,0,0,0,0,0,0,0,1"
     )
     assert (code, out, err) == (2, "", "error: unresolvable name 'zz'\n")
+
+
+def test_unknown_name_is_reported_before_a_later_syntax_error(capsys):
+    # The parser resolves a name where it reads it, so an unknown name ahead
+    # of the missing ')' is the error reported.
+    code, out, err = run_cli(
+        capsys, "eval", "--n", "9", "--expr", "(tr @zz", "--form", "9: 1,0,0,0,0,0,0,0,0,1"
+    )
+    assert (code, out, err) == (2, "", "error: unresolvable name 'zz'\n")
+
+
+def test_deeply_nested_expr_is_a_usage_error(capsys):
+    deep = "(pow " * 3000 + "f" + " 1)" * 3000
+    code, out, err = run_cli(
+        capsys, "eval", "--n", "9", "--expr", deep, "--form", "9: 1,0,0,0,0,0,0,0,0,1"
+    )
+    assert (code, out, err) == (2, "", "error: --expr is nested too deeply\n")
+
+
+def test_recursion_in_a_walk_of_the_parsed_expr_is_a_usage_error(capsys, monkeypatch):
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "expr_prefactor", too_deep)
+    code, out, err = run_cli(
+        capsys, "eval", "--n", "9", "--expr", "@j_4", "--form", "9: 1,0,0,0,0,0,0,0,0,1"
+    )
+    assert (code, out, err) == (2, "", "error: --expr is nested too deeply\n")
 
 
 def test_form_literal_errors():

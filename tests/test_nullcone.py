@@ -114,7 +114,7 @@ def test_all_low_degree_invariants_vanish_on_nullforms_mod_p():
     assert len(names) >= 17
     for seed in range(50):
         nf = BinaryForm(9, [gf(c) for c in random_nullform(9, seed)])
-        ev = Evaluator(nf, cat.defs)
+        ev = Evaluator(nf)
         for name in names:
             assert scalar(ev.eval(cat[name].expr)) == 0, (seed, name)
 
@@ -124,7 +124,7 @@ def test_invariants_vanish_exactly_over_rationals():
         cat = catalog_for(n)
         invariants = [e for e in cat.invariants()]
         for seed in range(25):
-            ev = Evaluator(BinaryForm(n, random_nullform(n, seed)), cat.defs)
+            ev = Evaluator(BinaryForm(n, random_nullform(n, seed)))
             for e in invariants:
                 assert scalar(ev.eval(e.expr)) == 0, (n, seed, e.name)
 

@@ -6,7 +6,7 @@ import pytest
 
 from binforms import pipeline
 from binforms.catalog import catalog_for
-from binforms.exprs import F, expr_meta, pw, tr
+from binforms.exprs import F, Pow, expr_meta, tr
 from binforms.modlinalg import StreamingEchelon, rank
 from binforms.pipeline import (
     BasisRecord,
@@ -103,9 +103,9 @@ def test_pruned_enumeration_keeps_the_unpruned_order():
 def test_product_rows_carry_the_products_of_each_monomial():
     cat = catalog_for(9)
     names = ("j_4", "A_4", "B_8", "j_12")
-    recs = [BasisRecord(name, cat[name].degree, cat.closed(name)) for name in names]
+    recs = [BasisRecord(name, cat[name].degree, cat[name].expr) for name in names]
     pe = PointEvaluations(PointSet(9, P, 1, 12, "products"))
-    unit = pe.vector(cat.closed("D_10"))
+    unit = pe.vector(cat["D_10"].expr)
     for m in (0, 4, 8, 12, 16):
         want = []
         for mono in _unpruned_monomials(recs, m):
@@ -122,13 +122,13 @@ def test_evaluate_at_points_single_row():
     cat = catalog_for(9)
     pts = PointSet(9, P, 1, 3, "t1")
     pe = PointEvaluations(pts)
-    M = np.vstack([pe.vector(e) for e in [cat.closed("j_4")]])
+    M = np.vstack([pe.vector(e) for e in [cat["j_4"].expr]])
     assert M.shape == (1, 3)
 
 
 def test_evaluate_at_points_proportional_rows_rank_one():
     cat = catalog_for(9)
-    j4 = cat.closed("j_4")
+    j4 = cat["j_4"].expr
     pts = PointSet(9, P, 1, 6, "t2")
     pe = PointEvaluations(pts)
     # duplicated (and hence proportional) rows collapse to rank 1
@@ -141,11 +141,11 @@ def test_evaluate_at_points_proportional_rows_rank_one():
 
 def test_degree8_catalog_set_spans():
     cat = catalog_for(9)
-    j4, a4 = cat.closed("j_4"), cat.closed("A_4")
+    j4, a4 = cat["j_4"].expr, cat["A_4"].expr
     exprs = [
-        cat.closed("j_8"), cat.closed("A_8"), cat.closed("B_8"),
-        cat.closed("C_8"), cat.closed("D_8"),
-        pw(j4, 2), pw(a4, 2), tr(a4, j4, 0),
+        cat["j_8"].expr, cat["A_8"].expr, cat["B_8"].expr,
+        cat["C_8"].expr, cat["D_8"].expr,
+        Pow(j4, 2), Pow(a4, 2), tr(a4, j4, 0),
     ]
     pe = PointEvaluations(PointSet(9, P, 1, 8 + 6, "deg8"))
     M = np.vstack([pe.vector(e) for e in exprs])
@@ -155,11 +155,11 @@ def test_degree8_catalog_set_spans():
 def test_degree8_rows_reach_target_rank_streamed():
     # the same eight rows, consumed through the streaming echelon
     cat = catalog_for(9)
-    j4, a4 = cat.closed("j_4"), cat.closed("A_4")
+    j4, a4 = cat["j_4"].expr, cat["A_4"].expr
     exprs = [
-        cat.closed("j_8"), cat.closed("A_8"), cat.closed("B_8"),
-        cat.closed("C_8"), cat.closed("D_8"),
-        pw(j4, 2), pw(a4, 2), tr(a4, j4, 0),
+        cat["j_8"].expr, cat["A_8"].expr, cat["B_8"].expr,
+        cat["C_8"].expr, cat["D_8"].expr,
+        Pow(j4, 2), Pow(a4, 2), tr(a4, j4, 0),
     ]
     pe = PointEvaluations(PointSet(9, P, 1, 10, "deg8stream"))
     ech = StreamingEchelon(P, 10)
@@ -169,7 +169,7 @@ def test_degree8_rows_reach_target_rank_streamed():
 
 def test_degree10_catalog_set_spans():
     cat = catalog_for(9)
-    exprs = [cat.closed(n) for n in ("j_10", "A_10", "B_10", "C_10", "D_10")]
+    exprs = [cat[n].expr for n in ("j_10", "A_10", "B_10", "C_10", "D_10")]
     pe = PointEvaluations(PointSet(9, P, 1, 5 + 6, "deg10"))
     M = np.vstack([pe.vector(e) for e in exprs])
     assert rank(M, P) == 5 == invariant_dimension(9, 10)
@@ -280,13 +280,13 @@ def test_prime_guard():
 
 def test_jacobian_rank_trivials():
     cat = catalog_for(9)
-    j4 = cat.closed("j_4")
+    j4 = cat["j_4"].expr
     assert jacobian_rank([j4], [[0] * 10], 9, P) == (0,)  # gradient vanishes at 0
     rng = random.Random(0)
     pt = [rng.randrange(P) for _ in range(10)]
-    dep = tr(pw(j4, 2), j4, 0)  # j_4^3: functionally dependent on j_4
+    dep = tr(Pow(j4, 2), j4, 0)  # j_4^3: functionally dependent on j_4
     assert jacobian_rank([j4, dep], [pt], 9, P) == (1,)
-    thm = [cat.closed(e.name) for e in cat.hsop()]
+    thm = [cat[e.name].expr for e in cat.hsop()]
     assert jacobian_rank(thm, [pt], 9, P) == (7,)
     # One batch of several points gives each point its own rank.
     assert jacobian_rank([j4, dep], [pt, [0] * 10, pt], 9, P) == (1, 0, 1)
@@ -296,7 +296,7 @@ def test_jacobian_rank_scaling_invariance():
     cat = catalog_for(9)
     rng = random.Random(1)
     pt = [rng.randrange(P) for _ in range(10)]
-    exprs = [cat.closed("j_4"), cat.closed("B_8")]
+    exprs = [cat["j_4"].expr, cat["B_8"].expr]
     scaled = [tr(e, e, 0) for e in exprs]  # squares: same vanishing, rank <= base
     (base_rank,) = jacobian_rank(exprs, [pt], 9, P)
     assert base_rank == 2
@@ -305,7 +305,7 @@ def test_jacobian_rank_scaling_invariance():
 
 def test_vanish_sample_flagged_set():
     cat = catalog_for(9)
-    thm = [cat.closed(e.name) for e in cat.hsop()]
+    thm = [cat[e.name].expr for e in cat.hsop()]
     rep = vanish_on_nullcone_sample(thm, 9, trials=25, seed=3, prime=P)
     assert rep.nullform_all_vanish == 25
     assert rep.nullform_failures == ()
@@ -314,13 +314,13 @@ def test_vanish_sample_flagged_set():
 
 def test_vanish_sample_single_invariant_direction():
     cat = catalog_for(9)
-    rep = vanish_on_nullcone_sample([cat.closed("j_4")], 9, trials=25, seed=4, prime=P)
+    rep = vanish_on_nullcone_sample([cat["j_4"].expr], 9, trials=25, seed=4, prime=P)
     assert rep.nullform_all_vanish == 25
 
 
 def test_ideal_membership_quick_degrees():
     cat = catalog_for(9)
-    thm = [(e.name, cat.closed(e.name), e.degree) for e in cat.hsop()]
+    thm = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
     basis = find_basic_invariants(9, 8, CFG).records
     expected = {4: (2, 1), 8: (8, 3), 12: (28, 11)}
     for i, (dim, ideal_dim) in expected.items():
@@ -334,14 +334,14 @@ def test_ideal_membership_quick_degrees():
 
 def test_ideal_membership_requires_reachable_basis():
     cat = catalog_for(9)
-    thm = [(e.name, cat.closed(e.name), e.degree) for e in cat.hsop()]
+    thm = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
     with pytest.raises(ValueError):
         ideal_membership_dim(thm, [], 12, 9, CFG)
 
 
 def test_certify_flagged_parameter_system():
     cat = catalog_for(9)
-    thm = [(e.name, cat.closed(e.name), e.degree) for e in cat.hsop()]
+    thm = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
     basis = find_basic_invariants(9, 8, CFG).records
     report = certify_hsop(
         thm, 9, CFG, membership_degrees=(4, 8, 12), basis=basis, nullcone_trials=25
@@ -354,7 +354,7 @@ def test_certify_flagged_parameter_system():
 
 def test_certify_refutes_wrong_count():
     cat = catalog_for(9)
-    thm = [(e.name, cat.closed(e.name), e.degree) for e in cat.hsop()]
+    thm = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
     report = certify_hsop(thm[:-1], 9, CFG)
     assert report.verdict == "refuted"
     assert report.reasons == ("expected 7 invariants, got 6",)
@@ -362,9 +362,9 @@ def test_certify_refutes_wrong_count():
 
 def test_certify_refutes_dependent_replacement():
     cat = catalog_for(9)
-    thm = [(e.name, cat.closed(e.name), e.degree) for e in cat.hsop()]
-    j4 = cat.closed("j_4")
-    swapped = thm[:-1] + [("j_4^4", pw(j4, 4), 16)]
+    thm = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
+    j4 = cat["j_4"].expr
+    swapped = thm[:-1] + [("j_4^4", Pow(j4, 4), 16)]
     report = certify_hsop(swapped, 9, CFG, nullcone_trials=5)
     assert report.verdict == "refuted"
     assert max(report.jacobian_ranks) <= 6
@@ -373,7 +373,7 @@ def test_certify_refutes_dependent_replacement():
 def test_certify_without_nullform_trials_is_inconclusive():
     # no nullform sampled means no nullcone evidence in either direction
     cat = catalog_for(9)
-    thm = [(e.name, cat.closed(e.name), e.degree) for e in cat.hsop()]
+    thm = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
     report = certify_hsop(thm, 9, CFG, nullcone_trials=0)
     assert report.verdict == "inconclusive"
     assert (report.vanish.nullform_trials, report.vanish.generic_trials) == (0, 0)
@@ -383,6 +383,6 @@ def test_certify_without_nullform_trials_is_inconclusive():
 def test_small_order_catalog_sets_certify():
     for n in (3, 6, 7):
         cat = catalog_for(n)
-        cands = [(e.name, cat.closed(e.name), e.degree) for e in cat.hsop()]
+        cands = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
         report = certify_hsop(cands, n, PipelineConfig(seed=8), nullcone_trials=10)
         assert report.verdict == "certified-at-sampling-level", (n, report.reasons)
