@@ -281,7 +281,7 @@ def test_criterion_10_small_order_parameter_systems(capsys):
         cat = catalog_for(n)
         hsop = cat.hsop()
         assert len(hsop) == max(n - 2, 1)
-        exprs = [cat[e.name].expr for e in hsop]
+        exprs = [e.expr for e in hsop]
         for seed in range(50):
             ev = Evaluator(BinaryForm(n, random_nullform(n, seed)))
             for e, entry in zip(exprs, hsop):

@@ -259,7 +259,7 @@ def test_exact_dag_values_are_a_fixed_multiple_of_rational_values(dag, seed):
 def test_batched_jacobian_matches_dual_numbers_for_thm_set():
     p = 32003
     cat = catalog_for(9)
-    thm = [cat[e.name].expr for e in cat.hsop()]
+    thm = [e.expr for e in cat.hsop()]
     rng = random.Random(f"jacobian:1:9:{p}")
     for _ in range(5):
         point = [rng.randrange(p) for _ in range(10)]

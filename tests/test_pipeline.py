@@ -286,7 +286,7 @@ def test_jacobian_rank_trivials():
     pt = [rng.randrange(P) for _ in range(10)]
     dep = tr(Pow(j4, 2), j4, 0)  # j_4^3: functionally dependent on j_4
     assert jacobian_rank([j4, dep], [pt], 9, P) == (1,)
-    thm = [cat[e.name].expr for e in cat.hsop()]
+    thm = [e.expr for e in cat.hsop()]
     assert jacobian_rank(thm, [pt], 9, P) == (7,)
     # One batch of several points gives each point its own rank.
     assert jacobian_rank([j4, dep], [pt, [0] * 10, pt], 9, P) == (1, 0, 1)
@@ -305,7 +305,7 @@ def test_jacobian_rank_scaling_invariance():
 
 def test_vanish_sample_flagged_set():
     cat = catalog_for(9)
-    thm = [cat[e.name].expr for e in cat.hsop()]
+    thm = [e.expr for e in cat.hsop()]
     rep = vanish_on_nullcone_sample(thm, 9, trials=25, seed=3, prime=P)
     assert rep.nullform_all_vanish == 25
     assert rep.nullform_failures == ()
@@ -320,7 +320,7 @@ def test_vanish_sample_single_invariant_direction():
 
 def test_ideal_membership_quick_degrees():
     cat = catalog_for(9)
-    thm = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
+    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
     basis = find_basic_invariants(9, 8, CFG).records
     expected = {4: (2, 1), 8: (8, 3), 12: (28, 11)}
     for i, (dim, ideal_dim) in expected.items():
@@ -334,14 +334,14 @@ def test_ideal_membership_quick_degrees():
 
 def test_ideal_membership_requires_reachable_basis():
     cat = catalog_for(9)
-    thm = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
+    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
     with pytest.raises(ValueError):
         ideal_membership_dim(thm, [], 12, 9, CFG)
 
 
 def test_certify_flagged_parameter_system():
     cat = catalog_for(9)
-    thm = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
+    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
     basis = find_basic_invariants(9, 8, CFG).records
     report = certify_hsop(
         thm, 9, CFG, membership_degrees=(4, 8, 12), basis=basis, nullcone_trials=25
@@ -354,7 +354,7 @@ def test_certify_flagged_parameter_system():
 
 def test_certify_refutes_wrong_count():
     cat = catalog_for(9)
-    thm = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
+    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
     report = certify_hsop(thm[:-1], 9, CFG)
     assert report.verdict == "refuted"
     assert report.reasons == ("expected 7 invariants, got 6",)
@@ -362,7 +362,7 @@ def test_certify_refutes_wrong_count():
 
 def test_certify_refutes_dependent_replacement():
     cat = catalog_for(9)
-    thm = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
+    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
     j4 = cat["j_4"].expr
     swapped = thm[:-1] + [("j_4^4", Pow(j4, 4), 16)]
     report = certify_hsop(swapped, 9, CFG, nullcone_trials=5)
@@ -373,7 +373,7 @@ def test_certify_refutes_dependent_replacement():
 def test_certify_without_nullform_trials_is_inconclusive():
     # no nullform sampled means no nullcone evidence in either direction
     cat = catalog_for(9)
-    thm = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
+    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
     report = certify_hsop(thm, 9, CFG, nullcone_trials=0)
     assert report.verdict == "inconclusive"
     assert (report.vanish.nullform_trials, report.vanish.generic_trials) == (0, 0)
@@ -383,6 +383,6 @@ def test_certify_without_nullform_trials_is_inconclusive():
 def test_small_order_catalog_sets_certify():
     for n in (3, 6, 7):
         cat = catalog_for(n)
-        cands = [(e.name, cat[e.name].expr, e.degree) for e in cat.hsop()]
+        cands = [(e.name, e.expr, e.degree) for e in cat.hsop()]
         report = certify_hsop(cands, n, PipelineConfig(seed=8), nullcone_trials=10)
         assert report.verdict == "certified-at-sampling-level", (n, report.reasons)
