@@ -16,6 +16,14 @@ are pref * W mod p, one int64 product of the factors reduced mod p and
 reduced once more (the delayed reduction of FFLAS-FFPACK), and the sums are
 reduced mod p, all exact in int64 within `check_int64`'s bound.
 
+A self-transvectant (g, g)_k multiplies g_u g_v and g_v g_u alike, so, as
+FFLAS-FFPACK's symmetric rank-k update computes one triangle, `band` also
+gives a folded table with one entry per pair u <= v, of weight
+W[u, v] + W[v, u].  `transvect` reads it whenever its operands are one
+array (`G is H`), which is every node the evaluator transvects with itself:
+the value term of a jet, the first product of a power, and the lemmas'
+lattice transcriptions.
+
 With `prime=None` the batch is exact instead: values are object arrays of
 Python scalars closed under + and * with ints (ints and Fractions in the
 commands; whatever a form's coefficients are in `forms.transvectant`, which
@@ -56,8 +64,9 @@ def check_int64(m: int, n: int, prime: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _layout(m: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every coefficient pair (u, v) of orders m and n, ordered by (u + v, u).
+def _layout(m: int, n: int, fold: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every coefficient pair (u, v) of orders m and n, ordered by (u + v, u);
+    with `fold` (m == n), only the pairs with u <= v.
 
     Returns (U, V, offsets): the pairs with u + v = s are entries offsets[s]
     to offsets[s + 1].  Read-only and shared by every index k.
@@ -65,8 +74,10 @@ def _layout(m: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = np.add.outer(np.arange(m + 1), np.arange(n + 1)).ravel()
     # Entry u * (n + 1) + v of the flat grid; a stable sort by u + v keeps
     # each diagonal in order of u.
-    order = np.argsort(s, kind="stable")
-    table = (*np.divmod(order, n + 1), np.searchsorted(s[order], np.arange(m + n + 2)))
+    U, V = np.divmod(np.argsort(s, kind="stable"), n + 1)
+    if fold:
+        U, V = U[U <= V], V[U <= V]
+    table = (U, V, np.searchsorted(U + V, np.arange(m + n + 2)))
     for a in table:
         a.flags.writeable = False
     return table
@@ -82,7 +93,9 @@ def _factors(m: int, k: int, prime: Optional[int]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def band(m: int, n: int, k: int, prime: Optional[int]) -> Tuple[np.ndarray, ...]:
+def band(
+    m: int, n: int, k: int, prime: Optional[int], fold: bool = False
+) -> Tuple[np.ndarray, ...]:
     """The band of the weight table W of (g, h)_k by output column: (U, V, w, starts).
 
     Entry i carries g_U[i] * h_V[i] with weight w[i]; output column c sums
@@ -97,7 +110,14 @@ def band(m: int, n: int, k: int, prime: Optional[int]) -> Tuple[np.ndarray, ...]
     `prime=None` the weights are W in Python ints.  Over F_p the weights are
     pref * W mod p in int64, with pref folded into s mod p: each of the
     product's k + 1 terms is below (p - 1)^2, within `check_int64`'s bound.
-    The arrays are read-only and shared by every caller.
+
+    `fold` gives the folded table of a self-transvectant (g, g)_k (m == n):
+    g_u g_v and g_v g_u are one product, so the pairs (u, v) and (v, u) of a
+    column merge into the one entry with u <= v, of weight W[u, v] + W[v, u]
+    (W[u, u] on the diagonal), about half the entries.  For odd k every
+    folded weight is zero, as (g, g)_k is.  Folded weights are reduced mod p
+    again, so the kernel's products keep the same bound.  The arrays are
+    read-only and shared by every caller.
     """
     s = np.array([(-1) ** i * comb(k, i) for i in range(k + 1)], dtype=object)
     if prime is None:
@@ -107,7 +127,10 @@ def band(m: int, n: int, k: int, prime: Optional[int]) -> Tuple[np.ndarray, ...]
         # pref = (m-k)! (n-k)! / (m! n!) = 1 / (perm(m, k) perm(n, k)).
         s = (s * pow(perm(m, k) * perm(n, k), -1, prime) % prime).astype(np.int64)
         W = (_factors(m, k, prime) * s % prime) @ _factors(n, k, prime)[:, ::-1].T % prime
-    U, V, offsets = _layout(m, n)
+    if fold:
+        W = W + np.triu(W.T, 1)
+        W = W if prime is None else W % prime
+    U, V, offsets = _layout(m, n, fold)
     lo, hi = offsets[k], offsets[m + n - k + 1]
     U, V = U[lo:hi], V[lo:hi]
     table = (U, V, W[U, V], offsets[k : m + n - k + 1] - lo)
@@ -122,9 +145,10 @@ def transvect(G: np.ndarray, H: np.ndarray, k: int, prime: Optional[int]) -> np.
     With a prime, entries of G and H must lie in [0, p) and the result is
     reduced mod p.  With `prime=None`, G and H are object arrays of exact
     scalars closed under + and * with Python ints, and the result is the
-    exact value without the prefactor: (g, h)_k / pref.
+    exact value without the prefactor: (g, h)_k / pref.  When `G is H` the
+    kernel reads the folded table of (g, g)_k (`band`).
     """
-    U, V, w, starts = band(G.shape[1] - 1, H.shape[1] - 1, k, prime)
+    U, V, w, starts = band(G.shape[1] - 1, H.shape[1] - 1, k, prime, G is H)
     terms = H[:, V] * w
     if prime is not None:
         terms %= prime

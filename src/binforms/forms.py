@@ -71,8 +71,9 @@ class BinaryForm:
         return f"BinaryForm(order={self.order}, coeffs={list(self.coeffs)})"
 
 
-# _FALLING[x][t] = (x)_t = perm(x, t), zero for t > x: one square table,
-# rebuilt larger when an order beyond it is asked for.
+# _FALLING[x][t] = (x)_t = perm(x, t), zero for t > x: one square table.  An
+# order beyond it widens its rows with zeros and appends the new rows, so a
+# climb through orders 1..m makes O(m^2) `perm` calls in all.
 _FALLING: List[List[int]] = []
 
 
@@ -87,9 +88,11 @@ def derivative_weights(m: int, k: int) -> Tuple[Tuple[int, ...], ...]:
     """
     if not 0 <= k <= m:
         raise ValueError(f"transvectant index {k} exceeds order {m}")
-    if len(_FALLING) <= m:
-        _FALLING[:] = [[perm(x, t) for t in range(m + 1)] for x in range(m + 1)]
     F = _FALLING
+    if len(F) <= m:
+        for row in F:
+            row += [0] * (m + 1 - len(row))
+        F += ([perm(x, t) for t in range(x + 1)] + [0] * (m - x) for x in range(len(F), m + 1))
     return tuple(tuple(map(operator.mul, F[m - u][k::-1], F[u][: k + 1])) for u in range(m + 1))
 
 

@@ -60,12 +60,14 @@ def _dimensions(n: int, top: int) -> Iterator[int]:
     The Gaussian binomial [n+d, d]_q (degree n*d; coefficient w counts the
     partitions of w into at most d parts, each <= n) is built from the
     previous one as [n+d-1, d-1]_q * (1 - q^(n+d)) / (1 - q^d), so the pass
-    costs O(n * top^2) and keeps one polynomial alive.
+    costs O(n * top^2) and keeps one polynomial alive.  No degree reads a
+    coefficient above n * top / 2, and both primitives compute each
+    coefficient from lower ones, so the polynomial stops at that index.
     """
     box = [1]
     yield 1
     for d in range(1, top + 1):
-        box.extend([0] * n)
+        box.extend([0] * (min(n * d, n * top // 2) + 1 - len(box)))
         _mul_one_minus_tk(box, n + d)
         _div_one_minus_tk(box, d)  # exact: the result is a polynomial
         if (n * d) % 2 == 1:

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binforms import pipeline
+from binforms import batch as batch_module, pipeline
 from binforms.batch import BatchEvaluator, band, transvect
 from binforms.catalog import catalog_for
 from binforms.cli import main, open_cache
@@ -164,6 +164,76 @@ def test_band_tables_equal_the_per_pair_loop_through_order_20(prime):
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.shape == b.shape, (m, n, k)
                     assert (a == b).all(), (m, n, k)
+
+
+def _random_rows(m, mode, rng):
+    """Two random rows of order m: residues mod a prime, exact ints, or Fractions."""
+    if mode == "fraction":
+        return np.array(
+            [[Fraction(int(a), int(b)) for a, b in zip(*rng.integers(1, 40, (2, m + 1)))]
+             for _ in range(2)],
+            dtype=object,
+        )
+    if mode is None:
+        return rng.integers(-10**6, 10**6, (2, m + 1)).astype(object)
+    return rng.integers(0, mode, (2, m + 1))
+
+
+@pytest.mark.parametrize("mode", [32003, 23, None, "fraction"])
+def test_self_transvectant_folds_and_equals_the_unfolded_kernel(mode):
+    prime = mode if isinstance(mode, int) else None
+    rng = np.random.default_rng(11)
+    for m in range(19):
+        G = _random_rows(m, mode, rng)
+        for k in range(m + 1):
+            U, V, w, _ = band(m, m, k, prime, True)
+            full = band(m, m, k, prime)
+            assert (U <= V).all() and 2 * len(U) == len(full[0]) + (U == V).sum(), (m, k)
+            if k % 2:
+                assert not w.any(), (m, k)
+            got = transvect(G, G, k, prime)
+            assert (got == transvect(G, G.copy(), k, prime)).all(), (m, k)
+            if k % 2:
+                assert not got.any(), (m, k)
+
+
+def test_self_node_jets_equal_the_unfolded_jets(monkeypatch):
+    p = 32003
+    thm = [e.expr for e in catalog_for(9).hsop()]
+    point = np.random.default_rng(13).integers(0, p, 10)
+    forms, directions = np.tile(point, (10, 1)), np.eye(10, dtype=np.int64)
+    nullforms = np.array([random_nullform(9, t) for t in range(3)], dtype=object)
+
+    def jets():
+        jacobian = BatchEvaluator(forms, p, slopes=directions)
+        exact = BatchEvaluator(nullforms, None)
+        return [ev.eval(e) for ev in (jacobian, exact) for e in thm]
+
+    folded = jets()
+    monkeypatch.setattr(batch_module, "band", lambda m, n, k, prime, fold: band(m, n, k, prime))
+    for got, want in zip(folded, jets()):
+        assert len(got) == len(want) and all((g == w).all() for g, w in zip(got, want))
+
+
+def test_exact_nullform_batch_reads_folded_self_tables(monkeypatch):
+    reads = []
+
+    def spy(m, n, k, prime, fold=False):
+        table = band(m, n, k, prime, fold)
+        if prime is None:
+            reads.append((len(table[0]), len(band(m, n, k, None)[0]), fold))
+        return table
+
+    monkeypatch.setattr(batch_module, "band", spy)
+    thm = [e.expr for e in catalog_for(9).hsop()]
+    pipeline.vanish_on_nullcone_sample(thm, 9, 1, 1, 32003)
+    read = sum(r for r, _, _ in reads)
+    self_read = sum(r for r, _, fold in reads if fold)
+    self_unfolded = sum(u for _, u, fold in reads if fold)
+    # 882 entries per row unfolded, 498 of them in self-transvectants, which
+    # fold to 274: each off-diagonal pair once, and the 50 diagonal entries.
+    assert sum(u for _, u, _ in reads) == 882 and self_unfolded == 498
+    assert self_read == 274 and read == 882 - 498 + 274
 
 
 def test_point_set_and_values_are_pinned():

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import pytest
 
 import closed_form
+from binforms import forms
 from binforms.forms import BinaryForm, derivative_weights, transvectant
 from binforms.rings import random_rational
 from multipoly import PolynomialRing
@@ -112,6 +113,25 @@ def test_transvectant_index_errors():
         transvectant(g, h, 3)
     with pytest.raises(ValueError):
         derivative_weights(2, 3)
+
+
+def test_falling_table_grows_by_rows_in_quadratic_perm_calls(monkeypatch):
+    calls = []
+
+    def counted(x, t):
+        calls.append((x, t))
+        return perm(x, t)
+
+    monkeypatch.setattr(forms, "_FALLING", [])
+    monkeypatch.setattr(forms, "perm", counted)
+    for m in range(1, 201):
+        got = derivative_weights.__wrapped__(m, m // 2)
+        if m % 50 == 0:
+            assert got == derivative_weights(m, m // 2), m
+    # One call per entry (x)_t with t <= x <= 200; a rebuild of the whole
+    # table at every new order would make about 2.7 million.
+    assert len(calls) == len(set(calls)) == 201 * 202 // 2
+    assert forms._FALLING == [[perm(x, t) for t in range(201)] for x in range(201)]
 
 
 def test_antisymmetry():

@@ -108,6 +108,16 @@ def test_lowering_operator_oracle_agreement():
             assert invariant_dimension(n, d) == dimension_by_lowering_operator(n, d), (n, d)
 
 
+def test_series_is_a_prefix_of_every_longer_series():
+    # The pass stops the Gaussian binomial at index n * top / 2, so a shorter
+    # run must read the same coefficients as a longer one.
+    for n in range(1, 13):
+        for D in range(1, 101):
+            longer = poincare_series(n, D)
+            for d in range(D):
+                assert longer[: d + 1] == poincare_series(n, d), (n, d, D)
+
+
 def test_hermite_reciprocity():
     for n in range(1, 9):
         for d in range(1, 9):
