@@ -288,14 +288,6 @@ def _basis_degree(candidates, degrees: Sequence[int]) -> int:
     return max(0, max(degrees) - min(d for _, _, d in candidates))
 
 
-def _membership_payload(res) -> dict:
-    return {
-        **res._asdict(),
-        "certifies_containment": res.certifies_containment,
-        "consistent": res.consistent,
-    }
-
-
 def _cmd_hsop_check(args) -> Result:
     degrees = _parse_degree_list(args.membership_degrees, "--membership-degrees")
     cfg = PipelineConfig(args.prime, args.seed, args.margin)
@@ -312,22 +304,9 @@ def _cmd_hsop_check(args) -> Result:
         candidates, args.n, cfg, membership_degrees=degrees, basis=basis,
         nullcone_trials=args.trials,
     )
-    vanish = report.vanish
-    # Lists, not tuples, where the text shows a value's repr.
-    payload = {
-        "n": report.n, "set": list(report.names), "degrees": list(report.degrees),
-        "verdict": report.verdict, "reasons": report.reasons,
-        "jacobian_ranks": list(report.jacobian_ranks),
-        "jacobian_required": report.jacobian_required,
-        "nullform_vanishing": (
-            f"{vanish.nullform_all_vanish}/{vanish.nullform_trials}" if vanish else None
-        ),
-        "generic_all_vanish": vanish.generic_all_vanish if vanish else None,
-        "membership": [_membership_payload(r) for r in report.membership],
-        "prime": report.prime, "seed": report.seed,
-    }
+    payload = {**report._asdict(), "membership": [r._asdict() for r in report.membership]}
     text = [
-        f"candidate set {payload['set']} (degrees {payload['degrees']})",
+        f"candidate set {report.set} (degrees {report.degrees})",
         f"verdict: {report.verdict}",
     ]
     text += [
@@ -358,7 +337,7 @@ def _cmd_hsop_membership(args) -> Result:
     payload = {
         "n": args.n, "set": [name for name, _, _ in candidates], "prime": cfg.prime,
         "seed": cfg.seed, "basis_max_degree": need,
-        "membership": [_membership_payload(r) for r in results],
+        "membership": [r._asdict() for r in results],
     }
     text = [
         f"degree {r.degree}: dim {r.dim}, rank {r.rank} -> "

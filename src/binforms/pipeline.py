@@ -549,10 +549,9 @@ def jacobian_rank(
 
 
 class VanishReport(NamedTuple):
-    nullform_trials: int
+    trials: int  # nullforms and generic forms alike
     nullform_all_vanish: int
     nullform_failures: Tuple[str, ...]
-    generic_trials: int
     generic_all_vanish: int
 
 
@@ -598,9 +597,7 @@ def vanish_on_nullcone_sample(
         bad = [str(i) for i, nz in enumerate(nonzero) if nz[t]]
         if bad:
             failures.append(f"trial {t}: nonzero at candidate index {','.join(bad)}")
-    return VanishReport(
-        trials, trials - len(failures), tuple(failures), trials, int(vanish.sum())
-    )
+    return VanishReport(trials, trials - len(failures), tuple(failures), int(vanish.sum()))
 
 
 class MembershipResult(NamedTuple):
@@ -611,16 +608,8 @@ class MembershipResult(NamedTuple):
     expected_ideal_dim: Optional[int]
     rows_used: int
     points: int
-
-    @property
-    def certifies_containment(self) -> bool:
-        return self.rank == self.dim
-
-    @property
-    def consistent(self) -> bool:
-        if self.expected_ideal_dim is None:
-            return self.certifies_containment
-        return self.rank == self.expected_ideal_dim
+    certifies_containment: bool  # rank == dim
+    consistent: bool  # rank == expected_ideal_dim, or == dim without one
 
 
 def ideal_membership_dim(
@@ -666,18 +655,29 @@ def ideal_membership_dim(
 
     ech = StreamingEchelon(cfg.prime, npts)
     rows_used = ech.add_rows(rows(), stop_at=dim)
-    return MembershipResult(degree, dim, ech.rank, a_i, expected, rows_used, npts)
+    rank = ech.rank
+    return MembershipResult(
+        degree, dim, rank, a_i, expected, rows_used, npts,
+        rank == dim, rank == (dim if expected is None else expected),
+    )
 
 
 class HsopReport(NamedTuple):
+    """The `hsop check` JSON payload, its keys in printed order.
+
+    Lists, not tuples, where the text output shows a value's repr; the
+    nullcone fields are None when the count alone refutes the set.
+    """
+
     n: int
-    names: Tuple[str, ...]
-    degrees: Tuple[int, ...]
+    set: List[str]
+    degrees: List[int]
     verdict: str  # certified-at-sampling-level | refuted | inconclusive
     reasons: Tuple[str, ...]
-    jacobian_ranks: Tuple[int, ...]
+    jacobian_ranks: List[int]
     jacobian_required: int
-    vanish: Optional[VanishReport]
+    nullform_vanishing: Optional[str]  # "a/t": all vanish on a of t nullforms
+    generic_all_vanish: Optional[int]
     membership: Tuple[MembershipResult, ...]
     prime: int
     seed: int
@@ -693,15 +693,17 @@ def certify_hsop(
 ) -> HsopReport:
     """Aggregate sampling-level evidence that a candidate set is an hsop."""
     cfg.validate(n, max(membership_degrees, default=0))
-    names = tuple(name for name, _, _ in candidates)
-    degrees = tuple(sorted(d for _, _, d in candidates))
+    if membership_degrees and basis is None:
+        raise ValueError("membership degrees need a basis")
+    names = [name for name, _, _ in candidates]
+    degrees = sorted(d for _, _, d in candidates)
     exprs = [e for _, e, _ in candidates]
     reasons: List[str] = []
     required = n - 2 if n >= 3 else 1
     if len(candidates) != required:
         reasons.append(f"expected {required} invariants, got {len(candidates)}")
         return HsopReport(
-            n, names, degrees, "refuted", tuple(reasons), (), required, None, (),
+            n, names, degrees, "refuted", tuple(reasons), [], required, None, None, (),
             cfg.prime, cfg.seed,
         )
     filt = check_sequence(n, degrees)
@@ -722,21 +724,19 @@ def certify_hsop(
             f"sampled points (got {jranks})"
         )
     vanish = vanish_on_nullcone_sample(exprs, n, nullcone_trials, cfg.seed, cfg.prime)
-    nullcone_ok = 0 < vanish.nullform_trials == vanish.nullform_all_vanish
-    if vanish.nullform_trials == 0:
+    nullcone_ok = 0 < vanish.trials == vanish.nullform_all_vanish
+    if vanish.trials == 0:
         reasons.append("nullcone criterion not sampled (0 nullform trials)")
     elif not nullcone_ok:
         reasons.append("an invariant failed to vanish on a nullform (hard bug)")
     if vanish.generic_all_vanish:
         reasons.append(
-            f"{vanish.generic_all_vanish}/{vanish.generic_trials} generic forms "
+            f"{vanish.generic_all_vanish}/{vanish.trials} generic forms "
             "had every candidate vanishing (common zero off the nullcone?)"
         )
     membership: List[MembershipResult] = []
     inconclusive = False
     for i in sorted(membership_degrees):
-        if basis is None:
-            raise ValueError("membership degrees need a basis")
         res = ideal_membership_dim(candidates, basis, i, n, cfg)
         membership.append(res)
         if not res.consistent:
@@ -759,6 +759,7 @@ def certify_hsop(
     else:
         verdict = "certified-at-sampling-level"
     return HsopReport(
-        n, names, degrees, verdict, tuple(reasons), jranks, required, vanish,
+        n, names, degrees, verdict, tuple(reasons), list(jranks), required,
+        f"{vanish.nullform_all_vanish}/{vanish.trials}", vanish.generic_all_vanish,
         tuple(membership), cfg.prime, cfg.seed,
     )

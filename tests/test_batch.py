@@ -439,7 +439,7 @@ def test_nullform_failures_match_rational_loop(monkeypatch, trials):
     rep = pipeline.vanish_on_nullcone_sample(exprs, 9, trials, seed=2, prime=32003)
     all_vanish, failures = _qq_nullform_loop(exprs, 9, trials, 2)
     assert (rep.nullform_all_vanish, rep.nullform_failures) == (all_vanish, failures)
-    assert rep.nullform_trials == trials
+    assert rep.trials == trials
     assert failures and failures[0].endswith("index 0,2")
     if trials > 1:
         assert all_vanish
@@ -462,13 +462,13 @@ def test_exact_nullform_batches_hold_at_most_one_chunk(monkeypatch):
     rep = pipeline.vanish_on_nullcone_sample([j4], 9, trials, seed=1, prime=32003)
     # The exact nullform batches and the generic F_p batches alike.
     assert sizes == {None: [NULLFORM_CHUNK] * 3 + [1], 32003: [NULLFORM_CHUNK] * 3 + [1]}
-    assert rep.nullform_trials == rep.nullform_all_vanish == trials
+    assert rep.trials == rep.nullform_all_vanish == trials
 
 
 def test_nullform_check_of_no_trials_and_negative_trials():
     j4 = catalog_for(9)["j_4"].expr
     rep = pipeline.vanish_on_nullcone_sample([j4], 9, 0, seed=1, prime=32003)
-    assert rep == VanishReport(0, 0, (), 0, 0)
+    assert rep == VanishReport(0, 0, (), 0)
     with pytest.raises(ValueError, match="trials"):
         pipeline.vanish_on_nullcone_sample([j4], 9, -1, seed=1, prime=32003)
 

@@ -14,6 +14,7 @@ import pytest
 
 from binforms import cli
 from binforms.cli import build_parser, main, parse_form_literal
+from binforms.pipeline import HsopReport, MembershipResult
 
 # Stdout and exit code of command lines in every format they offer.  The
 # first six, the commands that evaluate one form at a time, were recorded
@@ -21,9 +22,11 @@ from binforms.cli import build_parser, main, parse_form_literal
 # rest from the per-command renderers that the one output writer replaced.
 # A change here is a change of output.  The two `nullcone test` text entries
 # were re-pinned once, when that text went from the payload's Python repr to
-# one `key: value` line per field.  The last fourteen, the small-order
+# one `key: value` line per field.  The next fourteen, the small-order
 # catalogs and one `eval` through a catalog name per small order, were
-# recorded before the catalogs became tables of expression texts.
+# recorded before the catalogs became tables of expression texts.  The last
+# two, `hsop check --json` refuted by the count and unsampled, were recorded
+# before `HsopReport` became the payload that command prints.
 SCALAR_PATH = json.loads((Path(__file__).parent / "data" / "scalar_path.json").read_text())
 
 
@@ -512,6 +515,16 @@ def test_order_and_degree_errors_name_the_given_value(capsys, argv, stderr):
 def test_scalar_path_stdout_is_pinned(capsys, case):
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+def test_readme_lists_the_hsop_check_keys_of_its_records():
+    readme = " ".join((Path(__file__).parent.parent / "README.md").read_text().split())
+    schema = re.search(
+        r"\* `hsop check`: `\{(.*?)\}` where each membership entry is `\{(.*?)\}`", readme
+    )
+    assert [re.findall(r'"(\w+)"', keys) for keys in schema.groups()] == [
+        list(HsopReport._fields), list(MembershipResult._fields)
+    ]
 
 
 def test_nullcone_order_mismatch_is_usage_error(capsys):

@@ -348,7 +348,7 @@ def test_certify_flagged_parameter_system():
     )
     assert report.verdict == "certified-at-sampling-level"
     assert max(report.jacobian_ranks) == 7
-    assert report.vanish.nullform_all_vanish == 25
+    assert (report.nullform_vanishing, report.generic_all_vanish) == ("25/25", 0)
     assert all(m.consistent for m in report.membership)
 
 
@@ -376,8 +376,35 @@ def test_certify_without_nullform_trials_is_inconclusive():
     thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
     report = certify_hsop(thm, 9, CFG, nullcone_trials=0)
     assert report.verdict == "inconclusive"
-    assert (report.vanish.nullform_trials, report.vanish.generic_trials) == (0, 0)
+    assert (report.nullform_vanishing, report.generic_all_vanish) == ("0/0", 0)
     assert any("not sampled" in r for r in report.reasons)
+
+
+def test_certify_rejects_membership_degrees_without_a_basis_before_any_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the Jacobian was taken before the input was checked")
+
+    monkeypatch.setattr(pipeline, "jacobian_rank", fail)
+    cat = catalog_for(9)
+    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
+    with pytest.raises(ValueError, match="membership degrees need a basis"):
+        certify_hsop(thm, 9, CFG, membership_degrees=(4,), nullcone_trials=2)
+
+
+@pytest.mark.xfail(strict=True, reason="the sampling-level checks pass a set that is no hsop")
+def test_certify_does_not_pass_a_squared_member_of_a_filter_failing_set():
+    # Squaring B_12 keeps the radical, so this set has the zero set of
+    # j_4, A_4, D_10, j_12, B_12, j_14, j_16, whose degrees fail the t = 4
+    # filter (2 divisible by 8 needed, 1 found): neither set is an hsop.
+    cat = catalog_for(9)
+    cands = [(name, cat[name].expr, cat[name].degree)
+             for name in ("j_4", "A_4", "D_10", "j_12", "j_14", "j_16")]
+    cands.append(("B_12^2", Pow(cat["B_12"].expr, 2), 24))
+    basis = find_basic_invariants(9, 8, CFG).records
+    report = certify_hsop(
+        cands, 9, CFG, membership_degrees=(4, 8, 12), basis=basis, nullcone_trials=10
+    )
+    assert report.verdict != "certified-at-sampling-level"
 
 
 def test_small_order_catalog_sets_certify():
