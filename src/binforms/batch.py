@@ -36,7 +36,8 @@ where the true value is, and `binforms eval` multiplies the constant back.
 Forward-mode derivatives use the same kernel.  A value then carries its
 first-order jet (value, slope) and bilinearity gives the product rule
 d(g, h)_k = (dg, h)_k + (g, dh)_k, so one batch of n + 1 jets seeded with the
-coordinate directions yields a whole gradient.
+coordinate directions yields a whole gradient.  A self node needs one kernel
+call for its slope, not two: d(g, g)_k = (1 + (-1)^k) (g, dg)_k.
 """
 
 from __future__ import annotations
@@ -197,17 +198,16 @@ class BatchEvaluator:
         return val
 
     def _transvect(self, a: Jet, b: Jet, k: int) -> Jet:
-        # Jet entry j of the result is sum_{i <= j} (a_i, b_{j-i})_k.
+        # The product rule: the slope of (g, h)_k is (dg, h)_k + (g, dh)_k.
         p = self.prime
-        out = []
-        for j in range(len(a)):
-            acc = transvect(a[0], b[j], k, p)
-            for i in range(1, j + 1):
-                acc = acc + transvect(a[i], b[j - i], k, p)
-                if p is not None:
-                    acc %= p
-            out.append(acc)
-        return tuple(out)
+        value = transvect(a[0], b[0], k, p)
+        if len(a) == 1:
+            return (value,)
+        if a is b:  # (dg, g)_k = (-1)^k (g, dg)_k, as both orders are equal
+            slope = transvect(a[0], a[1], k, p) * (1 + (-1) ** k)
+        else:
+            slope = transvect(a[0], b[1], k, p) + transvect(a[1], b[0], k, p)
+        return value, slope if p is None else slope % p
 
     def scalar(self, e: Expr) -> Tuple[np.ndarray, ...]:
         """The jet of an invariant as 1-D arrays, one entry per row."""

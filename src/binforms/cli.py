@@ -44,6 +44,7 @@ try:
         certify_hsop,
         find_basic_invariants,
         ideal_membership_dim,
+        membership_basis,
     )
     from .rings import is_prime, residue
     # After `pipeline`, which loads numpy: importing `batch` ahead of it raised
@@ -278,41 +279,20 @@ def _named_set(n: int, selector: str) -> List[Tuple[str, object, int]]:
     return out
 
 
-def _basis_degree(candidates, degrees: Sequence[int]) -> int:
-    """The degree the basis must reach for membership rows at `degrees`.
-
-    A degree-i row is h * (a basis monomial of degree i - deg h), so the
-    basis is needed up to max(degrees) minus the smallest candidate degree;
-    degrees below that smallest degree need no basis at all.
-    """
-    return max(0, max(degrees) - min(d for _, _, d in candidates))
-
-
 def _cmd_hsop_check(args) -> Result:
     degrees = _parse_degree_list(args.membership_degrees, "--membership-degrees")
     cfg = PipelineConfig(args.prime, args.seed, args.margin)
     cfg.validate(args.n, max(degrees, default=0))
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
-    candidates = _named_set(args.n, args.set)
-    cache = open_cache(args.cache_dir)
-    basis = None
-    if degrees:
-        need = _basis_degree(candidates, degrees)
-        basis = find_basic_invariants(args.n, need, cfg, cache).records
     report = certify_hsop(
-        candidates, args.n, cfg, membership_degrees=degrees, basis=basis,
-        nullcone_trials=args.trials,
+        _named_set(args.n, args.set), args.n, cfg, membership_degrees=degrees,
+        cache=open_cache(args.cache_dir), nullcone_trials=args.trials,
     )
     payload = {**report._asdict(), "membership": [r._asdict() for r in report.membership]}
-    text = [
-        f"candidate set {report.set} (degrees {report.degrees})",
-        f"verdict: {report.verdict}",
-    ]
-    text += [
-        f"  {key}: {payload[key]}"
-        for key in ("jacobian_ranks", "nullform_vanishing", "generic_all_vanish")
-    ]
+    text = [f"candidate set {report.set} (degrees {report.degrees})", f"verdict: {report.verdict}"]
+    text += [f"  {key}: {payload[key]}"
+             for key in ("jacobian_ranks", "nullform_vanishing", "generic_all_vanish")]
     text += [
         f"  membership degree {r.degree}: rank {r.rank} of dim {r.dim}"
         f" (a_i = {r.a_coefficient}, consistent = {r.consistent})"
@@ -330,10 +310,8 @@ def _cmd_hsop_membership(args) -> Result:
     cfg = PipelineConfig(args.prime, args.seed, args.margin)
     cfg.validate(args.n, max(degrees))
     candidates = _named_set(args.n, args.set)
-    cache = open_cache(args.cache_dir)
-    need = _basis_degree(candidates, degrees)
-    table = find_basic_invariants(args.n, need, cfg, cache)
-    results = [ideal_membership_dim(candidates, table.records, i, args.n, cfg) for i in degrees]
+    need, basis = membership_basis(candidates, degrees, args.n, cfg, open_cache(args.cache_dir))
+    results = [ideal_membership_dim(candidates, basis, i, args.n, cfg) for i in degrees]
     payload = {
         "n": args.n, "set": [name for name, _, _ in candidates], "prime": cfg.prime,
         "seed": cfg.seed, "basis_max_degree": need,

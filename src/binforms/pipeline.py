@@ -525,6 +525,21 @@ def find_basic_invariants(
     return table
 
 
+def membership_basis(
+    candidates: Sequence[Tuple[str, Expr, int]], degrees: Sequence[int], n: int,
+    cfg: PipelineConfig, cache: Optional[EvalCache] = None,
+) -> Tuple[int, List[BasisRecord]]:
+    """The degree the basis must reach for membership rows of `candidates`
+    at `degrees`, and the basis records the campaign to that degree finds.
+
+    A degree-i row is h * (a basis monomial of degree i - deg h), so the
+    basis is needed up to max(degrees) minus the smallest candidate degree;
+    degrees below that smallest degree need no basis at all.
+    """
+    need = max(0, max(degrees) - min(d for _, _, d in candidates))
+    return need, find_basic_invariants(n, need, cfg, cache).records
+
+
 # ---------------------------------------------------------------------------
 # Certification of candidate parameter systems.
 
@@ -688,31 +703,40 @@ def certify_hsop(
     n: int,
     cfg: PipelineConfig,
     membership_degrees: Sequence[int] = (),
-    basis: Optional[Sequence[BasisRecord]] = None,
+    cache: Optional[EvalCache] = None,
     nullcone_trials: int = 100,
 ) -> HsopReport:
-    """Aggregate sampling-level evidence that a candidate set is an hsop."""
+    """Aggregate sampling-level evidence that a candidate set is an hsop.
+
+    A set of the wrong size is refuted by its count alone, before anything
+    is evaluated; only then is the membership basis discovered
+    (`membership_basis`, which reads and fills `cache`).
+    """
     cfg.validate(n, max(membership_degrees, default=0))
-    if membership_degrees and basis is None:
-        raise ValueError("membership degrees need a basis")
     names = [name for name, _, _ in candidates]
     degrees = sorted(d for _, _, d in candidates)
     exprs = [e for _, e, _ in candidates]
     reasons: List[str] = []
     required = n - 2 if n >= 3 else 1
+
+    def report(verdict: str, jranks=(), vanish: Optional[VanishReport] = None, membership=()):
+        return HsopReport(
+            n, names, degrees, verdict, tuple(reasons), list(jranks), required,
+            vanish and f"{vanish.nullform_all_vanish}/{vanish.trials}",
+            vanish and vanish.generic_all_vanish, tuple(membership), cfg.prime, cfg.seed,
+        )
+
     if len(candidates) != required:
         reasons.append(f"expected {required} invariants, got {len(candidates)}")
-        return HsopReport(
-            n, names, degrees, "refuted", tuple(reasons), [], required, None, None, (),
-            cfg.prime, cfg.seed,
-        )
+        return report("refuted")
+    basis: Sequence[BasisRecord] = ()
+    if membership_degrees:
+        _, basis = membership_basis(candidates, membership_degrees, n, cfg, cache)
     filt = check_sequence(n, degrees)
-    if not filt.ok:
-        for t, divisor, need, got in filt.violations:
-            reasons.append(
-                f"degree filter t={t}: need {need} degrees divisible by "
-                f"{divisor}, found {got}"
-            )
+    for t, divisor, need, got in filt.violations:
+        reasons.append(
+            f"degree filter t={t}: need {need} degrees divisible by {divisor}, found {got}"
+        )
     rng = random.Random(f"jacobian:{cfg.seed}:{n}:{cfg.prime}")
     jranks = jacobian_rank(
         exprs, _random_forms(rng, n, JACOBIAN_POINTS, cfg.prime), n, cfg.prime
@@ -758,8 +782,4 @@ def certify_hsop(
         verdict = "inconclusive"
     else:
         verdict = "certified-at-sampling-level"
-    return HsopReport(
-        n, names, degrees, verdict, tuple(reasons), list(jranks), required,
-        f"{vanish.nullform_all_vanish}/{vanish.trials}", vanish.generic_all_vanish,
-        tuple(membership), cfg.prime, cfg.seed,
-    )
+    return report(verdict, jranks, vanish, membership)

@@ -215,6 +215,28 @@ def test_self_node_jets_equal_the_unfolded_jets(monkeypatch):
         assert len(got) == len(want) and all((g == w).all() for g, w in zip(got, want))
 
 
+def test_self_node_slopes_take_one_kernel_call(monkeypatch):
+    # A jet transvection (g, h)_k makes one kernel call for its value and two
+    # for its slope, (g, dh)_k and (dg, h)_k, except at a self node (g, g)_k:
+    # there the two slope terms differ by (-1)^k, so one call gives both.
+    # The Jacobian of `thm` makes 30 transvections (a k-th power makes k - 1),
+    # 13 of them self nodes: 3 * 30 - 13 = 77 calls, against 90 when self
+    # nodes made both slope calls.
+    calls = []
+
+    def spy(G, H, k, prime):
+        calls.append(G is H)
+        return transvect(G, H, k, prime)
+
+    monkeypatch.setattr(batch_module, "transvect", spy)
+    p = 32003
+    thm = [e.expr for e in catalog_for(9).hsop()]
+    rng = random.Random(f"jacobian:1:9:{p}")
+    points = [[rng.randrange(p) for _ in range(10)] for _ in range(5)]
+    assert pipeline.jacobian_rank(thm, points, 9, p) == (7,) * 5
+    assert (len(calls), sum(calls)) == (77, 13)
+
+
 def test_exact_nullform_batch_reads_folded_self_tables(monkeypatch):
     reads = []
 

@@ -252,6 +252,19 @@ def test_hsop_reads_its_basis_from_the_file(capsys, monkeypatch, tmp_path, argv)
     assert _run(capsys, tmp_path, argv) == (code, want, "")
 
 
+def test_size_refuted_hsop_check_writes_no_campaign(capsys, tmp_path):
+    # A set its size refutes returns before the membership basis is
+    # discovered, so its cache directory stays empty; a set of the right
+    # size writes the file (`test_hsop_reads_its_basis_from_the_file`).
+    argv = ["hsop", "check", "--n", "9", "--set", "j_4,B_8,D_10,j_12,B_12,j_14",
+            "--membership-degrees", "24", "--trials", "2", "--json"]
+    code, want = _cold(capsys, argv)
+    assert code == 1
+    for _ in range(2):
+        assert _run(capsys, tmp_path, argv) == (code, want, "")
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_inconclusive_campaign_writes_nothing(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(pipeline, "CANDIDATE_BUDGET", -(10 ** 6))
     code, out, err = _run(capsys, tmp_path)

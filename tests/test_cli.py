@@ -24,9 +24,11 @@ from binforms.pipeline import HsopReport, MembershipResult
 # were re-pinned once, when that text went from the payload's Python repr to
 # one `key: value` line per field.  The next fourteen, the small-order
 # catalogs and one `eval` through a catalog name per small order, were
-# recorded before the catalogs became tables of expression texts.  The last
+# recorded before the catalogs became tables of expression texts.  The next
 # two, `hsop check --json` refuted by the count and unsampled, were recorded
-# before `HsopReport` became the payload that command prints.
+# before `HsopReport` became the payload that command prints.  The last, a
+# count-refuted `hsop check --json` with membership degrees, was recorded
+# when the command discovered the membership basis before the count check.
 SCALAR_PATH = json.loads((Path(__file__).parent / "data" / "scalar_path.json").read_text())
 
 
@@ -307,6 +309,51 @@ def test_hsop_check_refuted_exits_one(capsys):
     assert json.loads(out)["verdict"] == "refuted"
 
 
+def test_size_refuted_hsop_check_prints_its_golden_without_any_work(capsys, monkeypatch):
+    # The count alone refutes the set, so neither the membership basis nor
+    # the Jacobian is computed, however high --membership-degrees reaches.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a set its size refutes")
+
+    # Work started would surface as an unexpected crash (exit 3).
+    for site in ("cli.find_basic_invariants", "pipeline.find_basic_invariants",
+                 "pipeline.jacobian_rank"):
+        monkeypatch.setattr(f"binforms.{site}", no_work)
+    argv = ["hsop", "check", "--n", "9", "--set", "j_4,B_8,D_10,j_12,B_12,j_14",
+            "--trials", "2", "--membership-degrees", "24", "--json"]
+    (case,) = [case for case in SCALAR_PATH if case["argv"] == argv]
+    assert run_cli(capsys, *argv) == (case["exit"], case["stdout"], "")
+
+
+def test_size_refuted_hsop_check_is_refuted_where_discovery_is_inconclusive(capsys):
+    # The septimic campaign of seed 2 stops inconclusive at degree 30, which
+    # --membership-degrees 34 would need; a set its size refutes never runs it.
+    code, out, err = run_cli(
+        capsys, "hsop", "check", "--n", "7", "--set", "h_4,h_8", "--seed", "2",
+        "--trials", "2", "--membership-degrees", "34",
+    )
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        "verdict: refuted", "  jacobian_ranks: []", "  nullform_vanishing: None",
+        "  generic_all_vanish: None", "  ! expected 5 invariants, got 2",
+    ]
+
+
+def test_hsop_check_and_membership_print_the_same_membership_rows(capsys):
+    code, check, _ = run_cli(
+        capsys, "hsop", "check", "--n", "9", "--set", "thm",
+        "--membership-degrees", "4,8,12", "--json",
+    )
+    assert code == 0
+    code, membership, _ = run_cli(
+        capsys, "hsop", "membership", "--n", "9", "--set", "thm", "--degrees", "4,8,12", "--json",
+    )
+    assert code == 0
+    rows = json.loads(check)["membership"]
+    assert [row["degree"] for row in rows] == [4, 8, 12]
+    assert rows == json.loads(membership)["membership"]
+
+
 def test_hsop_check_reports_degree_filters_up_to_the_order(capsys):
     code, out, _ = run_cli(
         capsys, "hsop", "check", "--n", "9",
@@ -444,7 +491,8 @@ def test_empty_set_is_a_usage_error_before_any_work(capsys, monkeypatch, argv, s
         raise AssertionError("work started before --set was checked")
 
     # Work started first would surface as an unexpected crash (exit 3).
-    for name in ("find_basic_invariants", "certify_hsop", "ideal_membership_dim"):
+    for name in ("find_basic_invariants", "membership_basis", "certify_hsop",
+                 "ideal_membership_dim"):
         monkeypatch.setattr(f"binforms.cli.{name}", no_work)
     code, out, err = run_cli(capsys, *argv, "--n", "9", "--set", selector)
     assert (code, out) == (2, "")
@@ -465,7 +513,8 @@ def test_cache_dir_that_is_a_file_is_rejected_before_any_work(capsys, monkeypatc
 
     # `--set` is resolved before the cache opens (see the next test); only
     # the computations count as work here.
-    for name in ("find_basic_invariants", "certify_hsop", "ideal_membership_dim"):
+    for name in ("find_basic_invariants", "membership_basis", "certify_hsop",
+                 "ideal_membership_dim"):
         monkeypatch.setattr(f"binforms.cli.{name}", no_work)
     path = tmp_path / "a-file"
     path.write_text("kept\n")
@@ -777,7 +826,6 @@ def test_hsop_check_rejects_negative_trials_before_any_work(capsys, monkeypatch,
         raise AssertionError("work started before --trials was checked")
 
     # Work started first would surface as an unexpected crash (exit 3).
-    monkeypatch.setattr("binforms.cli.find_basic_invariants", no_work)
     monkeypatch.setattr("binforms.cli.certify_hsop", no_work)
     code, out, err = run_cli(
         capsys, "hsop", "check", "--n", "9", "--set", "thm", "--trials", "-1", *extra,

@@ -20,6 +20,7 @@ from binforms.pipeline import (
     find_basic_invariants,
     ideal_membership_dim,
     jacobian_rank,
+    membership_basis,
     monomial_counts,
     vanish_on_nullcone_sample,
 )
@@ -339,13 +340,18 @@ def test_ideal_membership_requires_reachable_basis():
         ideal_membership_dim(thm, [], 12, 9, CFG)
 
 
+def test_membership_basis_reaches_the_top_degree_less_the_smallest_set_degree():
+    thm = [(e.name, e.expr, e.degree) for e in catalog_for(9).hsop()]
+    need, basis = membership_basis(thm, (2, 12), 9, CFG)
+    assert need == 12 - 4 and [rec.degree for rec in basis] == [4] * 2 + [8] * 5
+    assert membership_basis(thm, (0, 2), 9, CFG) == (0, [])
+
+
 def test_certify_flagged_parameter_system():
     cat = catalog_for(9)
     thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
-    basis = find_basic_invariants(9, 8, CFG).records
-    report = certify_hsop(
-        thm, 9, CFG, membership_degrees=(4, 8, 12), basis=basis, nullcone_trials=25
-    )
+    # The membership basis comes from the campaign to degree 12 - 4 = 8.
+    report = certify_hsop(thm, 9, CFG, membership_degrees=(4, 8, 12), nullcone_trials=25)
     assert report.verdict == "certified-at-sampling-level"
     assert max(report.jacobian_ranks) == 7
     assert (report.nullform_vanishing, report.generic_all_vanish) == ("25/25", 0)
@@ -380,17 +386,6 @@ def test_certify_without_nullform_trials_is_inconclusive():
     assert any("not sampled" in r for r in report.reasons)
 
 
-def test_certify_rejects_membership_degrees_without_a_basis_before_any_work(monkeypatch):
-    def fail(*args):
-        raise AssertionError("the Jacobian was taken before the input was checked")
-
-    monkeypatch.setattr(pipeline, "jacobian_rank", fail)
-    cat = catalog_for(9)
-    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
-    with pytest.raises(ValueError, match="membership degrees need a basis"):
-        certify_hsop(thm, 9, CFG, membership_degrees=(4,), nullcone_trials=2)
-
-
 @pytest.mark.xfail(strict=True, reason="the sampling-level checks pass a set that is no hsop")
 def test_certify_does_not_pass_a_squared_member_of_a_filter_failing_set():
     # Squaring B_12 keeps the radical, so this set has the zero set of
@@ -400,10 +395,8 @@ def test_certify_does_not_pass_a_squared_member_of_a_filter_failing_set():
     cands = [(name, cat[name].expr, cat[name].degree)
              for name in ("j_4", "A_4", "D_10", "j_12", "j_14", "j_16")]
     cands.append(("B_12^2", Pow(cat["B_12"].expr, 2), 24))
-    basis = find_basic_invariants(9, 8, CFG).records
-    report = certify_hsop(
-        cands, 9, CFG, membership_degrees=(4, 8, 12), basis=basis, nullcone_trials=10
-    )
+    # The membership basis comes from the campaign to degree 12 - 4 = 8.
+    report = certify_hsop(cands, 9, CFG, membership_degrees=(4, 8, 12), nullcone_trials=10)
     assert report.verdict != "certified-at-sampling-level"
 
 
