@@ -32,12 +32,13 @@ try:
     import sys
     from fractions import Fraction
     from math import prod
-    from typing import List, NamedTuple, Optional, Sequence, Tuple
+    from typing import List, NamedTuple, Optional, Sequence
 
     from .exprs import expr_from_text, expr_meta, expr_prefactor
     from .forms import BinaryForm
     from .nullcone import nullform_report
     from .pipeline import (
+        BasisRecord,
         PipelineConfig,
         SaturationError,
         campaign_top,
@@ -165,16 +166,16 @@ def _cmd_verify_lemmas(args) -> Result:
     # The lattice checks of the lemmas: only verify-lemmas runs them.
     from .lemmas import verify_lemma_expansions
 
-    report = verify_lemma_expansions()
-    checks = report.checks
+    checks = verify_lemma_expansions()
     text = [
         f"[{'ok  ' if c.ok else 'FAIL'}] {c.lemma}: {c.label}"
         + (f"  ({c.detail})" if c.detail else "")
         for c in checks
     ]
     text.append(f"{sum(c.ok for c in checks)}/{len(checks)} checks passed")
-    code = EXIT_OK if report.ok else EXIT_MISMATCH
-    return Result({"ok": report.ok, "checks": [c._asdict() for c in checks]}, text, code=code)
+    ok = all(c.ok for c in checks)
+    payload = {"ok": ok, "checks": [c._asdict() for c in checks]}
+    return Result(payload, text, code=EXIT_OK if ok else EXIT_MISMATCH)
 
 
 def _cmd_catalog(args) -> Result:
@@ -255,7 +256,7 @@ def _cmd_basis(args) -> Result:
     return Result(payload, text, [("m", "d_m"), *nonzero.items()])
 
 
-def _named_set(n: int, selector: str) -> List[Tuple[str, object, int]]:
+def _named_set(n: int, selector: str) -> List[BasisRecord]:
     # Only catalog, eval and hsop load the covariant catalog; basis never does.
     from .catalog import catalog_for
 
@@ -275,7 +276,7 @@ def _named_set(n: int, selector: str) -> List[Tuple[str, object, int]]:
         entry = cat[name]
         if entry.order != 0:
             raise ValueError(f"{name} is a covariant of order {entry.order}, not an invariant")
-        out.append((name, entry.expr, entry.degree))
+        out.append(BasisRecord(name, entry.degree, entry.expr))
     return out
 
 
@@ -313,7 +314,7 @@ def _cmd_hsop_membership(args) -> Result:
     need, basis = membership_basis(candidates, degrees, args.n, cfg, open_cache(args.cache_dir))
     results = [ideal_membership_dim(candidates, basis, i, args.n, cfg) for i in degrees]
     payload = {
-        "n": args.n, "set": [name for name, _, _ in candidates], "prime": cfg.prime,
+        "n": args.n, "set": [h.name for h in candidates], "prime": cfg.prime,
         "seed": cfg.seed, "basis_max_degree": need,
         "membership": [r._asdict() for r in results],
     }

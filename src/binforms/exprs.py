@@ -110,10 +110,6 @@ class Pow(Expr):
     __hash__ = Expr.__hash__
 
 
-def tr(left: Expr, right: Expr, index: int) -> Tr:
-    return Tr(left, right, index)
-
-
 def expr_to_text(e: Expr) -> str:
     if isinstance(e, Base):
         return "f"

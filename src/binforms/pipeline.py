@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Se
 import numpy as np
 
 from .batch import BatchEvaluator, check_int64
-from .exprs import Expr, F, tr
+from .exprs import Expr, F, Tr
 from .modlinalg import StreamingEchelon, rank as matrix_rank
 from .nullcone import random_nullform
 from .rings import is_prime, randbelow
@@ -103,35 +103,27 @@ def _random_forms(rng: random.Random, n: int, count: int, prime: int) -> np.ndar
     ).reshape(count, n + 1)
 
 
-class PointSet:
-    """Seeded random evaluation points: `coeffs[i]` is the i-th form over F_p."""
-
-    def __init__(self, n: int, prime: int, seed: int, count: int, tag: str):
-        self.n = n
-        self.prime = prime
-        self.count = count
-        self.key = f"{n}:{prime}:{seed}:{tag}:{count}"
-        rng = random.Random(f"points:{self.key}")
-        self.coeffs = _random_forms(rng, n, count, prime)
-
-
 class PointEvaluations:
-    """Vectors of invariant values over one point set.
+    """Vectors of invariant values over `count` seeded random points, the
+    forms `coeffs[i]` over F_p drawn from `points:{n}:{prime}:{seed}:{tag}:{count}`.
 
-    Expressions are evaluated at every point of the set at once; the batch
-    memoizes every node, so shared subtrees are computed once per set.
+    Expressions are evaluated at every point at once; the batch memoizes
+    every node, so shared subtrees are computed once per set.
     """
 
-    def __init__(self, points: PointSet):
-        self.points = points
-        self._batch = BatchEvaluator(points.coeffs, points.prime)
+    def __init__(self, n: int, prime: int, seed: int, count: int, tag: str):
+        self.count = count
+        rng = random.Random(f"points:{n}:{prime}:{seed}:{tag}:{count}")
+        self.coeffs = _random_forms(rng, n, count, prime)
+        self._batch = BatchEvaluator(self.coeffs, prime)
 
     def vector(self, expr: Expr) -> np.ndarray:
         return self._batch.scalar(expr)[0]
 
 
 class BasisRecord(NamedTuple):
-    """One discovered basic invariant."""
+    """One named invariant: a discovered basic invariant, or a member of a
+    candidate parameter system (`certify_hsop`)."""
 
     name: str
     degree: int
@@ -203,7 +195,7 @@ def _product_rows(
         return acc
 
     if unit is None:
-        unit = np.ones(pevals.points.count, dtype=np.int64)
+        unit = np.ones(pevals.count, dtype=np.int64)
     return (vec for _, vec in _monomial_products(basis, m, unit, times))
 
 
@@ -293,7 +285,7 @@ class CandidateGenerator:
         self._emitted: Dict[int, int] = {}
         self._index = _ClosingIndex(0)
         for k in range(2, n + 1, 2):
-            e = tr(F, F, k)
+            e = Tr(F, F, k)
             self._pool.append((e, 2 * n - 2 * k, 2))
             self._seen_pool.add(e)
 
@@ -315,7 +307,7 @@ class CandidateGenerator:
             order = oa + ob - 2 * idx
             if order == 0 or order > self.order_cap:
                 continue
-            e = tr(ea, eb, idx)
+            e = Tr(ea, eb, idx)
             if e in self._seen_pool:
                 continue
             self._seen_pool.add(e)
@@ -363,7 +355,7 @@ class CandidateGenerator:
                     self._emitted[m] = self._emitted.get(m, 0) + 1
                     emitted = True
                     i, j, o = closing
-                    yield tr(self._pool[i][0], self._pool[j][0], o)
+                    yield Tr(self._pool[i][0], self._pool[j][0], o)
             self.grow(max_degree=m - 1)
             if emitted:
                 attempts_without_close = 0
@@ -429,8 +421,7 @@ def compute_dm(
     margin = cfg.margin(dim) << (attempts[0] - 1)
     for attempt in attempts:
         npts = dim + margin
-        points = PointSet(n, cfg.prime, cfg.seed, npts, f"dm:{m}:{attempt}")
-        pevals = PointEvaluations(points)
+        pevals = PointEvaluations(n, cfg.prime, cfg.seed, npts, f"dm:{m}:{attempt}")
         ech = StreamingEchelon(cfg.prime, npts)
         ech.add_rows(_product_rows(pevals, basis, m, cfg.prime), stop_at=dim)
         product_rank = ech.rank
@@ -466,23 +457,18 @@ def compute_dm(
     )
 
 
-def _stop_bound(n: int) -> Optional[int]:
-    """Degree beyond which no basic invariant exists, when a seed sequence is
-    known.  The ring is free over the seed hsop, with secondaries up to the
+def campaign_top(n: int, max_degree: int) -> int:
+    """The last degree a campaign to `max_degree` runs: `max_degree`, or the
+    stop bound when a seed sequence gives one and it is lower.
+
+    The ring is free over the seed hsop, with secondaries up to the
     numerator degree of the reference rational form; primaries and
     secondaries generate it, so no basic invariant has degree above both
     that numerator degree and the largest seed degree.  The ring is
     Gorenstein with deg H(t) = -(n + 1), so the numerator degree is
     sum(seed) - (n + 1) (tested against the rational form)."""
     seed = SEED_DEGREES.get(n)
-    return None if seed is None else max(sum(seed) - (n + 1), max(seed))
-
-
-def campaign_top(n: int, max_degree: int) -> int:
-    """The last degree a campaign to `max_degree` runs: `max_degree`, or the
-    stop bound when that is lower."""
-    bound = _stop_bound(n)
-    return max_degree if bound is None else min(max_degree, bound)
+    return max_degree if seed is None else min(max_degree, max(sum(seed) - (n + 1), max(seed)))
 
 
 def _campaign(n: int, top: int, cfg: PipelineConfig, stored: Optional[Stored] = None) -> DmTable:
@@ -526,18 +512,19 @@ def find_basic_invariants(
 
 
 def membership_basis(
-    candidates: Sequence[Tuple[str, Expr, int]], degrees: Sequence[int], n: int,
+    hsop: Sequence[BasisRecord], degrees: Sequence[int], n: int,
     cfg: PipelineConfig, cache: Optional[EvalCache] = None,
 ) -> Tuple[int, List[BasisRecord]]:
-    """The degree the basis must reach for membership rows of `candidates`
-    at `degrees`, and the basis records the campaign to that degree finds.
+    """The degree the basis must reach for membership rows of `hsop` at
+    `degrees`, and the basis records the campaign to that degree finds.
 
     A degree-i row is h * (a basis monomial of degree i - deg h), so the
-    basis is needed up to max(degrees) minus the smallest candidate degree;
-    degrees below that smallest degree need no basis at all.
+    basis is needed up to max(degrees) minus the smallest degree of `hsop`;
+    degrees below that smallest degree need no basis at all, and when none
+    needs one no campaign runs and `cache` is not read.
     """
-    need = max(0, max(degrees) - min(d for _, _, d in candidates))
-    return need, find_basic_invariants(n, need, cfg, cache).records
+    need = max(0, max(degrees) - min(h.degree for h in hsop))
+    return need, (find_basic_invariants(n, need, cfg, cache).records if need else [])
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +615,7 @@ class MembershipResult(NamedTuple):
 
 
 def ideal_membership_dim(
-    hsop: Sequence[Tuple[str, Expr, int]],
+    hsop: Sequence[BasisRecord],
     basis: Sequence[BasisRecord],
     degree: int,
     n: int,
@@ -643,7 +630,7 @@ def ideal_membership_dim(
     """
     cfg.validate(n, degree)
     dim = invariant_dimension(n, degree)
-    needed = degree - min(d for _, _, d in hsop)
+    needed = degree - min(h.degree for h in hsop)
     counts = monomial_counts(basis, needed)
     for j in range(1, needed + 1):
         if not counts[j] and invariant_dimension(n, j):
@@ -654,19 +641,18 @@ def ideal_membership_dim(
     a_i: Optional[int] = None
     expected: Optional[int] = None
     if len(hsop) == n - 2:
-        degrees = [d for _, _, d in hsop]
+        degrees = [h.degree for h in hsop]
         rat = to_rational(poincare_series(n, sum(degrees) + max(degrees)), degrees)
         if rat is not None:
             a_i = rat.numerator[degree] if degree <= rat.numerator_degree else 0
             expected = dim - a_i
     npts = dim + cfg.margin(dim)
-    points = PointSet(n, cfg.prime, cfg.seed, npts, f"membership:{degree}")
-    pevals = PointEvaluations(points)
+    pevals = PointEvaluations(n, cfg.prime, cfg.seed, npts, f"membership:{degree}")
 
     def rows() -> Iterator[np.ndarray]:
-        for _, expr, hdeg in hsop:
-            hvec = pevals.vector(expr)
-            yield from _product_rows(pevals, basis, degree - hdeg, cfg.prime, hvec)
+        for h in hsop:
+            hvec = pevals.vector(h.expr)
+            yield from _product_rows(pevals, basis, degree - h.degree, cfg.prime, hvec)
 
     ech = StreamingEchelon(cfg.prime, npts)
     rows_used = ech.add_rows(rows(), stop_at=dim)
@@ -699,7 +685,7 @@ class HsopReport(NamedTuple):
 
 
 def certify_hsop(
-    candidates: Sequence[Tuple[str, Expr, int]],
+    candidates: Sequence[BasisRecord],
     n: int,
     cfg: PipelineConfig,
     membership_degrees: Sequence[int] = (),
@@ -713,9 +699,9 @@ def certify_hsop(
     (`membership_basis`, which reads and fills `cache`).
     """
     cfg.validate(n, max(membership_degrees, default=0))
-    names = [name for name, _, _ in candidates]
-    degrees = sorted(d for _, _, d in candidates)
-    exprs = [e for _, e, _ in candidates]
+    names = [h.name for h in candidates]
+    degrees = sorted(h.degree for h in candidates)
+    exprs = [h.expr for h in candidates]
     reasons: List[str] = []
     required = n - 2 if n >= 3 else 1
 
@@ -732,8 +718,8 @@ def certify_hsop(
     basis: Sequence[BasisRecord] = ()
     if membership_degrees:
         _, basis = membership_basis(candidates, membership_degrees, n, cfg, cache)
-    filt = check_sequence(n, degrees)
-    for t, divisor, need, got in filt.violations:
+    violations = check_sequence(n, degrees)
+    for t, divisor, need, got in violations:
         reasons.append(
             f"degree filter t={t}: need {need} degrees divisible by {divisor}, found {got}"
         )
@@ -775,7 +761,7 @@ def certify_hsop(
                     f"membership at degree {i}: rank {res.rank} "
                     f"inconsistent with expected {res.expected_ideal_dim}"
                 )
-    refuted = (not filt.ok) or (not jacobian_ok) or vanish.generic_all_vanish > 0
+    refuted = bool(violations) or (not jacobian_ok) or vanish.generic_all_vanish > 0
     if refuted:
         verdict = "refuted"
     elif inconclusive or not nullcone_ok:

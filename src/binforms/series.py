@@ -204,21 +204,16 @@ def restrictions(n: int) -> Tuple[Tuple[int, int, int], ...]:
     )
 
 
-class SequenceCheck(NamedTuple):
-    ok: bool
-    violations: Tuple[Tuple[int, int, int, int], ...]
-    """Each violation is (t, divisor, required, found)."""
-
-
-def check_sequence(n: int, degrees: Sequence[int]) -> SequenceCheck:
-    """Check every divisibility restriction of order n: the table
-    `restrictions(n)`, for t = 2..n whatever the largest degree."""
+def check_sequence(n: int, degrees: Sequence[int]) -> Tuple[Tuple[int, int, int, int], ...]:
+    """The violated divisibility restrictions of order n, each as (t, divisor,
+    required, found), from the table `restrictions(n)` for t = 2..n whatever
+    the largest degree; empty when the degrees pass."""
     bad = []
     for t, divisor, required in restrictions(n):
         found = sum(1 for d in degrees if d % divisor == 0)
         if found < required:
             bad.append((t, divisor, required, found))
-    return SequenceCheck(not bad, tuple(bad))
+    return tuple(bad)
 
 
 # ---------------------------------------------------------------------------

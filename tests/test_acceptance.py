@@ -17,13 +17,12 @@ import pytest
 
 from binforms.catalog import catalog_for
 from binforms.cli import main
-from binforms.exprs import Pow, tr
+from binforms.exprs import Pow, Tr
 from binforms.forms import BinaryForm, transvectant
 from binforms.modlinalg import rank
 from binforms.nullcone import nullform_report, random_nullform
 from binforms.pipeline import (
     PointEvaluations,
-    PointSet,
     jacobian_rank,
 )
 from binforms.rings import random_rational
@@ -157,12 +156,12 @@ def test_criterion_06_degree8_and_10_spans(capsys):
     deg8 = [
         cat["j_8"].expr, cat["A_8"].expr, cat["B_8"].expr,
         cat["C_8"].expr, cat["D_8"].expr,
-        Pow(j4, 2), Pow(a4, 2), tr(a4, j4, 0),
+        Pow(j4, 2), Pow(a4, 2), Tr(a4, j4, 0),
     ]
-    pe8 = PointEvaluations(PointSet(9, P, 1, 14, "acc8"))
+    pe8 = PointEvaluations(9, P, 1, 14, "acc8")
     assert rank(np.vstack([pe8.vector(e) for e in deg8]), P) == 8
     deg10 = [cat[n].expr for n in ("j_10", "A_10", "B_10", "C_10", "D_10")]
-    pe10 = PointEvaluations(PointSet(9, P, 1, 11, "acc10"))
+    pe10 = PointEvaluations(9, P, 1, 11, "acc10")
     assert rank(np.vstack([pe10.vector(e) for e in deg10]), P) == 5
     with capsys.disabled():
         conclude(6, "degree-8 set has rank 8 and degree-10 set rank 5", t0, 30)

@@ -27,10 +27,10 @@ from binforms import batch as batch_module, pipeline
 from binforms.batch import BatchEvaluator, band, transvect
 from binforms.catalog import catalog_for
 from binforms.cli import main, open_cache
-from binforms.exprs import F, Pow, Tr, tr
+from binforms.exprs import F, Pow, Tr
 from binforms.forms import BinaryForm
 from binforms.nullcone import random_nullform
-from binforms.pipeline import NULLFORM_CHUNK, PointEvaluations, PointSet, VanishReport
+from binforms.pipeline import NULLFORM_CHUNK, PointEvaluations, VanishReport
 import loop_weights
 from closed_form import transvectant as oracle_transvectant
 from dual_numbers import Dual
@@ -263,9 +263,8 @@ def test_point_set_and_values_are_pinned():
     # points drawn for a key and the values at them, so these must never
     # change.  The numbers come from the per-point scalar evaluator on the
     # discovery fingerprint set.
-    pts = PointSet(9, 32003, 1, 32, "fingerprint")
-    assert list(pts.coeffs[1]) == [12854, 19335, 26421, 24247, 21437, 2137, 9845, 22566, 13786, 3593]
-    pe = PointEvaluations(pts)
+    pe = PointEvaluations(9, 32003, 1, 32, "fingerprint")
+    assert list(pe.coeffs[1]) == [12854, 19335, 26421, 24247, 21437, 2137, 9845, 22566, 13786, 3593]
     cat = catalog_for(9)
     pinned = {
         "j_4": [24065, 24975, 29414, 17349, 9449, 15109],
@@ -457,7 +456,7 @@ def test_nullform_failures_match_rational_loop(monkeypatch, trials):
     cat = catalog_for(9)
     # (f, f)_9 is an odd self-transvectant, identically zero, so a failing
     # trial names only some candidates.
-    exprs = [cat["j_4"].expr, tr(F, F, 9), cat["B_8"].expr]
+    exprs = [cat["j_4"].expr, Tr(F, F, 9), cat["B_8"].expr]
     rep = pipeline.vanish_on_nullcone_sample(exprs, 9, trials, seed=2, prime=32003)
     all_vanish, failures = _qq_nullform_loop(exprs, 9, trials, 2)
     assert (rep.nullform_all_vanish, rep.nullform_failures) == (all_vanish, failures)

@@ -265,6 +265,21 @@ def test_size_refuted_hsop_check_writes_no_campaign(capsys, tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
+def test_membership_that_needs_no_basis_neither_reads_nor_writes_a_campaign(capsys, tmp_path):
+    # Degrees below the set's smallest degree, 4, need no basis, so no
+    # campaign runs: none is written, and a broken file is not even read.
+    argv = ["hsop", "membership", "--n", "9", "--set", "thm", "--degrees", "2"]
+    code, want = _cold(capsys, argv)
+    assert code == 0
+    for _ in range(2):
+        assert _run(capsys, tmp_path, argv) == (code, want, "")
+        assert list(tmp_path.iterdir()) == []
+    (tmp_path / NAME).write_text("{not json")
+    assert _run(capsys, tmp_path, argv) == (code, want, "")
+    assert [p.name for p in tmp_path.iterdir()] == [NAME]
+    assert (tmp_path / NAME).read_text() == "{not json"
+
+
 def test_inconclusive_campaign_writes_nothing(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(pipeline, "CANDIDATE_BUDGET", -(10 ** 6))
     code, out, err = _run(capsys, tmp_path)

@@ -21,7 +21,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from binforms import pipeline
-from binforms.exprs import expr_meta, expr_to_text, tr
+from binforms.exprs import Tr, expr_meta, expr_to_text
 from binforms.pipeline import CandidateGenerator, _shuffle, _shuffle_draws
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "candidate_streams.json").read_text())
@@ -170,7 +170,7 @@ class EveryPassShuffles(CandidateGenerator):
                 self._seen_out.add(closing)
                 emitted = True
                 i, j, o = closing
-                yield tr(self._pool[i][0], self._pool[j][0], o)
+                yield Tr(self._pool[i][0], self._pool[j][0], o)
             self.grow(max_degree=m - 1)
             if emitted:
                 attempts_without_close = 0

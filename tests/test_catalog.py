@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from binforms.catalog import catalog_for
-from binforms.exprs import F, Pow, expr_from_text, expr_meta, expr_to_text, tr
+from binforms.exprs import F, Pow, Tr, expr_from_text, expr_meta, expr_to_text
 from binforms.forms import BinaryForm, transvectant
 from binforms.rings import random_rational
 from multipoly import PolynomialRing
@@ -32,13 +32,13 @@ def test_declared_metadata_recomputed():
 
 def test_nonic_catalog_contents():
     cat = catalog_for(9)
-    l, q, u = tr(F, F, 8), tr(F, F, 6), tr(F, F, 2)
+    l, q, u = Tr(F, F, 8), Tr(F, F, 6), Tr(F, F, 2)
     assert cat["j_4"].text == "(tr @l @l 2)"
-    assert cat["j_4"].expr == tr(l, l, 2)
+    assert cat["j_4"].expr == Tr(l, l, 2)
     d10 = cat["D_10"]
     assert d10.text == "(tr (tr (tr (tr @u @u 10) f 6) (tr @q f 2) 5) @q 6)"
-    assert d10.expr == tr(tr(tr(tr(u, u, 10), F, 6), tr(q, F, 2), 5), q, 6)
-    assert cat["B_8"].expr == tr(q, Pow(tr(q, F, 6), 2), 6)
+    assert d10.expr == Tr(Tr(Tr(Tr(u, u, 10), F, 6), Tr(q, F, 2), 5), q, 6)
+    assert cat["B_8"].expr == Tr(q, Pow(Tr(q, F, 6), 2), 6)
     assert {e.name for e in cat.hsop()} == {"j_4", "B_8", "D_10", "j_12", "B_12", "j_14", "j_16"}
     assert hsop_degrees(9) == (4, 8, 10, 12, 12, 14, 16)
 
@@ -113,8 +113,8 @@ def test_invariant_weight_condition_symbolically():
     cases = [
         (2, catalog_for(2)["h_2"].expr, 2),
         (3, catalog_for(3)["h_4"].expr, 4),
-        (4, tr(F, F, 4), 2),
-        (4, tr(tr(F, F, 2), F, 4), 3),
+        (4, Tr(F, F, 4), 2),
+        (4, Tr(Tr(F, F, 2), F, 4), 3),
     ]
     for n, expr, degree in cases:
         R = PolynomialRing(tuple(f"a{i}" for i in range(n + 1)))

@@ -26,9 +26,12 @@ from binforms.pipeline import HsopReport, MembershipResult
 # catalogs and one `eval` through a catalog name per small order, were
 # recorded before the catalogs became tables of expression texts.  The next
 # two, `hsop check --json` refuted by the count and unsampled, were recorded
-# before `HsopReport` became the payload that command prints.  The last, a
+# before `HsopReport` became the payload that command prints.  The next, a
 # count-refuted `hsop check --json` with membership degrees, was recorded
 # when the command discovered the membership basis before the count check.
+# The last two, an `hsop membership --json` whose degrees need no basis and
+# an `hsop check --json` with one membership degree, were recorded before
+# the hsop candidates became `BasisRecord`s.
 SCALAR_PATH = json.loads((Path(__file__).parent / "data" / "scalar_path.json").read_text())
 
 
@@ -316,8 +319,7 @@ def test_size_refuted_hsop_check_prints_its_golden_without_any_work(capsys, monk
         raise AssertionError("work started for a set its size refutes")
 
     # Work started would surface as an unexpected crash (exit 3).
-    for site in ("cli.find_basic_invariants", "pipeline.find_basic_invariants",
-                 "pipeline.jacobian_rank"):
+    for site in ("pipeline.find_basic_invariants", "pipeline.jacobian_rank"):
         monkeypatch.setattr(f"binforms.{site}", no_work)
     argv = ["hsop", "check", "--n", "9", "--set", "j_4,B_8,D_10,j_12,B_12,j_14",
             "--trials", "2", "--membership-degrees", "24", "--json"]
@@ -407,7 +409,7 @@ def test_bad_prime_rejected_before_any_work(capsys, monkeypatch, argv, prime, re
         raise AssertionError("a point set was built before the prime was checked")
 
     # A point set built first would surface as an unexpected crash (exit 3).
-    monkeypatch.setattr("binforms.pipeline.PointSet", no_points)
+    monkeypatch.setattr("binforms.pipeline.PointEvaluations", no_points)
     code, out, err = run_cli(capsys, *argv, "--prime", prime)
     assert code == 2
     assert out == ""
@@ -426,7 +428,7 @@ def test_negative_points_margin_rejected_before_any_work(capsys, monkeypatch, ar
     def no_points(*args, **kwargs):
         raise AssertionError("a point set was built before the margin was checked")
 
-    monkeypatch.setattr("binforms.pipeline.PointSet", no_points)
+    monkeypatch.setattr("binforms.pipeline.PointEvaluations", no_points)
     code, out, err = run_cli(capsys, *argv, "--points-margin", "-1")
     assert code == 2
     assert out == ""
@@ -469,7 +471,7 @@ def test_bad_membership_degrees_rejected_by_option_name(capsys, monkeypatch, arg
         raise AssertionError("work started before the degrees were checked")
 
     # Work started first would surface as an unexpected crash (exit 3).
-    for name in ("_named_set", "find_basic_invariants", "open_cache"):
+    for name in ("_named_set", "open_cache"):
         monkeypatch.setattr(f"binforms.cli.{name}", no_work)
     monkeypatch.setattr("binforms.cli.PipelineConfig.validate", no_work)
     code, out, err = run_cli(capsys, *argv, "--n", "9", "--set", "thm")
@@ -491,8 +493,7 @@ def test_empty_set_is_a_usage_error_before_any_work(capsys, monkeypatch, argv, s
         raise AssertionError("work started before --set was checked")
 
     # Work started first would surface as an unexpected crash (exit 3).
-    for name in ("find_basic_invariants", "membership_basis", "certify_hsop",
-                 "ideal_membership_dim"):
+    for name in ("membership_basis", "certify_hsop", "ideal_membership_dim"):
         monkeypatch.setattr(f"binforms.cli.{name}", no_work)
     code, out, err = run_cli(capsys, *argv, "--n", "9", "--set", selector)
     assert (code, out) == (2, "")
@@ -523,6 +524,47 @@ def test_cache_dir_that_is_a_file_is_rejected_before_any_work(capsys, monkeypatc
     assert err.startswith(f"error: --cache-dir {str(path)!r} is not a usable directory")
     assert err.count("\n") == 1
     assert path.read_text() == "kept\n"
+
+
+BASIS = ("basis", "--n", "9", "--max-degree", "12")
+CHECK = ("hsop", "check", "--n", "9", "--set", "thm", "--trials", "2")
+CHECK_AT = CHECK + ("--membership-degrees", "4,8,12")
+MEMBERSHIP = ("hsop", "membership", "--n", "9", "--set", "thm", "--degrees", "8")
+
+
+# Every site a "before any work" test in this file patches to raise, with
+# valid command lines of the commands that test runs: a spy that valid input
+# never reaches would pass whatever the order of the checks.  The degree
+# filter's spy has its control in its own test.
+@pytest.mark.parametrize(
+    "site, argv",
+    [
+        ("pipeline.PointEvaluations", BASIS),
+        ("pipeline.PointEvaluations", CHECK_AT),
+        ("pipeline.PointEvaluations", MEMBERSHIP),
+        ("pipeline.find_basic_invariants", CHECK_AT),
+        ("pipeline.jacobian_rank", CHECK_AT),
+        ("cli._named_set", CHECK),
+        ("cli._named_set", MEMBERSHIP),
+        ("cli.open_cache", CHECK),
+        ("cli.open_cache", MEMBERSHIP),
+        ("cli.PipelineConfig.validate", CHECK),
+        ("cli.PipelineConfig.validate", MEMBERSHIP),
+        ("cli.find_basic_invariants", BASIS),
+        ("cli.membership_basis", MEMBERSHIP),
+        ("cli.ideal_membership_dim", MEMBERSHIP),
+        ("cli.certify_hsop", CHECK),
+        ("cli.certify_hsop", CHECK_AT),
+    ],
+)
+def test_every_before_any_work_spy_fires_on_valid_input(capsys, monkeypatch, site, argv):
+    def spy(*args, **kwargs):
+        raise AssertionError(f"{site} reached")
+
+    monkeypatch.setattr(f"binforms.{site}", spy)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert f"{site} reached" in err
 
 
 @pytest.mark.parametrize(
@@ -794,14 +836,16 @@ def test_hsop_check_rejects_int64_unsafe_prime_before_degree_filter(capsys, monk
 
     # Without membership degrees no point set bounds the prime; the kernel's
     # int64 bound for orders up to 2n must reject it first (else exit 3).
-    monkeypatch.setattr("binforms.series.check_sequence", no_filter)
-    code, out, err = run_cli(
-        capsys, "hsop", "check", "--n", "9", "--set", "thm", "--trials", "5",
-        "--prime", "2147483647",
-    )
+    monkeypatch.setattr("binforms.pipeline.check_sequence", no_filter)
+    argv = ("hsop", "check", "--n", "9", "--set", "thm", "--trials", "5")
+    code, out, err = run_cli(capsys, *argv, "--prime", "2147483647")
     assert code == 2
     assert out == ""
     assert "int64" in err
+    # The control: at the default prime the filter runs, and the spy fires.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "the degree filter ran" in err
 
 
 # Both primes are above the float64 bound of a 10-column echelon, about

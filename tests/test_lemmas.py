@@ -144,8 +144,8 @@ def _mutant(old: str, new: str):
 
 
 def test_the_minus_16_to_minus_15_mutation_of_l_is_caught_at_a1_a7():
-    report = _mutant("- 16 * a[1] * a[7]", "- 15 * a[1] * a[7]").verify_lemma_expansions()
-    failed = [c for c in report.checks if not c.ok]
+    checks = _mutant("- 16 * a[1] * a[7]", "- 15 * a[1] * a[7]").verify_lemma_expansions()
+    failed = [c for c in checks if not c.ok]
     assert [c.label for c in failed] == ["case q=x^6: l with a8 = a9 = 0"]
     assert failed[0].detail == (
         "at a1 = 1, a7 = 1 (the other variables 0): "

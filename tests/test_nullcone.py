@@ -130,10 +130,10 @@ def test_invariants_vanish_exactly_over_rationals():
 
 
 def test_lemma_expansions_all_pass():
-    report = verify_lemma_expansions()
-    assert report.ok, [c for c in report.checks if not c.ok]
-    assert len(report.checks) == 26
-    lemmas = {c.lemma for c in report.checks}
+    checks = verify_lemma_expansions()
+    assert all(c.ok for c in checks), [c for c in checks if not c.ok]
+    assert len(checks) == 26
+    lemmas = {c.lemma for c in checks}
     assert lemmas == {"nonic-multiplicity", "pair-V2+V7", "pair-V6+V3"}
 
 

@@ -6,14 +6,13 @@ import pytest
 
 from binforms import pipeline
 from binforms.catalog import catalog_for
-from binforms.exprs import F, Pow, expr_meta, tr
+from binforms.exprs import F, Pow, Tr, expr_meta
 from binforms.modlinalg import StreamingEchelon, rank
 from binforms.pipeline import (
     BasisRecord,
     CandidateGenerator,
     PipelineConfig,
     PointEvaluations,
-    PointSet,
     SaturationError,
     certify_hsop,
     compute_dm,
@@ -105,7 +104,7 @@ def test_product_rows_carry_the_products_of_each_monomial():
     cat = catalog_for(9)
     names = ("j_4", "A_4", "B_8", "j_12")
     recs = [BasisRecord(name, cat[name].degree, cat[name].expr) for name in names]
-    pe = PointEvaluations(PointSet(9, P, 1, 12, "products"))
+    pe = PointEvaluations(9, P, 1, 12, "products")
     unit = pe.vector(cat["D_10"].expr)
     for m in (0, 4, 8, 12, 16):
         want = []
@@ -121,8 +120,7 @@ def test_product_rows_carry_the_products_of_each_monomial():
 
 def test_evaluate_at_points_single_row():
     cat = catalog_for(9)
-    pts = PointSet(9, P, 1, 3, "t1")
-    pe = PointEvaluations(pts)
+    pe = PointEvaluations(9, P, 1, 3, "t1")
     M = np.vstack([pe.vector(e) for e in [cat["j_4"].expr]])
     assert M.shape == (1, 3)
 
@@ -130,13 +128,12 @@ def test_evaluate_at_points_single_row():
 def test_evaluate_at_points_proportional_rows_rank_one():
     cat = catalog_for(9)
     j4 = cat["j_4"].expr
-    pts = PointSet(9, P, 1, 6, "t2")
-    pe = PointEvaluations(pts)
+    pe = PointEvaluations(9, P, 1, 6, "t2")
     # duplicated (and hence proportional) rows collapse to rank 1
     M = np.vstack([pe.vector(e) for e in [j4, j4]])
     assert rank(M, P) == 1
     # while j_4 and j_4^2 are honestly independent as functions
-    M2 = np.vstack([pe.vector(e) for e in [j4, tr(j4, j4, 0)]])
+    M2 = np.vstack([pe.vector(e) for e in [j4, Tr(j4, j4, 0)]])
     assert rank(M2, P) == 2
 
 
@@ -146,9 +143,9 @@ def test_degree8_catalog_set_spans():
     exprs = [
         cat["j_8"].expr, cat["A_8"].expr, cat["B_8"].expr,
         cat["C_8"].expr, cat["D_8"].expr,
-        Pow(j4, 2), Pow(a4, 2), tr(a4, j4, 0),
+        Pow(j4, 2), Pow(a4, 2), Tr(a4, j4, 0),
     ]
-    pe = PointEvaluations(PointSet(9, P, 1, 8 + 6, "deg8"))
+    pe = PointEvaluations(9, P, 1, 8 + 6, "deg8")
     M = np.vstack([pe.vector(e) for e in exprs])
     assert rank(M, P) == 8 == invariant_dimension(9, 8)
 
@@ -160,9 +157,9 @@ def test_degree8_rows_reach_target_rank_streamed():
     exprs = [
         cat["j_8"].expr, cat["A_8"].expr, cat["B_8"].expr,
         cat["C_8"].expr, cat["D_8"].expr,
-        Pow(j4, 2), Pow(a4, 2), tr(a4, j4, 0),
+        Pow(j4, 2), Pow(a4, 2), Tr(a4, j4, 0),
     ]
-    pe = PointEvaluations(PointSet(9, P, 1, 10, "deg8stream"))
+    pe = PointEvaluations(9, P, 1, 10, "deg8stream")
     ech = StreamingEchelon(P, 10)
     ech.add_rows(np.vstack([pe.vector(e) for e in exprs]), stop_at=8)
     assert ech.rank == 8
@@ -171,7 +168,7 @@ def test_degree8_rows_reach_target_rank_streamed():
 def test_degree10_catalog_set_spans():
     cat = catalog_for(9)
     exprs = [cat[n].expr for n in ("j_10", "A_10", "B_10", "C_10", "D_10")]
-    pe = PointEvaluations(PointSet(9, P, 1, 5 + 6, "deg10"))
+    pe = PointEvaluations(9, P, 1, 5 + 6, "deg10")
     M = np.vstack([pe.vector(e) for e in exprs])
     assert rank(M, P) == 5 == invariant_dimension(9, 10)
 
@@ -212,7 +209,7 @@ def test_compute_dm_first_degrees():
 
 def test_fingerprints_nonzero_and_independent():
     table = find_basic_invariants(9, 8, CFG)
-    values = PointEvaluations(PointSet(9, P, 1, 32, "fingerprint"))
+    values = PointEvaluations(9, P, 1, 32, "fingerprint")
     by_degree = {}
     for rec in table.records:
         fingerprint = values.vector(rec.expr)
@@ -265,13 +262,16 @@ def test_stop_bound_is_the_numerator_degree_or_the_largest_seed_degree():
     # Secondaries reach the numerator degree, primaries their own degrees.
     for n, seed in SEED_DEGREES.items():
         rat = to_rational(poincare_series(n, sum(seed) + max(seed)), seed)
-        assert pipeline._stop_bound(n) == max(rat.numerator_degree, max(seed)), n
+        bound = max(rat.numerator_degree, max(seed))
+        assert pipeline.campaign_top(n, 10 ** 6) == bound, n
+        assert pipeline.campaign_top(n, bound - 1) == bound - 1, n
     # Only the cubic's discriminant lies above its numerator degree, 0.
-    assert {n: pipeline._stop_bound(n) for n in SEED_DEGREES} == {
+    assert {n: pipeline.campaign_top(n, 10 ** 6) for n in SEED_DEGREES} == {
         3: 4, 6: 15, 7: 48, 9: 66, 10: 48
     }
-    assert pipeline._stop_bound(5) is None
-    assert pipeline._stop_bound(8) is None
+    # No seed sequence, no stop bound.
+    assert pipeline.campaign_top(5, 10 ** 6) == 10 ** 6
+    assert pipeline.campaign_top(8, 10 ** 6) == 10 ** 6
 
 
 def test_prime_guard():
@@ -285,7 +285,7 @@ def test_jacobian_rank_trivials():
     assert jacobian_rank([j4], [[0] * 10], 9, P) == (0,)  # gradient vanishes at 0
     rng = random.Random(0)
     pt = [rng.randrange(P) for _ in range(10)]
-    dep = tr(Pow(j4, 2), j4, 0)  # j_4^3: functionally dependent on j_4
+    dep = Tr(Pow(j4, 2), j4, 0)  # j_4^3: functionally dependent on j_4
     assert jacobian_rank([j4, dep], [pt], 9, P) == (1,)
     thm = [e.expr for e in cat.hsop()]
     assert jacobian_rank(thm, [pt], 9, P) == (7,)
@@ -298,7 +298,7 @@ def test_jacobian_rank_scaling_invariance():
     rng = random.Random(1)
     pt = [rng.randrange(P) for _ in range(10)]
     exprs = [cat["j_4"].expr, cat["B_8"].expr]
-    scaled = [tr(e, e, 0) for e in exprs]  # squares: same vanishing, rank <= base
+    scaled = [Tr(e, e, 0) for e in exprs]  # squares: same vanishing, rank <= base
     (base_rank,) = jacobian_rank(exprs, [pt], 9, P)
     assert base_rank == 2
     assert jacobian_rank(exprs + scaled, [pt], 9, P) == (2,)
@@ -321,7 +321,7 @@ def test_vanish_sample_single_invariant_direction():
 
 def test_ideal_membership_quick_degrees():
     cat = catalog_for(9)
-    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
+    thm = [BasisRecord(e.name, e.degree, e.expr) for e in cat.hsop()]
     basis = find_basic_invariants(9, 8, CFG).records
     expected = {4: (2, 1), 8: (8, 3), 12: (28, 11)}
     for i, (dim, ideal_dim) in expected.items():
@@ -335,13 +335,13 @@ def test_ideal_membership_quick_degrees():
 
 def test_ideal_membership_requires_reachable_basis():
     cat = catalog_for(9)
-    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
+    thm = [BasisRecord(e.name, e.degree, e.expr) for e in cat.hsop()]
     with pytest.raises(ValueError):
         ideal_membership_dim(thm, [], 12, 9, CFG)
 
 
 def test_membership_basis_reaches_the_top_degree_less_the_smallest_set_degree():
-    thm = [(e.name, e.expr, e.degree) for e in catalog_for(9).hsop()]
+    thm = [BasisRecord(e.name, e.degree, e.expr) for e in catalog_for(9).hsop()]
     need, basis = membership_basis(thm, (2, 12), 9, CFG)
     assert need == 12 - 4 and [rec.degree for rec in basis] == [4] * 2 + [8] * 5
     assert membership_basis(thm, (0, 2), 9, CFG) == (0, [])
@@ -349,7 +349,7 @@ def test_membership_basis_reaches_the_top_degree_less_the_smallest_set_degree():
 
 def test_certify_flagged_parameter_system():
     cat = catalog_for(9)
-    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
+    thm = [BasisRecord(e.name, e.degree, e.expr) for e in cat.hsop()]
     # The membership basis comes from the campaign to degree 12 - 4 = 8.
     report = certify_hsop(thm, 9, CFG, membership_degrees=(4, 8, 12), nullcone_trials=25)
     assert report.verdict == "certified-at-sampling-level"
@@ -360,7 +360,7 @@ def test_certify_flagged_parameter_system():
 
 def test_certify_refutes_wrong_count():
     cat = catalog_for(9)
-    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
+    thm = [BasisRecord(e.name, e.degree, e.expr) for e in cat.hsop()]
     report = certify_hsop(thm[:-1], 9, CFG)
     assert report.verdict == "refuted"
     assert report.reasons == ("expected 7 invariants, got 6",)
@@ -368,9 +368,9 @@ def test_certify_refutes_wrong_count():
 
 def test_certify_refutes_dependent_replacement():
     cat = catalog_for(9)
-    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
+    thm = [BasisRecord(e.name, e.degree, e.expr) for e in cat.hsop()]
     j4 = cat["j_4"].expr
-    swapped = thm[:-1] + [("j_4^4", Pow(j4, 4), 16)]
+    swapped = thm[:-1] + [BasisRecord("j_4^4", 16, Pow(j4, 4))]
     report = certify_hsop(swapped, 9, CFG, nullcone_trials=5)
     assert report.verdict == "refuted"
     assert max(report.jacobian_ranks) <= 6
@@ -379,7 +379,7 @@ def test_certify_refutes_dependent_replacement():
 def test_certify_without_nullform_trials_is_inconclusive():
     # no nullform sampled means no nullcone evidence in either direction
     cat = catalog_for(9)
-    thm = [(e.name, e.expr, e.degree) for e in cat.hsop()]
+    thm = [BasisRecord(e.name, e.degree, e.expr) for e in cat.hsop()]
     report = certify_hsop(thm, 9, CFG, nullcone_trials=0)
     assert report.verdict == "inconclusive"
     assert (report.nullform_vanishing, report.generic_all_vanish) == ("0/0", 0)
@@ -392,9 +392,9 @@ def test_certify_does_not_pass_a_squared_member_of_a_filter_failing_set():
     # j_4, A_4, D_10, j_12, B_12, j_14, j_16, whose degrees fail the t = 4
     # filter (2 divisible by 8 needed, 1 found): neither set is an hsop.
     cat = catalog_for(9)
-    cands = [(name, cat[name].expr, cat[name].degree)
+    cands = [BasisRecord(name, cat[name].degree, cat[name].expr)
              for name in ("j_4", "A_4", "D_10", "j_12", "j_14", "j_16")]
-    cands.append(("B_12^2", Pow(cat["B_12"].expr, 2), 24))
+    cands.append(BasisRecord("B_12^2", 24, Pow(cat["B_12"].expr, 2)))
     # The membership basis comes from the campaign to degree 12 - 4 = 8.
     report = certify_hsop(cands, 9, CFG, membership_degrees=(4, 8, 12), nullcone_trials=10)
     assert report.verdict != "certified-at-sampling-level"
@@ -403,6 +403,6 @@ def test_certify_does_not_pass_a_squared_member_of_a_filter_failing_set():
 def test_small_order_catalog_sets_certify():
     for n in (3, 6, 7):
         cat = catalog_for(n)
-        cands = [(e.name, e.expr, e.degree) for e in cat.hsop()]
+        cands = [BasisRecord(e.name, e.degree, e.expr) for e in cat.hsop()]
         report = certify_hsop(cands, n, PipelineConfig(seed=8), nullcone_trials=10)
         assert report.verdict == "certified-at-sampling-level", (n, report.reasons)

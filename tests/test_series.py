@@ -170,21 +170,19 @@ def test_min_degree_counts():
 
 
 def test_check_sequence_table_rows_pass():
-    assert check_sequence(9, (4, 8, 10, 12, 12, 14, 16)).ok
-    assert check_sequence(9, (4, 4, 8, 10, 12, 14, 48)).ok
+    assert check_sequence(9, (4, 8, 10, 12, 12, 14, 16)) == ()
+    assert check_sequence(9, (4, 4, 8, 10, 12, 14, 48)) == ()
 
 
 def test_check_sequence_failure_names_constraint():
     # no entry divisible by 10 -> the t = 5 restriction trips (and only it)
     res = check_sequence(9, (4, 4, 8, 12, 12, 14, 16))
-    assert not res.ok
-    assert [(t, divisor) for t, divisor, _, _ in res.violations] == [(5, 10)]
+    assert [(t, divisor) for t, divisor, _, _ in res] == [(5, 10)]
     # too few entries divisible by 6 and 8
     res = check_sequence(9, (4, 4, 4, 10, 12, 14, 16))
-    assert not res.ok
-    assert {t for t, _, _, _ in res.violations} == {3, 4}
+    assert {t for t, _, _, _ in res} == {3, 4}
     # every degree is 4 < 9, yet the restrictions for t = 5..8 still apply
-    assert check_sequence(9, (4,) * 7).violations == (
+    assert check_sequence(9, (4,) * 7) == (
         (3, 6, 2, 0), (4, 8, 2, 0), (5, 10, 1, 0), (6, 12, 1, 0), (7, 14, 1, 0),
         (8, 16, 1, 0),
     )
@@ -279,7 +277,7 @@ def test_ecriture_nonic_five_rows():
 
 def test_ecriture_rows_have_valid_filters_and_numerators():
     for r in ecriture_minimale_search(9):
-        assert check_sequence(9, r.degrees).ok
+        assert check_sequence(9, r.degrees) == ()
         assert all(c >= 0 for c in r.numerator)
 
 
