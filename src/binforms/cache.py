@@ -116,11 +116,11 @@ class EvalCache:
             self.discard(n, cfg, str(exc))
             return None
 
-    def flush(self, n: int, cfg, top: int, table) -> None:
-        """Write the campaign of `table`, a `pipeline.DmTable` up to `top`."""
-        degrees = {str(m): {"attempt": ev.attempt, "generators": []}
-                   for m, ev in table.evidence.items()}
-        for rec in table.records:
+    def flush(self, n: int, cfg, top: int, evidence, records) -> None:
+        """Write the campaign up to `top`: its `pipeline.DegreeEvidence`
+        list and its adjoined `pipeline.BasisRecord`s."""
+        degrees = {str(ev.degree): {"attempt": ev.attempt, "generators": []} for ev in evidence}
+        for rec in records:
             degrees[str(rec.degree)]["generators"].append(expr_to_text(rec.expr))
         doc = {**_key_fields(n, cfg), "top": top, "degrees": degrees}
         fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")

@@ -235,25 +235,25 @@ def _cmd_eval(args) -> Result:
 def _cmd_basis(args) -> Result:
     cfg = PipelineConfig(args.prime, args.seed, args.margin)
     cfg.validate(args.n, campaign_top(args.n, args.max_degree))
-    table = find_basic_invariants(args.n, args.max_degree, cfg, open_cache(args.cache_dir))
-    nonzero = table.nonzero()
+    evidence, _ = find_basic_invariants(args.n, args.max_degree, cfg, open_cache(args.cache_dir))
+    d = {ev.degree: ev.d for ev in evidence if ev.d}
     payload = {
         "n": args.n, "prime": cfg.prime, "seed": cfg.seed, "max_degree": args.max_degree,
-        "d": nonzero, "total": table.total(),
+        "d": d, "total": sum(d.values()),
         # `attempt` names the point set for the cache; the JSON leaves it out.
         "evidence": [
             {key: value for key, value in ev._asdict().items() if key != "attempt"}
-            for _, ev in sorted(table.evidence.items())
+            for ev in evidence
         ],
     }
     text = [
         f"basic invariants for order {args.n} through degree {args.max_degree} "
         f"(prime {cfg.prime}, seed {cfg.seed}):",
-        "  m  : " + "  ".join(f"{m:4d}" for m in nonzero),
-        "  d_m: " + "  ".join(f"{d:4d}" for d in nonzero.values()),
-        f"  total {table.total()}",
+        "  m  : " + "  ".join(f"{m:4d}" for m in d),
+        "  d_m: " + "  ".join(f"{v:4d}" for v in d.values()),
+        f"  total {payload['total']}",
     ]
-    return Result(payload, text, [("m", "d_m"), *nonzero.items()])
+    return Result(payload, text, [("m", "d_m"), *d.items()])
 
 
 def _named_set(n: int, selector: str) -> List[BasisRecord]:

@@ -377,18 +377,6 @@ class DegreeEvidence(NamedTuple):
     attempt: int  # the point set `dm:{degree}:{attempt}`; 0 when dim is 0
 
 
-class DmTable:
-    def __init__(self):
-        self.evidence: Dict[int, DegreeEvidence] = {}
-        self.records: List[BasisRecord] = []
-
-    def nonzero(self) -> Dict[int, int]:
-        return {m: ev.d for m, ev in sorted(self.evidence.items()) if ev.d}
-
-    def total(self) -> int:
-        return sum(ev.d for ev in self.evidence.values())
-
-
 class SaturationError(RuntimeError):
     """Candidate generation failed to span I_m within budget (inconclusive)."""
 
@@ -398,7 +386,7 @@ def compute_dm(
     m: int,
     basis: Sequence[BasisRecord],
     cfg: PipelineConfig,
-    gen: Optional[CandidateGenerator] = None,
+    gen: Optional[CandidateGenerator],
     stored: Optional[Tuple[int, Sequence[Expr]]] = None,
 ) -> Tuple[DegreeEvidence, List[BasisRecord]]:
     """Evidence for d_m plus the newly adjoined basic invariants.
@@ -414,8 +402,6 @@ def compute_dm(
         return DegreeEvidence(m, 0, 0, 0, 0, 0, 0), []
     if any(rec.degree >= m for rec in basis):
         raise ValueError(f"basis passed to compute_dm must be settled below degree {m}")
-    if stored is None and gen is None:
-        gen = CandidateGenerator(n, cfg.seed)
     products = monomial_counts(basis, m)[m]
     attempts = (1, 2) if stored is None else (stored[0],)
     margin = cfg.margin(dim) << (attempts[0] - 1)
@@ -471,17 +457,21 @@ def campaign_top(n: int, max_degree: int) -> int:
     return max_degree if seed is None else min(max_degree, max(sum(seed) - (n + 1), max(seed)))
 
 
-def _campaign(n: int, top: int, cfg: PipelineConfig, stored: Optional[Stored] = None) -> DmTable:
+def _campaign(
+    n: int, top: int, cfg: PipelineConfig, stored: Optional[Stored] = None
+) -> Tuple[List[DegreeEvidence], List[BasisRecord]]:
     """Degrees 1..top through `compute_dm`, from one seeded candidate stream
-    or from the stored generators of each degree."""
-    table = DmTable()
+    or from the stored generators of each degree: the evidence of each
+    degree with dim I_m > 0, in degree order, and every adjoined record."""
+    evidence: List[DegreeEvidence] = []
+    records: List[BasisRecord] = []
     gen = CandidateGenerator(n, cfg.seed) if stored is None else None
     for m in range(1, top + 1):
         if invariant_dimension(n, m):
-            evidence, new = compute_dm(n, m, table.records, cfg, gen, stored and stored[m])
-            table.evidence[m] = evidence
-            table.records.extend(new)
-    return table
+            ev, new = compute_dm(n, m, records, cfg, gen, stored and stored[m])
+            evidence.append(ev)
+            records.extend(new)
+    return evidence, records
 
 
 def find_basic_invariants(
@@ -489,7 +479,7 @@ def find_basic_invariants(
     max_degree: int,
     cfg: PipelineConfig,
     cache: Optional[EvalCache] = None,
-) -> DmTable:
+) -> Tuple[List[DegreeEvidence], List[BasisRecord]]:
     """Run the discovery campaign for every degree up to max_degree.
 
     With a cache, a stored campaign that reaches the run's top degree is
@@ -505,10 +495,10 @@ def find_basic_invariants(
             return _campaign(n, top, cfg, stored)
         except (SaturationError, ValueError, RecursionError) as exc:
             cache.discard(n, cfg, f"replay failed: {exc}")
-    table = _campaign(n, top, cfg)
+    evidence, records = _campaign(n, top, cfg)
     if cache is not None:
-        cache.flush(n, cfg, top, table)
-    return table
+        cache.flush(n, cfg, top, evidence, records)
+    return evidence, records
 
 
 def membership_basis(
@@ -524,7 +514,7 @@ def membership_basis(
     needs one no campaign runs and `cache` is not read.
     """
     need = max(0, max(degrees) - min(h.degree for h in hsop))
-    return need, (find_basic_invariants(n, need, cfg, cache).records if need else [])
+    return need, (find_basic_invariants(n, need, cfg, cache)[1] if need else [])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from binforms import pipeline
+from binforms.cache import EvalCache
 from binforms.cli import main
+from binforms.exprs import expr_to_text
 
 ARGV = ["basis", "--n", "9", "--max-degree", "10", "--json"]
 NAME = "campaign-9_32003_1_10.json"  # n, prime, seed, --points-margin
@@ -219,6 +221,25 @@ def test_warm_run_replays_without_drawing_and_writes_nothing(capsys, monkeypatch
         patch.setattr(pipeline.CandidateGenerator, "candidates", no_draws)
         assert _run(capsys, tmp_path) == (0, want, "")
     assert path.read_bytes() == stored
+
+
+def test_warm_replay_keeps_an_attempt_2_degree(monkeypatch, tmp_path):
+    # Degree 20 of the nonic settles only at the second, doubled point set.
+    # The stored attempt is the one field of the file the rank cannot check,
+    # so the warm evidence must carry it, and every other field, unchanged.
+    cfg = pipeline.PipelineConfig()
+    cold_evidence, cold_records = pipeline.find_basic_invariants(9, 22, cfg, EvalCache(tmp_path))
+    assert {ev.degree: ev.attempt for ev in cold_evidence}[20] == 2
+
+    def no_draws(self, m):
+        raise AssertionError("a warm run drew a candidate")
+
+    monkeypatch.setattr(pipeline.CandidateGenerator, "candidates", no_draws)
+    warm_evidence, warm_records = pipeline.find_basic_invariants(9, 22, cfg, EvalCache(tmp_path))
+    assert [ev._asdict() for ev in warm_evidence] == [ev._asdict() for ev in cold_evidence]
+    assert [(rec.name, rec.degree, expr_to_text(rec.expr)) for rec in warm_records] == [
+        (rec.name, rec.degree, expr_to_text(rec.expr)) for rec in cold_records
+    ]
 
 
 def test_file_below_the_run_top_degree_is_rerun_cold_and_rewritten(capsys, tmp_path):

@@ -35,6 +35,11 @@ def _monomials_of_degree(basis, m):
     return (mono for mono, _ in pipeline._monomial_products(basis, m, None, lambda acc, j, k: None))
 
 
+def dm_row(evidence):
+    """The d_m of each degree that adjoins a generator, as `basis` prints them."""
+    return {ev.degree: ev.d for ev in evidence if ev.d}
+
+
 def _dummy_records(degree_counts):
     recs = []
     for degree, count in sorted(degree_counts.items()):
@@ -178,7 +183,7 @@ def test_compute_dm_inconclusive_without_candidate_budget(monkeypatch):
     # must surface as inconclusive rather than a wrong d_m
     monkeypatch.setattr(pipeline, "CANDIDATE_BUDGET", -(10 ** 6))
     with pytest.raises(SaturationError):
-        compute_dm(9, 4, [], CFG)
+        compute_dm(9, 4, [], CFG, CandidateGenerator(9, CFG.seed))
 
 
 def test_candidate_generator_determinism_and_metadata():
@@ -198,20 +203,21 @@ def test_candidate_generator_seed_changes_stream():
 
 
 def test_compute_dm_first_degrees():
-    ev4, recs4 = compute_dm(9, 4, [], CFG)
+    gen = CandidateGenerator(9, CFG.seed)
+    ev4, recs4 = compute_dm(9, 4, [], CFG, gen)
     assert (ev4.dim, ev4.product_rank, ev4.d) == (2, 0, 2)
     assert len(recs4) == 2
-    ev6, recs6 = compute_dm(9, 6, recs4, CFG)
+    ev6, recs6 = compute_dm(9, 6, recs4, CFG, gen)
     assert ev6.d == 0 and recs6 == []
-    ev8, recs8 = compute_dm(9, 8, recs4, CFG)
+    ev8, recs8 = compute_dm(9, 8, recs4, CFG, gen)
     assert (ev8.dim, ev8.products, ev8.product_rank, ev8.d) == (8, 3, 3, 5)
 
 
 def test_fingerprints_nonzero_and_independent():
-    table = find_basic_invariants(9, 8, CFG)
+    _, records = find_basic_invariants(9, 8, CFG)
     values = PointEvaluations(9, P, 1, 32, "fingerprint")
     by_degree = {}
-    for rec in table.records:
+    for rec in records:
         fingerprint = values.vector(rec.expr)
         assert fingerprint.any(), rec.name
         by_degree.setdefault(rec.degree, []).append(fingerprint)
@@ -220,42 +226,45 @@ def test_fingerprints_nonzero_and_independent():
 
 
 def test_find_basic_invariants_nonic_quick():
-    table = find_basic_invariants(9, 12, CFG)
-    assert table.nonzero() == {4: 2, 8: 5, 10: 5, 12: 14}
+    evidence, records = find_basic_invariants(9, 12, CFG)
+    assert dm_row(evidence) == {4: 2, 8: 5, 10: 5, 12: 14}
+    # one entry per degree with dim I_m > 0, in degree order
+    assert [ev.degree for ev in evidence] == [m for m in range(1, 13) if invariant_dimension(9, m)]
     # evidence invariants: each degree adjoins d generators, named in order
-    adjoined = Counter(rec.degree for rec in table.records)
-    assert sum(adjoined.values()) == table.total()
-    for m, ev in table.evidence.items():
+    adjoined = Counter(rec.degree for rec in records)
+    assert len(records) == sum(ev.d for ev in evidence)
+    for ev in evidence:
+        m = ev.degree
         assert ev.product_rank <= ev.dim
         assert ev.d == ev.dim - ev.product_rank
         assert adjoined[m] == ev.d
-        names = [rec.name for rec in table.records if rec.degree == m]
+        names = [rec.name for rec in records if rec.degree == m]
         assert names == [f"i{m}_{k}" for k in range(1, ev.d + 1)]
 
 
 def test_find_basic_invariants_dm_stable_across_seeds_and_primes():
-    base = find_basic_invariants(9, 10, CFG).nonzero()
+    base = dm_row(find_basic_invariants(9, 10, CFG)[0])
     for cfg in (
         PipelineConfig(seed=2),
         PipelineConfig(seed=3),
         PipelineConfig(prime=31013, seed=1),
         PipelineConfig(prime=65537, seed=4),
     ):
-        assert find_basic_invariants(9, 10, cfg).nonzero() == base
+        assert dm_row(find_basic_invariants(9, 10, cfg)[0]) == base
 
 
 def test_sextic_campaign_matches_classical_degrees():
-    table = find_basic_invariants(6, 15, PipelineConfig(seed=5))
-    assert table.nonzero() == {2: 1, 4: 1, 6: 1, 10: 1, 15: 1}
-    assert table.total() == 5
+    evidence, records = find_basic_invariants(6, 15, PipelineConfig(seed=5))
+    assert dm_row(evidence) == {2: 1, 4: 1, 6: 1, 10: 1, 15: 1}
+    assert sum(ev.d for ev in evidence) == len(records) == 5
 
 
 def test_stop_bound_halts_sextic_campaign():
     # numerator degree for (2, 4, 6, 10) is 15, so degrees above 15 are
     # never attempted even when max_degree is larger
-    table = find_basic_invariants(6, 30, PipelineConfig(seed=6))
-    assert max(table.evidence) == 15
-    assert table.total() == 5
+    evidence, records = find_basic_invariants(6, 30, PipelineConfig(seed=6))
+    assert evidence[-1].degree == max(ev.degree for ev in evidence) == 15
+    assert sum(ev.d for ev in evidence) == len(records) == 5
 
 
 def test_stop_bound_is_the_numerator_degree_or_the_largest_seed_degree():
@@ -322,7 +331,7 @@ def test_vanish_sample_single_invariant_direction():
 def test_ideal_membership_quick_degrees():
     cat = catalog_for(9)
     thm = [BasisRecord(e.name, e.degree, e.expr) for e in cat.hsop()]
-    basis = find_basic_invariants(9, 8, CFG).records
+    _, basis = find_basic_invariants(9, 8, CFG)
     expected = {4: (2, 1), 8: (8, 3), 12: (28, 11)}
     for i, (dim, ideal_dim) in expected.items():
         res = ideal_membership_dim(thm, basis, i, 9, CFG)
